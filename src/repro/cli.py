@@ -5,7 +5,6 @@ Subcommands::
     repro phantom  --out DIR [--shape X Y Z T] [--nodes N] [--format raw|dicom]
     repro info     DATASET_DIR
     repro analyze  DATASET_DIR [--variant hmp|split] [--copies N] ...
-    repro tune     [--out PROFILE.json] [--runtime threads|processes] ...
     repro kernels  [--refresh]
     repro simulate [--figure 7a|7b|8|9|10|11] [--scale S]
     repro serve    [--port P] [--workers N] [--weights tenant=W ...] ...
@@ -13,10 +12,8 @@ Subcommands::
 
 ``phantom`` generates a synthetic DCE-MRI study and writes it as a
 disk-resident dataset; ``analyze`` runs the parallel pipeline over a
-dataset on this machine; ``tune`` sweeps a pilot workload across the
-configuration grid and writes a :class:`~repro.tuning.TuningProfile`
-that ``analyze --profile`` loads back; ``simulate`` regenerates a paper
-figure's series on the simulated 2004 testbeds; ``serve`` hosts the
+dataset on this machine; ``simulate`` regenerates a paper figure's
+series on the simulated 2004 testbeds; ``serve`` hosts the
 always-on analysis service (:mod:`repro.service`) and ``submit`` sends
 it jobs.
 """
@@ -110,49 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", action="store_true",
                    help="print the run's metrics snapshot "
                         "(counters/gauges/histograms)")
-    p.add_argument("--profile", metavar="PROFILE.json",
-                   help="apply a tuning profile written by `repro tune`: "
-                        "its chunk shape / copy counts / kernel / "
-                        "scheduling replace the corresponding defaults, "
-                        "and its runtime / transport / queue bound fill "
-                        "in any of those flags you did not pass")
-    p.add_argument("--autotune", action="store_true",
-                   help="processes runtime: enable the online controller "
-                        "(adapts per-edge credit windows and active-copy "
-                        "masks from live queue-depth gauges, emitting "
-                        "tune.adjust events; outputs stay bit-identical)")
     p.add_argument("--poll-interval", type=float, metavar="SECONDS",
-                   help="watchdog granularity for blocking waits; with "
-                        "event-driven wakeups (the default) this only "
-                        "bounds a missed-wakeup stall")
-    p.add_argument("--wakeup", choices=("event", "polled"),
-                   help="queue wakeup mode (default event; polled "
-                        "restores the legacy fixed-tick loops, kept for "
-                        "benchmarking the latency delta)")
-
-    p = sub.add_parser(
-        "tune", help="sweep a pilot workload and write a tuning profile"
-    )
-    p.add_argument("--out", default="tuning_profile.json",
-                   metavar="PROFILE.json",
-                   help="where to write the selected profile")
-    p.add_argument("--dataset", metavar="DIR",
-                   help="pilot dataset directory (default: generate a "
-                        "small phantom in a temp dir)")
-    p.add_argument("--shape", nargs=4, type=int, default=[24, 24, 8, 4],
-                   metavar=("X", "Y", "Z", "T"),
-                   help="phantom pilot shape when --dataset is omitted")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--repeats", type=int, default=1,
-                   help="timed runs per candidate (best is kept)")
-    p.add_argument("--runtime", choices=("threads", "processes"),
-                   default="processes",
-                   help="runtime whose knobs to sweep")
-    p.add_argument("--max-queue", type=int, default=16)
-    p.add_argument("--timeout", type=float, default=120.0,
-                   help="per-candidate run timeout in seconds")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-candidate progress lines")
+                   help="watchdog granularity for blocking waits; "
+                        "wakeups are event-driven, so this only bounds "
+                        "a missed-wakeup stall")
 
     p = sub.add_parser(
         "kernels", help="list scan kernels and probe the GPU backend"
@@ -306,13 +264,6 @@ def _cmd_analyze(args) -> int:
     if args.hosts and args.agents:
         print("--hosts and --agents are mutually exclusive", file=sys.stderr)
         return 2
-    if args.autotune and args.runtime != "processes" and not args.profile:
-        print("--autotune requires --runtime processes", file=sys.stderr)
-        return 2
-    if args.wakeup and args.runtime == "distributed":
-        print("--wakeup applies to the threads/processes runtimes",
-              file=sys.stderr)
-        return 2
     hosts = None
     if args.hosts:
         hosts = list(args.hosts)
@@ -326,8 +277,7 @@ def _cmd_analyze(args) -> int:
         trace=args.trace, trace_out=args.trace_out,
         transport=args.transport, elastic=args.elastic,
         heartbeat_timeout=args.heartbeat_timeout,
-        profile=args.profile, autotune=args.autotune,
-        poll_interval=args.poll_interval, wakeup=args.wakeup,
+        poll_interval=args.poll_interval,
     )
     print(format_breakdown(result.run, order=("RFR", "IIC", "HMP", "HCC", "HPC")))
     if args.metrics:
@@ -338,33 +288,6 @@ def _cmd_analyze(args) -> int:
     for name, vol in result.volumes.items():
         print(f"{name:<16} shape={vol.shape} min={vol.min():.4f} "
               f"max={vol.max():.4f}")
-    return 0
-
-
-def _cmd_tune(args) -> int:
-    from .tuning import PilotSpec, run_sweep
-
-    spec = PilotSpec(
-        dataset_root=args.dataset,
-        phantom_shape=tuple(args.shape),
-        seed=args.seed,
-        repeats=args.repeats,
-        runtime=args.runtime,
-        max_queue=args.max_queue,
-        run_timeout=args.timeout,
-    )
-    try:
-        result = run_sweep(spec, progress=None if args.quiet else print)
-    except ValueError as exc:
-        print(f"tune failed: {exc}", file=sys.stderr)
-        return 2
-    print(result.summary())
-    if not result.bit_identical:
-        print("warning: candidates disagreed bit-for-bit; profile NOT "
-              "written", file=sys.stderr)
-        return 1
-    result.profile.save(args.out)
-    print(f"profile written to {args.out}")
     return 0
 
 
@@ -533,7 +456,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "phantom": _cmd_phantom,
         "info": _cmd_info,
         "analyze": _cmd_analyze,
-        "tune": _cmd_tune,
         "kernels": _cmd_kernels,
         "simulate": _cmd_simulate,
         "serve": _cmd_serve,

@@ -400,16 +400,6 @@ def megabatch_scan(
 
     lead = offs.grid[:-1]
     origins = np.unravel_index(np.arange(offs.n_rows), lead) if lead else None
-    # Hot-slab symmetrization scratch: one transposed slab.  ``m += m.T``
-    # per matrix through a full (blocked) transpose copy is several times
-    # faster than triangle-indexed in-place symmetrization, and with the
-    # whole-chunk accumulator the scratch stays bounded by the slab.
-    sym_buf = (
-        np.empty((rows_per_block * offs.row_len, levels, levels), dtype=np.int64)
-        if symmetric
-        else None
-    )
-
     out = mats.reshape(npos, levels, levels)
     for r0 in range(0, offs.n_rows, rows_per_block):
         rb = min(rows_per_block, offs.n_rows - r0)
@@ -449,10 +439,9 @@ def megabatch_scan(
                     m += h[:, k : k + offs.row_len]
         if symmetric:
             # While the slab is still cache-hot.
-            slab = out[r0 * offs.row_len : (r0 + rb) * offs.row_len]
-            t = sym_buf[: slab.shape[0]]
-            np.copyto(t, slab.transpose(0, 2, 1))
-            slab += t
+            symmetrize_inplace(
+                out[r0 * offs.row_len : (r0 + rb) * offs.row_len]
+            )
     for start in range(0, npos, batch):
         yield start, out[start : start + batch]
 

@@ -8,10 +8,6 @@ parameters, not on the data being scanned:
     The per-row bincount offset ``arange(n) * G**2`` that turns a batch
     of per-window pair codes into disjoint histogram segments for a
     single ``bincount`` call.
-``symmetric_index``
-    The strict-upper-triangle index pair plus the diagonal used to
-    symmetrize count matrices in place (without materializing a full
-    transposed copy).
 ``scan_offsets``
     Precomputed flat-index gather tables for the mega-batched
     chunk-at-once kernel: per scan row and per direction group, the
@@ -26,6 +22,10 @@ batch row), so they are cached here and shared by every kernel and every
 filter copy.  Cached arrays are returned *read-only*; kernels must never
 write into them.  The cache is guarded by a lock because the local
 runtime executes filter copies on threads.
+
+:func:`symmetrize_inplace`, the one symmetrization routine every kernel
+shares, lives here too; it caches nothing (its scratch is bounded and
+per call).
 
 ``WORKSPACE_BYTES`` is the soft bound on transient working-set size the
 kernels aim for when they sub-batch internally (it bounds temporaries,
@@ -49,7 +49,6 @@ __all__ = [
     "ScanOffsets",
     "pair_shift",
     "scan_offsets",
-    "symmetric_index",
     "symmetrize_inplace",
 ]
 
@@ -60,7 +59,10 @@ WORKSPACE_BYTES = 32 * 2**20
 
 _lock = threading.Lock()
 _shift_cache: Dict[int, np.ndarray] = {}
-_triu_cache: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+#: Cap on the transposed scratch of :func:`symmetrize_inplace`: small
+#: enough to stay cache-resident, so the add reads a hot slab.
+_SYM_SCRATCH_BYTES = 2 * 2**20
 
 
 def pair_shift(n: int, gg: int) -> np.ndarray:
@@ -79,33 +81,22 @@ def pair_shift(n: int, gg: int) -> np.ndarray:
         return arr[:n]
 
 
-def symmetric_index(levels: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached ``(iu, ju, diag)`` index arrays for in-place symmetrization."""
-    with _lock:
-        cached = _triu_cache.get(levels)
-        if cached is None:
-            iu, ju = np.triu_indices(levels, k=1)
-            diag = np.arange(levels)
-            for a in (iu, ju, diag):
-                a.setflags(write=False)
-            cached = (iu, ju, diag)
-            _triu_cache[levels] = cached
-        return cached
-
-
 def symmetrize_inplace(mats: np.ndarray) -> np.ndarray:
     """``mats += mats.T`` per matrix, in place and without a full copy.
 
-    ``mats`` has shape ``(B, G, G)``.  The only temporary is the strict
-    upper triangle (half a matrix batch), versus the full transposed
-    copy the naive ``mats += mats.transpose(0, 2, 1).copy()`` needs.
+    ``mats`` has shape ``(B, G, G)`` (any strides).  Matrices are taken a
+    slab at a time: each slab is copied transposed into a scratch of at
+    most ``_SYM_SCRATCH_BYTES`` (one matrix when a single matrix is
+    larger) and added back, so the temporary never grows with ``B``.
     """
-    iu, ju, diag = symmetric_index(mats.shape[-1])
-    if iu.size:
-        s = mats[:, iu, ju] + mats[:, ju, iu]
-        mats[:, iu, ju] = s
-        mats[:, ju, iu] = s
-    mats[:, diag, diag] *= 2
+    n, g = mats.shape[0], mats.shape[-1]
+    slab = max(1, min(n, _SYM_SCRATCH_BYTES // max(1, g * g * mats.itemsize)))
+    scratch = np.empty((slab, g, g), dtype=mats.dtype)
+    for s0 in range(0, n, slab):
+        m = mats[s0 : s0 + slab]
+        t = scratch[: m.shape[0]]
+        np.copyto(t, m.transpose(0, 2, 1))
+        m += t
     return mats
 
 

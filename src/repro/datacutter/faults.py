@@ -36,10 +36,11 @@ Example::
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 __all__ = [
     "RetryPolicy",
@@ -173,6 +174,70 @@ class InjectedCrash(RuntimeError):
         #: MP runtime only: kill the child process outright (no control
         #: message, no EOS) so the parent's exitcode watcher must detect it.
         self.hard = hard
+
+
+# ---------------------------------------------------------------------------
+# The retry loop (shared by the threads, processes and distributed runtimes)
+
+
+class _Aborted(BaseException):
+    """Internal unwind signal raised inside copy workers when the run aborts."""
+
+
+class _CopyDied(Exception):
+    """A copy exhausted its retries (or was crashed by injection)."""
+
+    def __init__(self, cause: BaseException, injected: bool):
+        super().__init__(str(cause))
+        self.cause = cause
+        self.injected = injected
+
+
+def _process_with_retry(
+    filt,
+    stream: str,
+    buffer,
+    ctx,
+    injector,
+    retry: RetryPolicy,
+    abort_wait: Callable[[float], bool],
+    count_retry: Callable[[], None],
+    hard_exit: Optional[int] = None,
+) -> float:
+    """Run ``process()`` with injection + retry; returns busy seconds.
+
+    ``abort_wait(timeout)`` is the runtime's shared abort wait (true when
+    the run aborted): the backoff sleeps the whole delay in one wait the
+    abort interrupts immediately.  ``count_retry`` bumps the runtime's
+    retry counter.  ``hard_exit`` is the status a hard injected crash
+    kills the whole process with (no cleanup, no goodbye — the parent's
+    death detection must catch it); ``None`` where a copy is a thread and
+    cannot die alone.  Raises :class:`_CopyDied` when the copy must be
+    given up on.
+    """
+    attempt = 1
+    while True:
+        try:
+            injector.before_process(buffer, attempt)
+            t0 = time.perf_counter()
+            filt.process(stream, buffer, ctx)
+            dt = time.perf_counter() - t0
+            injector.after_process(buffer)
+            return dt
+        except InjectedCrash as exc:
+            if exc.hard and hard_exit is not None:
+                os._exit(hard_exit)
+            raise _CopyDied(exc, injected=True) from exc
+        except _Aborted:
+            raise
+        except BaseException as exc:  # noqa: BLE001 - retried or reported
+            if attempt >= retry.max_attempts:
+                raise _CopyDied(exc, injected=isinstance(exc, InjectedFault))
+            count_retry()
+            ctx.event("fault.retry", attempt=attempt, error=repr(exc))
+            if abort_wait(retry.delay(attempt)):
+                raise _Aborted()
+            attempt += 1
 
 
 # ---------------------------------------------------------------------------

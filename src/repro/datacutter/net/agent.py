@@ -69,9 +69,10 @@ from ..faults import (
     NULL_CONNECTION_INJECTOR,
     NULL_INJECTOR,
     CopyFailure,
-    InjectedCrash,
-    InjectedFault,
     RetryPolicy,
+    _Aborted,
+    _CopyDied,
+    _process_with_retry,
 )
 from ..filter import FilterContext
 from ..graph import FilterGraph
@@ -91,19 +92,6 @@ _POLL = 0.05
 HEARTBEAT_INTERVAL = 0.5
 #: Exit status for injected agent crashes (mimics an uncaught signal).
 CRASH_EXIT = 23
-
-
-class _Aborted(BaseException):
-    """Internal unwind signal raised inside copy threads on shutdown."""
-
-
-class _CopyDied(Exception):
-    """A copy exhausted its retries (or was crashed by injection)."""
-
-    def __init__(self, cause: BaseException, injected: bool):
-        super().__init__(str(cause))
-        self.cause = cause
-        self.injected = injected
 
 
 class _SendWindow:
@@ -227,47 +215,8 @@ class _CopyWorker:
             daemon=True,
         )
 
-    # -- retry loop (mirrors LocalRuntime._process_with_retry) -------------
-
-    def _process_with_retry(self, filt, stream, buffer, ctx, injector) -> float:
-        runner = self.runner
-        retry = runner.retry
-        attempt = 1
-        while True:
-            try:
-                injector.before_process(buffer, attempt)
-                t0 = time.perf_counter()
-                filt.process(stream, buffer, ctx)
-                dt = time.perf_counter() - t0
-                injector.after_process(buffer)
-                return dt
-            except InjectedCrash as exc:
-                if exc.hard:
-                    # A real machine failure: the whole agent dies with no
-                    # goodbye; the head's death detection must catch it.
-                    os._exit(CRASH_EXIT)
-                raise _CopyDied(exc, injected=True) from exc
-            except _Aborted:
-                raise
-            except BaseException as exc:  # noqa: BLE001 - retried or reported
-                if attempt >= retry.max_attempts:
-                    raise _CopyDied(exc, injected=isinstance(exc, InjectedFault))
-                self.retries += 1
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "fault.retry",
-                        filter=self.filter_name,
-                        copy=self.copy_index,
-                        attempt=attempt,
-                        error=repr(exc),
-                    )
-                # Event-driven backoff: one wait for the whole delay,
-                # interrupted immediately by the runner's abort (this
-                # also threads the configured interval instead of the
-                # module-global tick the old loop hardwired).
-                if runner.abort.wait(timeout=retry.delay(attempt)):
-                    raise _Aborted()
-                attempt += 1
+    def _count_retry(self) -> None:
+        self.retries += 1
 
     # -- life cycle ---------------------------------------------------------
 
@@ -345,8 +294,13 @@ class _CopyWorker:
                             depth=self.in_q.qsize(),
                         )
                     try:
-                        dt = self._process_with_retry(
-                            filt, stream, buffer, ctx, injector
+                        # A hard injected crash is a real machine
+                        # failure: the whole agent dies with no goodbye
+                        # and the head's death detection must catch it.
+                        dt = _process_with_retry(
+                            filt, stream, buffer, ctx, injector,
+                            runner.retry, runner.abort.wait,
+                            self._count_retry, hard_exit=CRASH_EXIT,
                         )
                         t_busy += dt
                         if self.tracer is not None:
@@ -510,7 +464,7 @@ class AgentRunner:
 
     def _apply_setup(self, msg: Tuple) -> None:
         # The optional trailing element is the head's poll_interval
-        # (absent from pre-tuning heads; the module default then holds).
+        # (absent from older heads; the module default then holds).
         (_, graph, assignments, retry, faults, send_window, agent_name,
          trace, *rest) = msg
         if rest and rest[0]:

@@ -199,12 +199,6 @@ def _ingest_events(reg: MetricsRegistry, events: Iterable[TraceEvent]) -> None:
             reg.counter("region_hit_bytes", tier=tier).inc(
                 float(ev.attrs["bytes"])
             )
-        elif ev.kind == "tune.adjust":
-            edge = ev.attrs["edge"]
-            knob = ev.attrs["knob"]
-            reg.counter("tune_adjustments", edge=edge, knob=knob).inc()
-            # Last-written value per knob: the setting the run ended on.
-            reg.gauge(f"tune_{knob}", edge=edge).set(float(ev.attrs["new"]))
         elif ev.kind == "region.evict":
             reg.counter(
                 "region_evictions", src=ev.attrs["src"], dst=ev.attrs["dst"]

@@ -3,8 +3,10 @@
 Each filter copy runs in its own thread with a bounded input queue, so
 producers and consumers "run concurrently and process data chunks in a
 pipelined fashion" (paper Section 4.1) for real on this machine.  The
-NumPy kernels release the GIL in their hot loops, so replicated texture
-filters genuinely overlap.
+overlap is I/O against compute: texture filtering holds the GIL for most
+of its time, so replicating texture copies here does not scale (the
+ROADMAP probe measured 17.6k ROIs/s with one copy, 16.4k with two) —
+that is what the processes runtime is for.
 
 Per-stream routing honours the configured scheduling policy
 (:mod:`repro.datacutter.scheduling`).  End-of-stream is tracked at the
@@ -52,41 +54,26 @@ from .faults import (
     InjectedFault,
     PipelineError,
     RetryPolicy,
+    _Aborted,
+    _CopyDied,
+    _process_with_retry,
 )
-from .filter import Filter, FilterContext
+from .filter import FilterContext
 from .graph import FilterGraph, StreamEdge
 from .obs import Trace, Tracer, snapshot_run
 from .scheduling import CopyState, make_policy
 
-__all__ = ["LocalRuntime", "RunResult", "WAKEUPS"]
+__all__ = ["LocalRuntime", "RunResult"]
 
-#: Watchdog granularity while blocked on a queue (seconds).  With
-#: ``wakeup="event"`` (default) every transition a blocked worker waits
-#: on — new buffer, stream closure, copy death, abort — raises a wakeup
-#: (a queue put or a ``_WAKE`` nudge), so this only bounds recovery from
-#: a missed one; with ``wakeup="polled"`` blocked workers genuinely tick
-#: at this granularity (the pre-event behaviour, kept for benchmarks).
+#: Watchdog granularity while blocked on a queue (seconds).  Every
+#: transition a blocked worker waits on — new buffer, stream closure,
+#: copy death, abort — raises a wakeup (a queue put or a ``_WAKE``
+#: nudge), so this only bounds recovery from a missed one.
 _POLL = 0.05
-
-#: Accepted ``wakeup=`` modes.
-WAKEUPS = ("event", "polled")
 
 #: No-op queue token: wakes a consumer blocked in ``get`` so it re-checks
 #: stream closure immediately instead of waiting out a poll interval.
 _WAKE = object()
-
-
-class _Aborted(BaseException):
-    """Internal unwind signal raised inside workers when the run aborts."""
-
-
-class _CopyDied(Exception):
-    """A copy exhausted its retries (or was crashed by injection)."""
-
-    def __init__(self, cause: BaseException, injected: bool):
-        super().__init__(str(cause))
-        self.cause = cause
-        self.injected = injected
 
 
 @dataclass
@@ -143,8 +130,8 @@ class RunResult:
 class _RunState:
     """Shared per-run coordination: abort signal and failure accounting.
 
-    In event mode the abort also *wakes* every consumer: queues attached
-    via :meth:`attach_queues` get a best-effort ``_WAKE`` nudge when the
+    The abort also *wakes* every consumer: queues attached via
+    :meth:`attach_queues` get a best-effort ``_WAKE`` nudge when the
     abort trips, so a worker blocked in ``get`` unwinds immediately
     instead of discovering the flag at its next watchdog expiry.
     """
@@ -424,13 +411,10 @@ class LocalRuntime:
         ``ctx.event``) into ``RunResult.trace``.  Off by default; the
         disabled path adds only ``is not None`` branches.
     poll_interval:
-        Watchdog granularity in seconds (default 0.05).  With
-        ``wakeup="event"`` it only bounds recovery from a missed wakeup;
-        with ``wakeup="polled"`` it is the legacy busy-wait tick.
-    wakeup:
-        ``"event"`` (default) wakes blocked workers on every queue
-        transition (puts, ``_WAKE`` closure nudges, abort nudges);
-        ``"polled"`` restores the pre-event ticks for benchmarking.
+        Watchdog granularity in seconds (default 0.05).  Blocked workers
+        are woken on every queue transition (puts, ``_WAKE`` closure
+        nudges, abort nudges), so it only bounds recovery from a missed
+        wakeup.
     """
 
     def __init__(
@@ -441,14 +425,9 @@ class LocalRuntime:
         faults: Optional[FaultPlan] = None,
         trace: bool = False,
         poll_interval: Optional[float] = None,
-        wakeup: str = "event",
     ):
         graph.validate()
         self._check_stream_names(graph)
-        if wakeup not in WAKEUPS:
-            raise ValueError(
-                f"unknown wakeup {wakeup!r}; expected one of {WAKEUPS}"
-            )
         self.graph = graph
         self.max_queue = max_queue
         self.retry = retry if retry is not None else RetryPolicy()
@@ -459,7 +438,6 @@ class LocalRuntime:
         )
         if self.poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
-        self.wakeup = wakeup
         self._run_lock = threading.Lock()
         self._active_state: Optional[_RunState] = None
 
@@ -494,39 +472,6 @@ class LocalRuntime:
                 raise ValueError(
                     f"filter {name!r} has duplicate input stream names: {streams}"
                 )
-
-    # -- retry loop --------------------------------------------------------
-
-    def _process_with_retry(
-        self, filt: Filter, stream: str, buffer: DataBuffer, ctx, injector, state
-    ) -> float:
-        """Run ``process()`` with injection + retry; returns busy seconds.
-
-        Raises :class:`_CopyDied` when the copy must be given up on.
-        """
-        attempt = 1
-        while True:
-            try:
-                injector.before_process(buffer, attempt)
-                t0 = time.perf_counter()
-                filt.process(stream, buffer, ctx)
-                dt = time.perf_counter() - t0
-                injector.after_process(buffer)
-                return dt
-            except InjectedCrash as exc:
-                raise _CopyDied(exc, injected=True) from exc
-            except _Aborted:
-                raise
-            except BaseException as exc:  # noqa: BLE001 - retried or reported
-                if attempt >= self.retry.max_attempts:
-                    raise _CopyDied(exc, injected=isinstance(exc, InjectedFault))
-                state.count_retry()
-                ctx.event("fault.retry", attempt=attempt, error=repr(exc))
-                # Event-driven backoff: one wait for the whole delay,
-                # interrupted immediately by the shared abort.
-                if state.abort.wait(timeout=self.retry.delay(attempt)):
-                    raise _Aborted()
-                attempt += 1
 
     # -- execution ---------------------------------------------------------
 
@@ -565,17 +510,16 @@ class LocalRuntime:
         for spec in graph.filters.values():
             for i in range(spec.copies):
                 queues[(spec.name, i)] = queue.Queue(maxsize=self.max_queue)
-        if self.wakeup == "event":
-            # Abort raises a nudge in every consumer queue, so workers
-            # blocked in ``get`` unwind without waiting out the watchdog.
-            state.attach_queues(
-                [
-                    queues[(spec.name, i)]
-                    for spec in graph.filters.values()
-                    if graph.in_edges(spec.name)
-                    for i in range(spec.copies)
-                ]
-            )
+        # Abort raises a nudge in every consumer queue, so workers
+        # blocked in ``get`` unwind without waiting out the watchdog.
+        state.attach_queues(
+            [
+                queues[(spec.name, i)]
+                for spec in graph.filters.values()
+                if graph.in_edges(spec.name)
+                for i in range(spec.copies)
+            ]
+        )
 
         # One router per edge, shared by all producer copies.
         routers: Dict[Tuple[str, str], _EdgeRouter] = {}
@@ -684,8 +628,10 @@ class LocalRuntime:
                             router.on_consume(copy_index)
                             continue
                         try:
-                            dt = self._process_with_retry(
-                                filt, stream, item, ctx, injector, state
+                            dt = _process_with_retry(
+                                filt, stream, item, ctx, injector,
+                                self.retry, state.abort.wait,
+                                state.count_retry,
                             )
                             t_busy += dt
                             if tracer is not None:

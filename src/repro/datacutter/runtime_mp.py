@@ -45,30 +45,16 @@ as in the threaded runtime: shared ``producers_done`` counters plus an
 atomic departed/queued check, so a survivor can never shut down while a
 dying sibling still holds buffers destined for it.
 
-Wakeups are event-driven (``wakeup="event"``, the default): every queue
-transition a blocked peer could be waiting on — a delivery, a producer
-finishing its share of a stream, the last in-flight buffer of an edge
-draining, the shared abort being raised — sets a per-copy
-``multiprocessing.Event``, so consumers and the parent wake immediately
-instead of discovering the transition at the next poll tick.  The
-``poll_interval`` (``REPRO_MP_POLL_INTERVAL``, default 0.02 s) survives
-only as a watchdog fallback bounding how long a *missed* wakeup could
-go unnoticed; ``wakeup="polled"`` restores the pre-event behaviour (all
-blocking waits tick at ``poll_interval``) and exists for benchmarking
-the latency floor the events remove (``benchmarks/bench_tuning.py``).
-The parent likewise stops ticking: it blocks in
-``multiprocessing.connection.wait`` on the results queue and the child
-sentinels at once, so both a control message and a silent child death
-wake it instantly.
-
-Online adaptation (``autotune=``, off by default): an
-:class:`~repro.tuning.AdaptationBounds` instance starts a parent-side
-controller thread (:class:`~repro.tuning.OnlineController`) that samples
-the shared queue-depth counters mid-run and adapts per-edge credit
-windows and replicated-copy activation within the configured bounds,
-emitting ``tune.adjust`` obs events.  Both actuators only steer *where*
-buffers of transparent streams go and how many may be outstanding —
-never what is computed — so outputs stay bit-identical.
+Wakeups are event-driven: every queue transition a blocked peer could
+be waiting on — a delivery, a producer finishing its share of a stream,
+the last in-flight buffer of an edge draining, the shared abort being
+raised — sets a per-copy ``multiprocessing.Event``, so consumers wake
+immediately instead of discovering the transition at a poll tick.  The
+``poll_interval`` (default 0.02 s) is only a watchdog bounding how long
+a *missed* wakeup could go unnoticed.  The parent does not tick either:
+it blocks in ``multiprocessing.connection.wait`` on the results queue
+and the child sentinels at once, so both a control message and a silent
+child death wake it instantly.
 
 Notes
 -----
@@ -83,7 +69,6 @@ Notes
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import queue as queue_mod
 import threading
 import time
@@ -96,10 +81,11 @@ from .faults import (
     NULL_INJECTOR,
     CopyFailure,
     FaultPlan,
-    InjectedCrash,
-    InjectedFault,
     PipelineError,
     RetryPolicy,
+    _Aborted,
+    _CopyDied,
+    _process_with_retry,
 )
 from .filter import FilterContext
 from .graph import FilterGraph, StreamEdge
@@ -107,43 +93,28 @@ from .net import shm
 from .obs import Trace, Tracer, snapshot_run
 from .runtime_local import RunResult
 
-__all__ = ["MPRuntime", "TRANSPORTS", "WAKEUPS"]
+__all__ = ["MPRuntime", "TRANSPORTS"]
 
 TRANSPORTS = ("pipe", "shm")
-WAKEUPS = ("event", "polled")
 
 _CTRL_DONE = "__copy_done__"
 _CTRL_ERROR = "__copy_error__"
 _CTRL_FAILED = "__copy_failed__"
 _CTRL_DEPOSIT = "__deposit__"
 
-#: Watchdog granularity (seconds).  With ``wakeup="event"`` (default)
-#: every transition a blocked peer waits on raises a wakeup event, so
-#: this only bounds how long a *missed* wakeup could go unnoticed; with
-#: ``wakeup="polled"`` every blocking wait genuinely ticks at this
-#: interval (the pre-event latency floor).  Overridable per run via
-#: ``MPRuntime(poll_interval=...)`` or globally via the
-#: ``REPRO_MP_POLL_INTERVAL`` environment variable.
-_POLL = float(os.environ.get("REPRO_MP_POLL_INTERVAL", "0.02"))
-#: Event-mode parent watchdog: the parent is woken by the results queue
-#: and child sentinels directly, so its fallback tick can be long.
+#: Watchdog granularity (seconds).  Every transition a blocked peer
+#: waits on raises a wakeup event, so this only bounds how long a
+#: *missed* wakeup could go unnoticed.  Overridable per run via
+#: ``MPRuntime(poll_interval=...)``.
+_POLL = 0.02
+#: Parent watchdog: the parent is woken by the results queue and child
+#: sentinels directly, so its fallback tick can be long.
 _PARENT_WATCHDOG = 1.0
 #: How long after a child exits the parent waits for its (possibly still
 #: buffered) terminal message before declaring it silently dead.
 _EXIT_GRACE = 2.0
 #: Exit status used for injected hard kills (mimics an uncaught signal).
 _HARD_EXIT = 19
-
-
-class _Aborted(BaseException):
-    """Internal unwind signal raised in children when the run aborts."""
-
-
-class _CopyDied(Exception):
-    def __init__(self, cause: BaseException, injected: bool):
-        super().__init__(str(cause))
-        self.cause = cause
-        self.injected = injected
 
 
 class _SharedAbort:
@@ -185,13 +156,9 @@ class _SharedAbort:
 class _SharedEdge:
     """Cross-process routing state for one stream edge.
 
-    ``wake`` (event mode) holds one ``ctx.Event`` per consumer copy of
-    the destination filter — shared by every edge into that filter —
-    set on each transition a blocked consumer could be waiting on.
-    ``credit`` / ``active`` exist only when online adaptation is on: a
-    soft per-consumer outstanding-buffer bound and an activation mask
-    the controller thread adjusts mid-run (both are advisory — routing
-    falls back to every alive copy rather than stall the stream).
+    ``wake`` holds one ``ctx.Event`` per consumer copy of the
+    destination filter — shared by every edge into that filter — set on
+    each transition a blocked consumer could be waiting on.
     """
 
     def __init__(
@@ -201,10 +168,9 @@ class _SharedEdge:
         max_queue: int,
         ctx,
         n_producers: int,
+        wake: List[Any],
         pool: Optional[shm.ShmPool] = None,
         poll: float = _POLL,
-        wake: Optional[List[Any]] = None,
-        autotune: bool = False,
     ):
         self.edge = edge
         self.num_consumers = num_consumers
@@ -212,13 +178,6 @@ class _SharedEdge:
         self.pool = pool
         self.poll = poll
         self.wake = wake
-        self.max_queue = max_queue
-        if autotune and edge.policy != "explicit":
-            self.credit = ctx.Value("l", max_queue)
-            self.active = ctx.Array("i", [1] * num_consumers)
-        else:
-            self.credit = None
-            self.active = None
         self.queues = [ctx.Queue(maxsize=max_queue) for _ in range(num_consumers)]
         self.lock = ctx.Lock()
         # Shared per-consumer depth and assignment counters.
@@ -245,9 +204,8 @@ class _SharedEdge:
         self._wake_all()
 
     def _wake_all(self) -> None:
-        if self.wake is not None:
-            for ev in self.wake:
-                ev.set()
+        for ev in self.wake:
+            ev.set()
 
     def producer_done(self) -> None:
         """One producer copy finished (its share of the stream is sent)."""
@@ -285,10 +243,7 @@ class _SharedEdge:
                 for i in range(self.num_consumers)
             )
 
-    def choose(self, buffer: DataBuffer, abort) -> Optional[int]:
-        """Pick a consumer copy, or ``None`` when the controller's credit
-        window has every candidate at its limit (the caller waits for a
-        consume and retries — a soft bound, never an abort)."""
+    def choose(self, buffer: DataBuffer, abort) -> int:
         policy = self.edge.policy
         with self.lock:
             alive = [
@@ -299,25 +254,11 @@ class _SharedEdge:
             if not alive:
                 abort.value = 1
                 raise _Aborted()
-            cand = alive
-            if self.active is not None:
-                # Controller-deactivated copies take no new assignments;
-                # if it deactivated everyone alive, ignore the mask
-                # rather than stall the stream.
-                act = [i for i in alive if self.active[i]]
-                if act:
-                    cand = act
-            if self.credit is not None:
-                limit = self.credit.value
-                fit = [i for i in cand if self.queued[i] < limit]
-                if not fit:
-                    return None
-                cand = fit
             if policy == "round_robin":
-                idx = cand[self.rr_next.value % len(cand)]
+                idx = alive[self.rr_next.value % len(alive)]
                 self.rr_next.value += 1
             elif policy == "demand_driven":
-                idx = min(cand, key=lambda i: (self.queued[i], self.assigned[i], i))
+                idx = min(alive, key=lambda i: (self.queued[i], self.assigned[i], i))
             else:
                 raise RuntimeError(
                     f"stream {self.edge.stream!r} is explicit: dest_copy required"
@@ -389,13 +330,6 @@ class _SharedEdge:
                         "dest_copy only valid on explicit streams"
                     )
                 idx = self.choose(buffer, abort)
-                if idx is None:
-                    # Every candidate is at the adaptive credit limit:
-                    # wait (bounded, abort-aware) for a consume to free
-                    # a slot, then re-pick.
-                    if abort.value or abort.wait(timeout=min(self.poll, 0.05)):
-                        raise _Aborted()
-                    continue
             if tracer is not None:
                 tracer.emit(
                     "sched.pick",
@@ -423,8 +357,7 @@ class _SharedEdge:
                     # and copy death promptly — the semaphore wait
                     # cannot be interrupted by either.
                     self.queues[idx].put(item, timeout=min(self.poll, 0.05))
-                    if self.wake is not None:
-                        self.wake[idx].set()
+                    self.wake[idx].set()
                     with self.lock:
                         self.wire.value += wire_n
                         self.shm.value += shm_n
@@ -516,10 +449,10 @@ def _copy_main(
 ) -> None:
     """Child-process entry point for one filter copy.
 
-    ``wake`` (event mode) is this copy's wakeup event: producers set it
-    after every delivery and on every edge transition, so the input wait
-    below blocks on it instead of ticking over the queues at ``poll``
-    granularity.  ``None`` selects the polled legacy path.
+    ``wake`` is this copy's wakeup event (``None`` for a source, which
+    has no input to wait on): producers set it after every delivery and
+    on every edge transition, so the input wait below blocks on it
+    instead of ticking over the queues at ``poll`` granularity.
     """
     spec = graph.filters[spec_name]
     injector = (
@@ -536,42 +469,9 @@ def _copy_main(
     terminal_sent = False
     dead_failure: Optional[CopyFailure] = None
 
-    def process_with_retry(filt, stream, buffer, ctx) -> float:
+    def count_retry() -> None:
         nonlocal retries
-        attempt = 1
-        while True:
-            try:
-                injector.before_process(buffer, attempt)
-                t0 = time.perf_counter()
-                filt.process(stream, buffer, ctx)
-                dt = time.perf_counter() - t0
-                injector.after_process(buffer)
-                return dt
-            except InjectedCrash as exc:
-                if exc.hard:
-                    # A real crash: no cleanup, no control message, no
-                    # EOS — the parent's exitcode watcher must catch it.
-                    os._exit(_HARD_EXIT)
-                raise _CopyDied(exc, injected=True) from exc
-            except _Aborted:
-                raise
-            except BaseException as exc:  # noqa: BLE001 - retried or reported
-                if attempt >= retry.max_attempts:
-                    raise _CopyDied(exc, injected=isinstance(exc, InjectedFault))
-                retries += 1
-                if tracer is not None:
-                    tracer.emit(
-                        "fault.retry",
-                        filter=spec_name,
-                        copy=copy_index,
-                        attempt=attempt,
-                        error=repr(exc),
-                    )
-                # Event-driven backoff: sleeps the whole delay in one
-                # wait that the shared abort interrupts immediately.
-                if abort.wait(timeout=retry.delay(attempt)):
-                    raise _Aborted()
-                attempt += 1
+        retries += 1
 
     try:
         filt = spec.factory()
@@ -592,18 +492,13 @@ def _copy_main(
             while open_streams:
                 if abort.value:
                     raise _Aborted()
-                # Sweep each open input edge's queue for this copy:
-                # non-blocking in event mode (the wakeup event is the
-                # blocking point), a rotating poll-tick get otherwise.
+                # Sweep each open input edge's queue for this copy
+                # without blocking (the wakeup event is the blocking
+                # point).
                 item = None
                 for stream in list(open_streams):
-                    q = in_edges[stream].queues[copy_index]
                     try:
-                        item = (
-                            q.get_nowait()
-                            if wake is not None
-                            else q.get(timeout=poll)
-                        )
+                        item = in_edges[stream].queues[copy_index].get_nowait()
                     except queue_mod.Empty:
                         continue
                     break
@@ -616,9 +511,9 @@ def _copy_main(
                         if in_edges[stream].try_close(copy_index):
                             open_streams.discard(stream)
                             closed = True
-                    if closed or not open_streams or wake is None:
+                    if closed or not open_streams:
                         continue
-                    # Event mode: decide how to block.  A positive shared
+                    # Decide how to block.  A positive shared
                     # depth counter means a frame for this copy is still
                     # in flight through that queue's feeder pipe (the
                     # counter is bumped before the put) — block on that
@@ -704,7 +599,10 @@ def _copy_main(
                     shared.on_consume(copy_index)
                     continue
                 try:
-                    dt = process_with_retry(filt, stream, payload, ctx)
+                    dt = _process_with_retry(
+                        filt, stream, payload, ctx, injector, retry,
+                        abort.wait, count_retry, hard_exit=_HARD_EXIT,
+                    )
                     t_busy += dt
                     if tracer is not None:
                         tracer.emit(
@@ -812,24 +710,9 @@ class MPRuntime:
         eventually destroy it (``close()`` on this runtime does *not*).
         Only valid with ``transport="shm"``.
     poll_interval:
-        Watchdog granularity in seconds; defaults to the
-        ``REPRO_MP_POLL_INTERVAL`` environment variable (0.02s).  With
-        ``wakeup="event"`` it only bounds recovery from a missed wakeup;
-        with ``wakeup="polled"`` it is the legacy busy-wait tick.
-    wakeup:
-        ``"event"`` (default) blocks the parent and every child on
-        event-driven wakeups raised at each queue transition;
-        ``"polled"`` restores the pre-event busy-wait ticks (kept for
-        benchmarking the latency floor).
-    autotune:
-        ``None`` (default) disables online adaptation.  Otherwise an
-        :class:`repro.tuning.controller.AdaptationBounds` (or any object
-        with the same attributes): a parent-side controller thread
-        samples per-edge queue depths mid-run and adapts credit windows
-        and replicated-copy activation within those bounds, emitting
-        ``tune.adjust`` obs events.  Outputs stay bit-identical — the
-        actuators only steer *routing* of transparent streams, never
-        what is computed.
+        Watchdog granularity in seconds (default 0.02).  The parent and
+        every child block on event-driven wakeups raised at each queue
+        transition, so it only bounds recovery from a missed wakeup.
     """
 
     def __init__(
@@ -845,8 +728,6 @@ class MPRuntime:
         shm_threshold: int = 64 << 10,
         shm_pool: Optional[shm.ShmPool] = None,
         poll_interval: Optional[float] = None,
-        wakeup: str = "event",
-        autotune=None,
     ):
         graph.validate()
         for name in graph.filters:
@@ -861,10 +742,6 @@ class MPRuntime:
             )
         if shm_pool is not None and transport != "shm":
             raise ValueError("shm_pool= requires transport='shm'")
-        if wakeup not in WAKEUPS:
-            raise ValueError(
-                f"unknown wakeup {wakeup!r}; expected one of {WAKEUPS}"
-            )
         self.graph = graph
         self.max_queue = max_queue
         self.retry = retry if retry is not None else RetryPolicy()
@@ -882,12 +759,13 @@ class MPRuntime:
         )
         if self.poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
-        self.wakeup = wakeup
-        self.autotune = autotune
         self.shm_pool = shm_pool
         self._run_lock = threading.Lock()
         self._procs: List[Tuple[mp.Process, str, int]] = []
         self._abort = None
+        # True once close() raised the in-flight run's abort: children
+        # leaving on it are healthy, not silently dead.
+        self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -896,13 +774,14 @@ class MPRuntime:
 
         Idempotent, and safe to call from another thread while ``run()``
         is blocked: the abort flag unwedges every child, leftovers are
-        terminated, and ``run()`` raises a structured
-        :class:`PipelineError`.  An externally supplied ``shm_pool``
+        terminated, and ``run()`` raises a :class:`PipelineError` saying
+        the run was closed.  An externally supplied ``shm_pool``
         stays alive (its owner destroys it); a per-run pool is already
         destroyed by ``run()``'s own unwind.
         """
         abort = self._abort
         if abort is not None:
+            self._closed = True
             abort.value = 1
         for p, _, _ in list(self._procs):
             p.join(timeout=5)
@@ -973,40 +852,33 @@ class MPRuntime:
         graph = self.graph
         results_q = ctx.Queue()
         abort = _SharedAbort(ctx)
+        self._closed = False
         self._abort = abort
 
-        event_mode = self.wakeup == "event"
         # One wakeup event per (filter, copy) with inputs: producers on
         # any of its in-edges set it after each transition, so an idle
         # copy blocks on its event instead of ticking over its queues.
         wake_events: Dict[Tuple[str, int], Any] = {}
-        if event_mode:
-            for spec in graph.filters.values():
-                if graph.in_edges(spec.name):
-                    for i in range(spec.copies):
-                        wake_events[(spec.name, i)] = ctx.Event()
-            abort.attach_wakeups(list(wake_events.values()))
+        for spec in graph.filters.values():
+            if graph.in_edges(spec.name):
+                for i in range(spec.copies):
+                    wake_events[(spec.name, i)] = ctx.Event()
+        abort.attach_wakeups(list(wake_events.values()))
 
         edges: Dict[Tuple[str, str], _SharedEdge] = {}
         for edge in graph.edges:
-            wake = (
-                [
-                    wake_events[(edge.dst, i)]
-                    for i in range(graph.copies(edge.dst))
-                ]
-                if event_mode
-                else None
-            )
             edges[(edge.src, edge.stream)] = _SharedEdge(
                 edge,
                 graph.copies(edge.dst),
                 self.max_queue,
                 ctx,
                 n_producers=graph.copies(edge.src),
+                wake=[
+                    wake_events[(edge.dst, i)]
+                    for i in range(graph.copies(edge.dst))
+                ],
                 pool=pool,
                 poll=self.poll_interval,
-                wake=wake,
-                autotune=self.autotune is not None,
             )
 
         procs: List[Tuple[mp.Process, str, int]] = []
@@ -1032,17 +904,6 @@ class MPRuntime:
                 procs.append((p, spec.name, i))
         self._procs = procs
 
-        controller = None
-        if self.autotune is not None:
-            from repro.tuning.controller import OnlineController
-
-            controller = OnlineController(
-                {f"{src}:{stream}": e for (src, stream), e in edges.items()},
-                self.autotune,
-                abort,
-            )
-            controller.start()
-
         results: Dict[str, List[Any]] = {}
         busy: Dict[Tuple[str, int], float] = {}
         all_events: List[Any] = []
@@ -1055,52 +916,44 @@ class MPRuntime:
         exited_at: Dict[Tuple[str, int], float] = {}
         deadline = None if timeout is None else start + timeout
 
-        # Event mode blocks on the results queue's underlying pipe plus
+        # The parent blocks on the results queue's underlying pipe plus
         # every live child's sentinel, so a control message or a child
-        # death wakes the parent instantly; _PARENT_WATCHDOG only bounds
-        # the deadline/grace bookkeeping below.  Children already in
-        # their exit-grace window are excluded from the waitables (their
+        # death wakes it instantly; _PARENT_WATCHDOG only bounds the
+        # deadline/grace bookkeeping below.  Children already in their
+        # exit-grace window are excluded from the waitables (their
         # sentinel stays permanently ready and would busy-loop the
         # wait); the timeout is clamped to the earliest grace expiry
         # instead.
-        reader = (
-            getattr(results_q, "_reader", None) if event_mode else None
-        )
+        reader = results_q._reader
 
         while len(terminal) < len(procs):
-            if reader is not None:
-                wait_timeout = _PARENT_WATCHDOG
-                if deadline is not None:
-                    wait_timeout = min(
-                        wait_timeout,
-                        max(deadline - time.perf_counter(), 0.0),
-                    )
-                if exited_at:
-                    first = min(exited_at.values())
-                    wait_timeout = min(
-                        wait_timeout,
-                        max(first + _EXIT_GRACE - time.monotonic(), 0.0),
-                    )
-                waitables: List[Any] = [reader]
-                for p, name, idx in procs:
-                    key = (name, idx)
-                    if (
-                        key not in terminal
-                        and key not in exited_at
-                        and p.exitcode is None
-                    ):
-                        waitables.append(p.sentinel)
-                if wait_timeout > 0:
-                    mp_connection.wait(waitables, timeout=wait_timeout)
-                try:
-                    msg = results_q.get_nowait()
-                except queue_mod.Empty:
-                    msg = None
-            else:
-                try:
-                    msg = results_q.get(timeout=self.poll_interval)
-                except queue_mod.Empty:
-                    msg = None
+            wait_timeout = _PARENT_WATCHDOG
+            if deadline is not None:
+                wait_timeout = min(
+                    wait_timeout,
+                    max(deadline - time.perf_counter(), 0.0),
+                )
+            if exited_at:
+                first = min(exited_at.values())
+                wait_timeout = min(
+                    wait_timeout,
+                    max(first + _EXIT_GRACE - time.monotonic(), 0.0),
+                )
+            waitables: List[Any] = [reader]
+            for p, name, idx in procs:
+                key = (name, idx)
+                if (
+                    key not in terminal
+                    and key not in exited_at
+                    and p.exitcode is None
+                ):
+                    waitables.append(p.sentinel)
+            if wait_timeout > 0:
+                mp_connection.wait(waitables, timeout=wait_timeout)
+            try:
+                msg = results_q.get_nowait()
+            except queue_mod.Empty:
+                msg = None
             if msg is not None:
                 kind = msg[0]
                 if kind == _CTRL_DEPOSIT:
@@ -1134,6 +987,11 @@ class MPRuntime:
                     )
                     terminal.add((name, idx))
                     fatal = True
+            if self._closed:
+                # close() raised the abort: children leave on it without
+                # a terminal message, so there is nothing to collect and
+                # their clean exits are not failures.
+                break
             # Watch for children that died without a terminal message
             # (hard kill, segfault, os._exit): synthesize their failure.
             now = time.monotonic()
@@ -1165,10 +1023,6 @@ class MPRuntime:
                 abort.value = 1
                 break
 
-        if controller is not None:
-            controller.stop()
-            all_events.extend(controller.drain_events())
-
         if abort.value:
             # Give children a moment to observe the abort, then reap.
             for p, _, _ in procs:
@@ -1197,6 +1051,8 @@ class MPRuntime:
             raise PipelineError(
                 failures, f"pipeline did not finish within {timeout}s"
             )
+        if self._closed:
+            raise PipelineError(failures, "run closed by MPRuntime.close()")
         if fatal:
             raise PipelineError(failures)
 

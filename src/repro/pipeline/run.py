@@ -3,8 +3,9 @@
 ``run_pipeline`` executes the full filter network on the threaded local
 runtime against a disk-resident dataset and returns the stitched output
 volumes plus execution statistics.  It is the parallel counterpart of
-:func:`repro.core.analysis.haralick_transform` and produces numerically
-identical feature volumes.
+:func:`repro.core.analysis.haralick_transform` and produces feature
+volumes identical to rounding, bit-identical at equal packet size (the
+BLAS batch length is the only thing that moves the last digits).
 
 The driver is factored into three phases so long-lived callers — most
 importantly the warm runtime pools of :mod:`repro.service` — can hold on
@@ -149,27 +150,6 @@ def _validate_backend_kwargs(
                              "runtime='distributed'")
 
 
-def _resolve_autotune(autotune):
-    """Normalize an ``autotune=`` argument to bounds or ``None``.
-
-    ``None``/``False`` disable online adaptation (the default); ``True``
-    enables it with stock :class:`~repro.tuning.AdaptationBounds`; an
-    ``AdaptationBounds`` instance is used as-is.
-    """
-    if autotune is None or autotune is False:
-        return None
-    from ..tuning import AdaptationBounds
-
-    if autotune is True:
-        return AdaptationBounds()
-    if isinstance(autotune, AdaptationBounds):
-        return autotune
-    raise ValueError(
-        f"autotune= must be True/False/None or AdaptationBounds, "
-        f"got {autotune!r}"
-    )
-
-
 def build_runtime(
     graph: FilterGraph,
     runtime: str = "threads",
@@ -187,8 +167,6 @@ def build_runtime(
     schedule: Optional[list] = None,
     heartbeat_timeout: Optional[float] = None,
     poll_interval: Optional[float] = None,
-    wakeup: Optional[str] = None,
-    autotune=None,
 ):
     """Build phase: construct the execution backend for a wired graph.
 
@@ -199,29 +177,15 @@ def build_runtime(
     it in a pool should drive it inside a ``with`` block.
 
     ``poll_interval`` sets the watchdog granularity of every blocking
-    wait (all three backends); ``wakeup`` selects event-driven (default)
-    or legacy polled wakeups (threads/processes); ``autotune`` enables
-    the online controller (processes runtime only — see
-    :mod:`repro.tuning`).
+    wait (all three backends).
     """
     _validate_backend_kwargs(
         runtime, transport, hosts, elastic, schedule, heartbeat_timeout
     )
-    bounds = _resolve_autotune(autotune)
-    if bounds is not None and runtime != "processes":
-        raise ValueError(
-            "autotune= requires runtime='processes' (the online "
-            "controller adapts MPRuntime edges)"
-        )
-    if wakeup is not None and runtime == "distributed":
-        raise ValueError(
-            "wakeup= only applies to the threads/processes runtimes"
-        )
     if runtime == "threads":
         return LocalRuntime(
             graph, max_queue=max_queue, retry=retry, faults=faults,
             trace=trace, poll_interval=poll_interval,
-            **({"wakeup": wakeup} if wakeup is not None else {}),
         )
     if runtime == "processes":
         shm_kwargs = {
@@ -234,12 +198,10 @@ def build_runtime(
             )
             if v is not None
         }
-        if wakeup is not None:
-            shm_kwargs["wakeup"] = wakeup
         return MPRuntime(
             graph, max_queue=max_queue, retry=retry, faults=faults,
             trace=trace, transport=transport, poll_interval=poll_interval,
-            autotune=bounds, **shm_kwargs,
+            **shm_kwargs,
         )
     if runtime == "distributed":
         from ..datacutter.net import DistRuntime
@@ -336,10 +298,7 @@ def run_pipeline(
     schedule: Optional[list] = None,
     heartbeat_timeout: Optional[float] = None,
     run_timeout: Optional[float] = None,
-    profile=None,
     poll_interval: Optional[float] = None,
-    wakeup: Optional[str] = None,
-    autotune=None,
 ) -> PipelineResult:
     """Run the parallel pipeline over a disk-resident dataset.
 
@@ -411,30 +370,11 @@ def run_pipeline(
         Wall-clock bound on the run itself (any runtime); the run
         aborts with :class:`~repro.datacutter.faults.PipelineError`
         when exceeded.  ``None`` (default) means unbounded.
-    profile:
-        A :class:`~repro.tuning.TuningProfile` (or a path to one saved
-        by ``repro tune``).  The profile's chunk shape / copy counts /
-        kernel are applied to ``config``, and its transport / queue
-        bound / runtime fill in any of those arguments still at their
-        defaults (arguments you pass explicitly always win).
     poll_interval:
         Watchdog granularity (seconds) for every blocking wait in the
-        chosen runtime.  With event-driven wakeups (the default) this
-        only bounds how long a *missed* wakeup could stall progress, so
-        large values are safe; under ``wakeup="polled"`` it is the
-        latency floor of every queue hand-off.
-    wakeup:
-        ``"event"`` (default) or ``"polled"`` — threads/processes
-        runtimes only.  ``"polled"`` restores the legacy fixed-tick
-        busy-wait loops; it exists for benchmarking the latency delta
-        (see ``benchmarks/bench_tuning.py``).
-    autotune:
-        ``True`` or an :class:`~repro.tuning.AdaptationBounds` enables
-        the online controller (processes runtime only): a sampler
-        thread reads queue-depth gauges mid-run and adapts per-edge
-        credit windows and active-copy masks within bounds, emitting
-        ``tune.adjust`` events.  Off by default; outputs stay
-        bit-identical either way.
+        chosen runtime.  Wakeups are event-driven, so this only bounds
+        how long a *missed* wakeup could stall progress; large values
+        are safe.
 
     Returns
     -------
@@ -443,24 +383,6 @@ def run_pipeline(
     mode = resolve_trace_mode(trace)
     if trace_out is not None and mode not in ("chrome", "jsonl"):
         raise ValueError("trace_out= requires trace='chrome' or 'jsonl'")
-    if profile is not None:
-        from ..tuning import TuningProfile, load_profile
-
-        prof = (
-            profile
-            if isinstance(profile, TuningProfile)
-            else load_profile(profile)
-        )
-        config = prof.apply(config if config is not None else AnalysisConfig())
-        pk = prof.runtime_kwargs()
-        # Profile values only fill arguments the caller left at their
-        # defaults — explicit arguments always win.
-        if "runtime" in pk and runtime == "threads":
-            runtime = pk["runtime"]
-        if "transport" in pk and transport == "pipe":
-            transport = pk["transport"]
-        if "max_queue" in pk and max_queue == 64:
-            max_queue = pk["max_queue"]
     _validate_backend_kwargs(
         runtime, transport, hosts, elastic, schedule, heartbeat_timeout
     )
@@ -482,8 +404,6 @@ def run_pipeline(
         schedule=schedule,
         heartbeat_timeout=heartbeat_timeout,
         poll_interval=poll_interval,
-        wakeup=wakeup,
-        autotune=autotune,
     )
     try:
         with rt:

@@ -17,7 +17,8 @@ from repro.core.backends import (
 from repro.core.cooccurrence import check_levels, cooccurrence_scan
 from repro.core.raster import raster_scan, raster_scan_reference
 from repro.core.roi import ROISpec
-from repro.core.workspace import pair_shift, symmetric_index, symmetrize_inplace
+from repro.core import workspace
+from repro.core.workspace import pair_shift, symmetrize_inplace
 from repro.filters.messages import TextureParams
 
 # The "gpu" entry participates in the generic registry loops below; on a
@@ -143,19 +144,28 @@ class TestWorkspace:
         again = pair_shift(3, 11)
         assert again.base is big.base or again.base is big
 
-    def test_symmetric_index_readonly(self):
-        iu, ju, diag = symmetric_index(6)
-        assert not iu.flags.writeable
-        assert np.array_equal(diag, np.arange(6))
-        assert iu.size == 6 * 5 // 2
-
-    def test_symmetrize_inplace_matches_transpose_add(self):
+    def test_symmetrize_inplace_matches_transpose_add(self, monkeypatch):
+        # A 3-matrix slab: an empty batch, a batch ending on a partial
+        # slab, an exact multiple, and a non-contiguous view.
+        monkeypatch.setattr(workspace, "_SYM_SCRATCH_BYTES", 3 * 7 * 7 * 8)
         rng = np.random.default_rng(3)
-        mats = rng.integers(0, 50, size=(4, 7, 7)).astype(np.int64)
-        want = mats + mats.transpose(0, 2, 1)
-        got = symmetrize_inplace(mats)
-        assert got is mats
-        assert np.array_equal(got, want)
+        for n in (0, 4, 6):
+            mats = rng.integers(0, 50, size=(n, 7, 7)).astype(np.int64)
+            want = mats + mats.transpose(0, 2, 1)
+            got = symmetrize_inplace(mats)
+            assert got is mats
+            assert np.array_equal(got, want)
+        base = rng.integers(0, 50, size=(9, 8, 14)).astype(np.int64)
+        before = base.copy()
+        view = base[::2, :7, ::2]
+        assert not view.flags.c_contiguous
+        want = view + view.transpose(0, 2, 1)
+        symmetrize_inplace(view)
+        assert np.array_equal(view, want)
+        # Nothing outside the view moved.
+        outside = np.ones(base.shape, dtype=bool)
+        outside[::2, :7, ::2] = False
+        assert np.array_equal(base[outside], before[outside])
 
     def test_symmetrize_inplace_single_level(self):
         mats = np.full((2, 1, 1), 3, dtype=np.int64)

@@ -1,22 +1,24 @@
-"""Event-driven wakeups: latency, lost-wakeup safety, fault parity.
+"""Event-driven wakeups: lost-wakeup safety, fault detection, abort wake.
 
-The runtimes used to tick: every blocking wait was a fixed-interval
-polling loop, so each queue hand-off paid up to ``poll_interval`` of
-idle latency.  The event-driven path replaces the ticks with real
-wakeups (``multiprocessing.Event`` on queue transitions, ``selectors``
-readiness in the net agent) and keeps the poll interval only as a
-watchdog.  These tests pin the two properties that matter:
+Every blocking wait in the runtimes is woken by the transition it waits
+for (``multiprocessing.Event`` on queue transitions, ``_WAKE`` queue
+nudges in the threaded runtime, ``selectors`` readiness in the net
+agent); the poll interval is only a watchdog.  These tests pin the
+properties that matter:
 
 * **No lost wakeups.**  With a deliberately huge watchdog interval, any
   empty->non-empty queue transition a consumer misses would stall the
   run for seconds.  The runs must complete at event speed.
-* **Fault detection no worse than polled.**  Crash detection (exitcode
-  watcher, heartbeats) must not regress when waits become event-driven
-  — the same FaultPlan recovers at least as fast as under polling.
+* **Fault detection does not wait for the watchdog.**  Crash recovery
+  completes, and a silently dead child is noticed through its sentinel
+  within the exit-grace window.
+* **Abort wakes everyone.**  ``close()`` from another thread unwinds a
+  run at once, and healthy children leaving on the abort are not blamed.
 
 Filter classes live at module level so forked children can run them.
 """
 
+import threading
 import time
 
 import pytest
@@ -25,7 +27,7 @@ from repro.datacutter.faults import FaultPlan, PipelineError
 from repro.datacutter.filter import Filter
 from repro.datacutter.graph import FilterGraph
 from repro.datacutter.runtime_local import LocalRuntime
-from repro.datacutter.runtime_mp import MPRuntime
+from repro.datacutter.runtime_mp import _EXIT_GRACE, MPRuntime
 
 # A watchdog so large that any missed wakeup turns into a visible stall:
 # a run that completes well under HUGE_POLL proves no wait ever expired.
@@ -79,7 +81,7 @@ class TestNoLostWakeup:
     """A missed 0->1 queue transition would stall for HUGE_POLL seconds."""
 
     def test_mp_completes_at_event_speed(self):
-        rt = MPRuntime(pipeline(), wakeup="event", poll_interval=HUGE_POLL)
+        rt = MPRuntime(pipeline(), poll_interval=HUGE_POLL)
         t0 = time.perf_counter()
         res = rt.run(timeout=60)
         elapsed = time.perf_counter() - t0
@@ -87,7 +89,7 @@ class TestNoLostWakeup:
         assert elapsed < FAST, f"stalled {elapsed:.2f}s: a wakeup was lost"
 
     def test_local_completes_at_event_speed(self):
-        rt = LocalRuntime(pipeline(), wakeup="event", poll_interval=HUGE_POLL)
+        rt = LocalRuntime(pipeline(), poll_interval=HUGE_POLL)
         t0 = time.perf_counter()
         res = rt.run(timeout=60)
         elapsed = time.perf_counter() - t0
@@ -101,7 +103,6 @@ class TestNoLostWakeup:
         # even one watchdog period.
         rt = MPRuntime(
             pipeline(count=20, pause=0.01),
-            wakeup="event",
             poll_interval=HUGE_POLL,
         )
         t0 = time.perf_counter()
@@ -113,7 +114,6 @@ class TestNoLostWakeup:
     def test_local_slow_producer_each_send_is_a_transition(self):
         rt = LocalRuntime(
             pipeline(count=20, pause=0.01),
-            wakeup="event",
             poll_interval=HUGE_POLL,
         )
         t0 = time.perf_counter()
@@ -122,31 +122,20 @@ class TestNoLostWakeup:
         assert res.deposits("collected")[0] == expected(20)
         assert elapsed < FAST, f"stalled {elapsed:.2f}s: a wakeup was lost"
 
-    @pytest.mark.parametrize("runtime_cls", [MPRuntime, LocalRuntime])
-    def test_wakeup_mode_validated(self, runtime_cls):
-        with pytest.raises(ValueError):
-            runtime_cls(pipeline(), wakeup="psychic")
-
 
 class TestFaultDetectionParity:
-    """Event-driven waits must not slow down crash detection/recovery."""
+    """Crash detection/recovery rides events, never the watchdog.
 
-    def _recover(self, wakeup):
-        plan = FaultPlan().crash_copy("D", copy_index=0, after_buffers=3)
-        rt = MPRuntime(pipeline(), wakeup=wakeup, faults=plan)
-        t0 = time.perf_counter()
-        res = rt.run(timeout=60)
-        elapsed = time.perf_counter() - t0
-        assert res.deposits("collected")[0] == expected()
-        return elapsed
+    The bounds are absolute: the polled mode these tests once compared
+    against is gone (it was never faster).
+    """
 
-    def _detect_hard_kill(self, wakeup, **kwargs):
+    def _detect_hard_kill(self, **kwargs):
         # Silent death (os._exit) is fatal by design; what matters is
         # how fast the parent's exitcode watcher notices and aborts.
         plan = FaultPlan().crash_copy("D", copy_index=0, after_buffers=0,
                                       hard=True)
-        rt = MPRuntime(pipeline(copies=2), wakeup=wakeup, faults=plan,
-                       **kwargs)
+        rt = MPRuntime(pipeline(copies=2), faults=plan, **kwargs)
         t0 = time.perf_counter()
         with pytest.raises(PipelineError) as exc:
             rt.run(timeout=60)
@@ -155,35 +144,48 @@ class TestFaultDetectionParity:
         return elapsed
 
     def test_graceful_crash_recovery_no_worse_than_polled(self):
-        event = self._recover("event")
-        polled = self._recover("polled")
-        # Generous scheduling slack; the property is "no regression",
-        # not a precise latency bound (bench_tuning.py measures that).
-        assert event <= polled + 2.0, (event, polled)
+        plan = FaultPlan().crash_copy("D", copy_index=0, after_buffers=3)
+        res = MPRuntime(pipeline(), faults=plan).run(timeout=60)
+        assert res.deposits("collected")[0] == expected()
+        assert [f.recovered for f in res.failed_copies] == [True]
 
     def test_hard_kill_detection_no_worse_than_polled(self):
-        event = self._detect_hard_kill("event")
-        polled = self._detect_hard_kill("polled")
-        assert event <= polled + 2.0, (event, polled)
+        elapsed = self._detect_hard_kill()
+        assert elapsed < _EXIT_GRACE + 2.0, elapsed
 
     def test_hard_kill_detected_under_huge_watchdog(self):
         # Detection must ride the dead child's sentinel becoming ready
         # in connection.wait, not the watchdog tick: with a 5s watchdog
         # the abort may cost the exit-grace window but never a watchdog
         # period on top.
-        elapsed = self._detect_hard_kill("event", poll_interval=HUGE_POLL)
+        elapsed = self._detect_hard_kill(poll_interval=HUGE_POLL)
         assert elapsed < FAST, (
             f"detection waited for the watchdog ({elapsed:.2f}s)"
         )
 
 
-class TestPolledModeStillWorks:
-    """The legacy mode stays available for benchmarking the delta."""
+class TestCloseDuringRun:
+    """close() from another thread wakes every blocked wait at once."""
 
-    def test_mp_polled(self):
-        res = MPRuntime(pipeline(), wakeup="polled").run(timeout=60)
-        assert res.deposits("collected")[0] == expected()
-
-    def test_local_polled(self):
-        res = LocalRuntime(pipeline(), wakeup="polled").run(timeout=60)
-        assert res.deposits("collected")[0] == expected()
+    @pytest.mark.parametrize("runtime_cls", [MPRuntime, LocalRuntime])
+    def test_close_unwinds_run_promptly(self, runtime_cls):
+        # 10 s of production at one send per 10 ms: consumers sit idle
+        # on their wakeups between sends, under a 5 s watchdog.
+        rt = runtime_cls(
+            pipeline(count=1000, copies=2, pause=0.01),
+            poll_interval=HUGE_POLL,
+        )
+        timer = threading.Timer(0.5, rt.close)
+        t0 = time.perf_counter()
+        timer.start()
+        try:
+            with pytest.raises(PipelineError) as exc:
+                rt.run(timeout=60)
+            elapsed = time.perf_counter() - t0
+        finally:
+            timer.cancel()
+            timer.join(timeout=10)
+        assert not timer.is_alive()
+        assert elapsed < 1.5, f"close() took {elapsed:.2f}s to unwind run()"
+        # Children that leave on the abort are healthy, not silently dead.
+        assert not [f for f in exc.value.failures if f.kind == "exitcode"]

@@ -40,7 +40,6 @@ DEFAULT_FILES = (
     "docs/observability.md",
     "docs/scenarios.md",
     "docs/service.md",
-    "docs/tuning.md",
 )
 
 #: Inline links/images: [text](target) — target ends at the first
