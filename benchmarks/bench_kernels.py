@@ -4,24 +4,38 @@ Not a paper figure — these measure the building blocks (co-occurrence
 scan, feature kernels, quantization) on this machine, and feed the
 ``measure_costs`` calibration path of the simulator.
 
-``test_kernel_backend_comparison`` and the peak-memory tests need only
-numpy and stdlib, so they double as the CI kernel-benchmark smoke job::
+``test_kernel_backend_comparison``, ``test_feature_kernel_rows`` and the
+peak-memory tests need only numpy and stdlib, so they double as the CI
+kernel-benchmark smoke job::
 
-    pytest benchmarks/bench_kernels.py -k "backend_comparison or peak_memory"
+    pytest benchmarks/bench_kernels.py \
+        -k "backend_comparison or feature_kernel or peak_memory"
 
 The comparison writes ``BENCH_kernels.json`` at the repo root with
-rois/sec per scan backend (see docs/kernels.md).
+rois/sec per scan backend and per rolling-axis chunk shape; the feature
+rows are merged into the same file (see docs/kernels.md).
 """
 
+import json
+import os
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from harness import record_repo_json
-from repro.core.backends import KERNELS, get_kernel, incremental_scan
-from repro.core.cooccurrence import cooccurrence_matrix, cooccurrence_scan
+from harness import REPO_ROOT, record_repo_json
+from repro.core.backends import (
+    KERNELS,
+    _rolling_plan,
+    get_kernel,
+    incremental_scan,
+)
+from repro.core.cooccurrence import (
+    cooccurrence_matrix,
+    cooccurrence_scan,
+    resolve_directions,
+)
 from repro.core.features import HARALICK_FEATURES, PAPER_FEATURES, haralick_features
 from repro.core.features_sparse import features_from_sparse
 from repro.core.gpu import probe_gpu
@@ -29,12 +43,13 @@ from repro.core.quantization import quantize_linear
 from repro.core.roi import ROISpec, valid_positions_shape
 from repro.core.sparse import batch_sparse_from_dense, sparse_from_dense
 from repro.core.workspace import WORKSPACE_BYTES
+from repro.data import PhantomConfig, generate_phantom
 
 LEVELS = 32
 ROI = ROISpec((5, 5, 5, 3))
 
 #: Kernels the comparison times.  "gpu" joins only when a device is
-#: present — on CPU-only machines it is megabatch behind a fallback
+#: present — on CPU-only machines it is incremental behind a fallback
 #: warning, which would just double-count one column.
 BENCH_KERNELS = tuple(k for k in KERNELS if k != "gpu") + (
     ("gpu",) if probe_gpu().available else ()
@@ -143,14 +158,47 @@ def _time_matrix(kernels, volume, levels, repeats):
     }
 
 
+#: Chunk shapes of the rolling-axis rows: the pipeline ledger's two
+#: IIC-to-TEXTURE chunks and a wide one whose leading-axis slab is cut
+#: into spans.
+ROLLING_CHUNKS = ((13, 13, 8, 6), (10, 10, 8, 6), (24, 24, 8, 6))
+
+
+def _rolling_axis_rows(repeats=3):
+    """``incremental`` on pipeline-sized chunks: which axis rolls, how fast."""
+    rows = {}
+    for shape in ROLLING_CHUNKS:
+        vol = _smoke_volume(shape=shape, seed=2)
+        grid = valid_positions_shape(shape, ROI)
+        axis, span, _row = _rolling_plan(
+            grid, ROI.shape, resolve_directions(4, None, 1), LEVELS * LEVELS,
+            WORKSPACE_BYTES,
+        )
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            rois = sum(
+                m.shape[0]
+                for _s, m in incremental_scan(vol, ROI, LEVELS, validate=False)
+            )
+            best = min(best, time.perf_counter() - t0)
+        rows["x".join(map(str, shape))] = {
+            "grid": list(grid),
+            "rolling_axis": axis,
+            "span": span,
+            "rois_per_sec": round(rois / best, 1),
+        }
+    return rows
+
+
 def test_kernel_backend_comparison():
-    """All backends bit-identical; megabatch the fastest CPU kernel.
+    """All backends bit-identical; the rolling kernel beats the batched.
 
     Paper configuration: 5x5x5x3 ROI, 32 levels, all 40 unique 4D
-    directions, distance 1, plus a grey-level sweep over 16/32/64.
-    Writes the full kernel x levels throughput matrix to
-    ``BENCH_kernels.json`` at the repo root ("backends" holds the
-    paper-config 32-level column).
+    directions, distance 1, plus a grey-level sweep over 16/32/64 and
+    one ``incremental`` row per pipeline chunk shape.  Writes the full
+    kernel x levels throughput matrix to ``BENCH_kernels.json`` at the
+    repo root ("backends" holds the paper-config 32-level column).
     """
     volume = _smoke_volume()
     mats = {k: _collect(get_kernel(k), volume) for k in BENCH_KERNELS}
@@ -185,29 +233,80 @@ def test_kernel_backend_comparison():
             / results["batched"]["rois_per_sec"],
             2,
         ),
-        "speedup_megabatch_vs_incremental": round(
-            results["megabatch"]["rois_per_sec"]
-            / results["incremental"]["rois_per_sec"],
-            2,
-        ),
+        "rolling_axis": _rolling_axis_rows(),
     }
-    path = record_repo_json("BENCH_kernels.json", payload)
+    path = _merge_bench_json(payload)
     print(f"\nwrote {path}")
     for levels, row in sweep.items():
         for k, r in row.items():
             print(f"  G={levels:<3} {k:>11}: {r['rois_per_sec']:>10.1f} rois/sec")
 
+    for shape, row in payload["rolling_axis"].items():
+        print(f"  {shape:>11}: axis {row['rolling_axis']} span {row['span']}"
+              f" {row['rois_per_sec']:>10.1f} rois/sec")
+
     # CI gates on the paper config: the rolling kernel must not regress
-    # below the batched one, and the chunk-at-once kernel must beat the
-    # rolling one (its whole reason to exist).
+    # below the batched one.
     assert (
         results["incremental"]["rois_per_sec"]
         >= results["batched"]["rois_per_sec"]
     ), payload
-    assert (
-        results["megabatch"]["rois_per_sec"]
-        >= results["incremental"]["rois_per_sec"]
-    ), payload
+
+
+def _merge_bench_json(sections):
+    """Replace ``sections`` of ``BENCH_kernels.json``, keeping the rest.
+
+    The scan rows and the feature rows come from different tests; either
+    can be re-run alone without dropping the other's numbers.
+    """
+    path = os.path.join(REPO_ROOT, "BENCH_kernels.json")
+    payload = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            payload = json.load(fh)
+    payload.update(sections)
+    return record_repo_json("BENCH_kernels.json", payload)
+
+
+def _feature_matrices(kind):
+    """One ledger chunk's GLCMs: ~5% non-zero (phantom) or ~100% (noise)."""
+    shape = ROLLING_CHUNKS[0]
+    if kind == "phantom_like":
+        raw = generate_phantom(PhantomConfig(shape=shape, seed=3)).data
+        vol = quantize_linear(raw, LEVELS, lo=0, hi=4095)
+    else:
+        vol = _smoke_volume(shape=shape, seed=3)
+    return _collect(incremental_scan, vol, batch=162)
+
+
+def test_feature_kernel_rows():
+    """Feature-kernel throughput at the filters' packet size.
+
+    The 4 paper features and all 14, on a phantom-like chunk (~5% of
+    cells non-zero, what an MRI study looks like) and on uniform noise
+    (every cell non-zero, the worst case for the zero-skip entropies).
+    Merged into ``BENCH_kernels.json`` under ``"features"``.
+    """
+    rows = {}
+    for kind in ("phantom_like", "uniform_noise"):
+        mats = _feature_matrices(kind)
+        row = {
+            "matrices": int(mats.shape[0]),
+            "nonzero_frac": round(float(np.count_nonzero(mats)) / mats.size, 4),
+        }
+        for label, feats in (("paper4", PAPER_FEATURES),
+                             ("all14", HARALICK_FEATURES)):
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.perf_counter()
+                for lo in range(0, mats.shape[0], 162):
+                    vals = haralick_features(mats[lo : lo + 162], feats)
+                best = min(best, time.perf_counter() - t0)
+            assert all(np.all(np.isfinite(v)) for v in vals.values())
+            row[f"{label}_rois_per_sec"] = round(mats.shape[0] / best, 1)
+        rows[kind] = row
+        print(f"\n  {kind}: {row}")
+    _merge_bench_json({"features": rows})
 
 
 def _scan_peak_bytes(scan, volume, batch):
@@ -225,26 +324,22 @@ def _scan_peak_bytes(scan, volume, batch):
     return peak
 
 
-@pytest.mark.parametrize("kernel", ["batched", "incremental", "megabatch"])
+@pytest.mark.parametrize("kernel", ["batched", "incremental"])
 def test_scan_peak_memory(kernel):
     """Kernel temporaries stay within the workspace budget.
 
-    The unavoidable output allocation is excluded — for the streaming
-    kernels that is one ``batch`` of G x G int64 matrices, for megabatch
-    the whole-chunk ``(n_windows, G, G)`` accumulator it yields views
-    of.  Everything else — pair-code gathers, bincount inputs and
-    outputs, symmetrization scratch — must fit in a small multiple of
-    ``WORKSPACE_BYTES``.  Guards the removal of the transpose copy and
-    the ``block + shift`` mega-temporary from the batched scan, and the
-    lazy GPU gather tables staying out of the CPU path.
+    The unavoidable output allocation is excluded: one ``batch`` of
+    G x G int64 matrices.  Everything else — pair codes, gather tables
+    and blocks, bincount inputs and outputs, symmetrization scratch —
+    must fit in a small multiple of ``WORKSPACE_BYTES``.  Guards the
+    removal of the transpose copy and the ``block + shift``
+    mega-temporary from the batched scan, and the GPU gather tables
+    staying out of the CPU path.  The 16x16x10x6 volume rolls along
+    ``y`` (12 positions), not the innermost axis.
     """
     volume = _smoke_volume(shape=(16, 16, 10, 6), seed=1)
     batch = 4096
-    if kernel == "megabatch":
-        npos = int(np.prod(valid_positions_shape(volume.shape, ROI)))
-        mats_bytes = npos * LEVELS * LEVELS * 8
-    else:
-        mats_bytes = batch * LEVELS * LEVELS * 8
+    mats_bytes = batch * LEVELS * LEVELS * 8
     peak = _scan_peak_bytes(get_kernel(kernel), volume, batch)
     budget = mats_bytes + 3 * WORKSPACE_BYTES
     assert peak < budget, (

@@ -304,7 +304,7 @@ def _cmd_kernels(args) -> int:
     if probe.available:
         print(f"gpu: available via {probe.provider} ({probe.device})")
     else:
-        print("gpu: unavailable — --kernel gpu falls back to megabatch")
+        print("gpu: unavailable — --kernel gpu falls back to incremental")
     if probe.detail:
         for line in probe.detail.splitlines():
             print(f"     {line}")

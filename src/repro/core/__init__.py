@@ -12,14 +12,14 @@ cooccurrence
     Dense co-occurrence matrices: per-window reference kernel and the
     vectorized batched scan.
 backends
-    Pluggable GLCM scan kernels (batched / incremental / megabatch /
-    gpu / reference) and the dispatch registry.
+    Pluggable GLCM scan kernels (batched / incremental / gpu /
+    reference) and the dispatch registry.
 gpu
     Import-guarded CUDA backend (CuPy or Numba) with device probing
-    and a clean megabatch fallback.
+    and a clean incremental fallback.
 workspace
-    Shared cached scan workspaces (pair-shift arrays, symmetrization
-    index tables, mega-batch gather offset tables).
+    Shared cached scan workspaces (pair-shift arrays, in-place
+    symmetrization, GPU gather offset tables).
 sparse
     Sparse (upper-triangle triplet) co-occurrence representation.
 features
@@ -42,7 +42,6 @@ from .backends import (
     KERNELS,
     get_kernel,
     incremental_scan,
-    megabatch_scan,
     reference_scan,
     resolve_scan_kernel,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "get_kernel",
     "resolve_scan_kernel",
     "incremental_scan",
-    "megabatch_scan",
     "reference_scan",
     "GpuProbe",
     "GpuUnavailableWarning",

@@ -2,7 +2,7 @@
 
 The paper's dominant cost is GLCM accumulation (Section 4.4.1), so the
 scan kernel is dispatchable behind one stable interface — the Region
-Templates idea of backend-selectable kernels.  Five backends:
+Templates idea of backend-selectable kernels.  Four backends:
 
 ``"batched"``
     :func:`repro.core.cooccurrence.cooccurrence_scan`.  One ``bincount``
@@ -12,33 +12,24 @@ Templates idea of backend-selectable kernels.  Five backends:
 
 ``"incremental"``
     :func:`incremental_scan` (this module).  The rolling kernel: Eq. (1)
-    overlap means adjacent ROIs along the innermost axis share all but
-    one hyperplane of pair codes, so the scan histograms each
-    code *hyperplane* once and reconstructs every window's GLCM as a
-    sliding sum of plane histograms along the axis.  Per-ROI work drops to
+    overlap means adjacent ROIs along an axis share all but one
+    hyperplane of pair codes, so the scan histograms each code
+    *hyperplane* once and reconstructs every window's GLCM as a sliding
+    sum of plane histograms along that axis.  Per-ROI work drops to
     ``O(ROI_face)`` pair codes per direction, and directions are grouped
-    by trailing window extent so the dense ``G x G`` accumulation is
-    paid once per *group* (2 groups for the paper setup) instead of once
-    per direction (40 for 4D) — the dominant saving for ``G = 32``.
-
-``"megabatch"``
-    :func:`megabatch_scan` (this module).  The chunk-at-once kernel:
-    the same hyperplane sharing as ``incremental``, but the pair codes
-    of every direction are concatenated into *one* flat array per
-    chunk, every row's hyperplanes are gathered through precomputed
-    flat-index tables (:func:`~repro.core.workspace.scan_offsets`,
-    cached per (chunk shape, ROI shape, distance)), and all windows'
-    GLCMs accumulate directly into a single ``(n_windows, G*G)``
-    output — one mega fancy-gather and one ``bincount`` per direction
-    group per row block, no per-ROI dispatch, no emission copies
-    (batches are views of the accumulator).
+    by window extent along the rolling axis so the dense ``G x G``
+    accumulation is paid once per *group* (2 groups for the paper setup)
+    instead of once per direction (40 for 4D) — the dominant saving for
+    ``G = 32``.  The rolling axis is the one with the most window
+    overlap for the chunk at hand (:func:`_rolling_plan`), not always
+    the innermost.
 
 ``"gpu"``
     :func:`repro.core.gpu.gpu_scan`.  Import-guarded GPU backend: the
     same pair-code scatter formulation on a CUDA device via CuPy (or a
     Numba-CUDA atomic-add kernel when CuPy is absent), one chunk
     transferred in and one GLCM block out.  Falls back cleanly to
-    ``megabatch`` — with a :class:`~repro.core.gpu.GpuUnavailableWarning`
+    ``incremental`` — with a :class:`~repro.core.gpu.GpuUnavailableWarning`
     and a ``kernel.fallback`` obs event from the filters — on machines
     without a device.
 
@@ -55,34 +46,30 @@ All backends share one generator contract::
 
 with identical batch boundaries and bit-identical count matrices, so
 they are interchangeable under every runtime (sequential, threaded,
-multiprocess, distributed).  Select one via ``HaralickConfig.kernel`` /
-``TextureParams.kernel`` / the CLI ``--kernel`` flag, or grab the
-callable directly with :func:`get_kernel`.
+multiprocess, distributed).  A yielded batch stays valid after the
+generator advances (consumers hand it downstream by reference).  Select
+a backend via ``HaralickConfig.kernel`` / ``TextureParams.kernel`` / the
+CLI ``--kernel`` flag, or grab the callable directly with
+:func:`get_kernel`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cooccurrence import (
     check_levels,
     cooccurrence_matrix,
     cooccurrence_scan,
-    pair_code_array,
     resolve_directions,
 )
 from .directions import Direction
 from .quantization import num_levels_ok
 from .roi import ROISpec, iter_roi_origins, valid_positions_shape
-from .workspace import (
-    WORKSPACE_BYTES,
-    pair_shift,
-    scan_offsets,
-    symmetrize_inplace,
-)
+from .workspace import WORKSPACE_BYTES, pair_shift, symmetrize_inplace
 
 __all__ = [
     "KERNELS",
@@ -91,7 +78,6 @@ __all__ = [
     "get_kernel",
     "resolve_scan_kernel",
     "incremental_scan",
-    "megabatch_scan",
     "reference_scan",
 ]
 
@@ -145,77 +131,168 @@ def reference_scan(
         yield start, np.stack(buf)
 
 
-def _rolling_groups(
-    data: np.ndarray, roi: ROISpec, levels: int, dirs: Sequence[Direction]
-) -> Dict[int, List[Tuple[np.ndarray, int]]]:
-    """Per-direction hyperplane views, grouped by trailing window extent.
-
-    For direction ``v`` the pair-code window has shape ``W = R - |v|``;
-    ``sliding_window_view`` over the *leading* axes only leaves the
-    innermost axis whole, so ``view[row_origin][j]`` is the hyperplane of
-    codes at innermost index ``j`` for that scan row.  Directions with
-    equal ``W[-1]`` share plane alignment and can be histogrammed with a
-    single ``bincount``.
-    """
-    nd = data.ndim
-    groups: Dict[int, List[Tuple[np.ndarray, int]]] = {}
-    for v in dirs:
-        absv = tuple(abs(c) for c in v)
-        if any(roi.shape[i] <= absv[i] for i in range(nd)):
-            continue  # pairs never fit inside the ROI for this direction
-        codes, _ = pair_code_array(data, levels, v)
-        w = tuple(roi.shape[i] - absv[i] for i in range(nd))
-        view = sliding_window_view(codes, w[:-1], axis=tuple(range(nd - 1)))
-        face = 1
-        for c in w[:-1]:
-            face *= c
-        groups.setdefault(w[-1], []).append((view, face))
-    return groups
-
-
 #: Target byte size of one internal row block.  Keeping the per-block
 #: histogram working set cache-sized is worth ~20% over maximally large
-#: blocks; always additionally capped by ``WORKSPACE_BYTES``.
-_BLOCK_TARGET_BYTES = 8 * 2**20
+#: blocks.  A block never holds less than one leading-axis slab, which
+#: ``WORKSPACE_BYTES`` bounds (``_rolling_plan``).
+_BLOCK_TARGET_BYTES = 4 * 2**20
+
+
+def _rolling_plan(
+    grid: Tuple[int, ...],
+    roi_shape: Tuple[int, ...],
+    dirs: Sequence[Direction],
+    gg: int,
+    budget: int,
+) -> Tuple[int, int, int]:
+    """``(axis, span, row_elems)``: where to roll and how far per block.
+
+    Rolling along axis ``a`` gathers, per ROI and direction, one window
+    face ``prod(W[i], i != a)`` for each of the ``span - 1 + W[a]`` code
+    hyperplanes a scan row shares among ``span`` consecutive positions::
+
+        cost(a) = sum_v face_a(v) * (span_a - 1 + W_a(v)) / span_a
+
+    so the axis with the most window overlap wins, not always the
+    innermost one.  ``span_a`` is ``grid[a]`` unless the block that
+    keeps batches in raster order (every position of the axes after
+    ``a``, ``span_a`` positions of ``a``) would overflow ``budget``
+    bytes; then rows are cut into the longest spans that fit.  Ties go
+    to the inner axis, whose rows need the least reordering.
+    ``row_elems`` is the int64 working set of one row span: its output
+    matrices plus, per direction group, the gather indices, the gathered
+    code block and the histogram segments.
+    """
+    nd = len(grid)
+    best = None
+    for a in range(nd):
+        faces: Dict[int, int] = {}  # W_a -> summed face of its directions
+        for v in dirs:
+            w = [roi_shape[i] - abs(v[i]) for i in range(nd)]
+            if min(w) <= 0:
+                continue  # pairs never fit inside the ROI for this direction
+            faces[w[a]] = faces.get(w[a], 0) + math.prod(w) // w[a]
+        # row_elems(span) = span * per_pos + fixed
+        per_pos = gg + sum(2 * face + gg for face in faces.values())
+        fixed = sum((wa - 1) * (2 * face + gg) for wa, face in faces.items())
+        n_tail = math.prod(grid[a + 1 :])
+        span = min(grid[a], max(1, (budget // (8 * n_tail) - fixed) // per_pos))
+        n_spans = -(-grid[a] // span)
+        span = -(-grid[a] // n_spans)  # equal spans share index tables
+        cost = sum(
+            face * (span - 1 + wa) / span for wa, face in faces.items()
+        )
+        if best is None or cost <= best[0]:
+            best = (cost, a, span, span * per_pos + fixed)
+    return best[1:]
+
+
+def _rolling_codes(
+    data: np.ndarray,
+    roi_shape: Tuple[int, ...],
+    levels: int,
+    dirs: Sequence[Direction],
+) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
+    """Pair codes of every fitting direction, and where windows read them.
+
+    Returns ``(codes, faces)``.  ``codes`` is flat: direction ``k``'s
+    pair codes ``a*G + b`` sit at ``k * data.size + ravel(q)`` with ``q``
+    the low corner of the pair, so every direction shares ``data``'s
+    strides and one offset addresses them all.  For direction ``v`` the
+    pair-code window has shape ``W = R - |v|``; directions with equal
+    ``W[-1]`` share plane alignment along the innermost axis and are
+    histogrammed together: ``faces[W[-1]]`` holds, for all of them, the
+    flat offsets of one window face (the leading ``W[:-1]`` box at
+    innermost index 0) relative to the window's origin.
+    """
+    nd = data.ndim
+    strides = [1] * nd
+    for i in range(nd - 2, -1, -1):
+        strides[i] = strides[i + 1] * data.shape[i + 1]
+    fitting = [
+        v for v in dirs
+        if all(roi_shape[i] > abs(v[i]) for i in range(nd))
+    ]
+    codes = np.zeros((len(fitting),) + data.shape, dtype=np.int64)
+    scaled = data.astype(np.int64) * levels
+    faces: Dict[int, List[np.ndarray]] = {}
+    for k, v in enumerate(fitting):
+        first = tuple(
+            slice(max(0, -c), n - max(0, c)) for c, n in zip(v, data.shape)
+        )
+        second = tuple(
+            slice(max(0, c), n - max(0, -c)) for c, n in zip(v, data.shape)
+        )
+        box = tuple(slice(0, n - abs(c)) for c, n in zip(v, data.shape))
+        np.add(scaled[first], data[second], out=codes[(k,) + box])
+        face = np.asarray(k * data.size)
+        for i in range(nd - 1):
+            extent = roi_shape[i] - abs(v[i])
+            face = face[..., None] + np.arange(extent) * strides[i]
+        faces.setdefault(roi_shape[-1] - abs(v[-1]), []).append(
+            face.reshape(-1)
+        )
+    return codes.reshape(-1), {
+        wt: np.concatenate(parts) for wt, parts in faces.items()
+    }
 
 
 def _rolling_block(
-    groups: Dict[int, List[Tuple[np.ndarray, int]]],
-    block_bufs: Dict[int, np.ndarray],
-    lead: Tuple[int, ...],
-    row_len: int,
-    r0: int,
-    rb: int,
-    levels: int,
-) -> np.ndarray:
-    """Count matrices of ``rb`` whole scan rows starting at row ``r0``.
+    codes: np.ndarray,
+    faces: Dict[int, np.ndarray],
+    bufs: Dict[int, Tuple[np.ndarray, np.ndarray]],
+    built: Dict[int, tuple],
+    mats: np.ndarray,
+    origins: np.ndarray,
+) -> None:
+    """Fill ``mats`` with the count matrices of one block of row spans.
 
-    Per group: gather every code hyperplane of every row into the pooled
-    block buffer, histogram them with one ``bincount``, then accumulate
-    the ``W_t`` shifted plane-histogram layers — GLCM ``t`` of a row is
-    the sum of planes ``[t, t + W_t)``.
+    ``mats`` is ``(rows, span, G*G)`` and ``origins[r]`` the flat offset
+    of row ``r``'s first window.  Per group, widest window first: gather
+    the code hyperplanes every span needs (one ``take`` through window
+    origin + plane + face offsets; ``built`` notes what each group's
+    table holds, so congruent blocks share it),
+    shift each (row, plane) into its own histogram segment and count
+    them with one ``bincount``.  The GLCM at position ``t`` is the sum
+    over groups of planes ``[t, t + W_t)``; the windows nest, so the
+    running sum of the groups' plane histograms is layered once per
+    plane offset instead of once per (group, offset).
     """
-    gg = levels * levels
-    mats = np.zeros((rb, row_len, gg), dtype=np.int64)
-    idx = (
-        np.unravel_index(np.arange(r0, r0 + rb), lead) if lead else None
-    )
-    for wt, members in groups.items():
-        n_planes = row_len - 1 + wt
-        block = block_bufs[wt][:rb]
-        off = 0
-        for view, face in members:
-            g = view[idx] if idx is not None else np.array(view[np.newaxis])
-            block[:, :, off : off + face] = g.reshape(rb, n_planes, face)
-            off += face
-        # Disjoint histogram segments per (row, plane), one bincount for
-        # the whole group.
+    rb, span, gg = mats.shape
+    base = int(origins[0])
+    rel = (origins - base).tobytes()
+    widths = sorted(faces, reverse=True)
+    run = None  # summed plane histograms of the groups handled so far
+    for g, wt in enumerate(widths):
+        face = faces[wt]
+        n_planes = span - 1 + wt
+        index, block = (
+            b[: rb * n_planes * face.size].reshape(rb, n_planes, face.size)
+            for b in bufs[wt]
+        )
+        if built.get(wt) != (n_planes, rel):
+            np.add(
+                (origins[:, None] - base + np.arange(n_planes))[:, :, None],
+                face,
+                out=index,
+            )
+            built[wt] = (n_planes, rel)
+        np.take(codes[base:], index, out=block, mode="clip")
         block += pair_shift(rb * n_planes, gg).reshape(rb, n_planes, 1)
-        h = np.bincount(block.reshape(-1), minlength=rb * n_planes * gg)
-        c = h.reshape(rb, n_planes, gg)
-        for k in range(wt):
-            mats += c[:, k : k + row_len]
-    return mats.reshape(rb * row_len, levels, levels)
+        c = np.bincount(
+            block.reshape(-1), minlength=rb * n_planes * gg
+        ).reshape(rb, n_planes, gg)
+        if g == 0:
+            np.copyto(mats, c[:, wt - 1 : wt - 1 + span])
+        else:
+            c += run[:, :n_planes]
+        run = c
+        narrower = widths[g + 1] if g + 1 < len(widths) else 0
+        # The widest group's outermost layer is the copy above.
+        for k in range(narrower, wt - (g == 0)):
+            mats += run[:, k : k + span]
+    if not widths:
+        mats[...] = 0  # no direction fits the window
 
 
 def incremental_scan(
@@ -228,11 +305,14 @@ def incremental_scan(
     symmetric: bool = True,
     validate: bool = True,
 ) -> Iterator[Tuple[int, np.ndarray]]:
-    """Incremental (rolling) raster scan along the innermost axis.
+    """Incremental (rolling) raster scan along the best-overlap axis.
 
     Same yield contract and bit-identical matrices as
     :func:`~repro.core.cooccurrence.cooccurrence_scan`; see the module
-    docstring for the algorithm and complexity.
+    docstring for the algorithm and complexity.  The rolling axis is a
+    function of the shapes alone (:func:`_rolling_plan`).  Every yielded
+    batch is a fresh array that the scan never touches again; only the
+    gather-index tables outlive a block.
     """
     data = np.asarray(data)
     if validate:
@@ -247,203 +327,100 @@ def incremental_scan(
     npos = int(np.prod(grid))
     dirs = resolve_directions(data.ndim, directions, distance)
     gg = levels * levels
-    row_len = grid[-1]
-    lead = grid[:-1]
-    n_rows = npos // row_len
-    groups = _rolling_groups(data, roi, levels, dirs)
+    axis, span, row_elems = _rolling_plan(
+        grid, roi.shape, dirs, gg, WORKSPACE_BYTES
+    )
 
-    # Rows per internal block: each row costs the gathered code block
-    # plus the histogram segments, per group, plus its output matrices.
-    # Sized for cache residency, and never beyond the workspace budget.
-    worst = row_len * gg
-    for wt, members in groups.items():
-        total_face = sum(face for _view, face in members)
-        worst += (row_len - 1 + wt) * (total_face + gg)
-    budget = min(WORKSPACE_BYTES, _BLOCK_TARGET_BYTES)
-    rows_per_block = max(1, budget // (8 * worst))
-    block_bufs = {
-        wt: np.empty(
-            (
-                min(rows_per_block, n_rows),
-                row_len - 1 + wt,
-                sum(face for _view, face in members),
-            ),
-            dtype=np.int64,
+    # Everything below works in the transposed frame, rolling axis last:
+    # the chunk is transposed once and the directions permuted with it.
+    perm = [i for i in range(data.ndim) if i != axis] + [axis]
+    data_p = np.ascontiguousarray(data.transpose(perm))
+    codes, faces = _rolling_codes(
+        data_p,
+        tuple(roi.shape[i] for i in perm),
+        levels,
+        [tuple(v[i] for i in perm) for v in dirs],
+    )
+    row_len = grid[axis]
+    n_tail = math.prod(grid[axis + 1 :])
+    n_rows = npos // row_len
+    # Flat offset of every scan row's first window, rows in (lead, tail)
+    # raster order.
+    origins = np.zeros(1, dtype=np.int64)
+    for i in range(data.ndim - 1):
+        stride = math.prod(data_p.shape[i + 1 :])
+        origins = origins[:, None] + np.arange(grid[perm[i]]) * stride
+        origins = origins.reshape(-1)
+
+    # A block covers whole leading-axis slabs (``n_tail`` scan rows
+    # each) so that its matrices are one contiguous raster range: as
+    # many slabs as stay cache-sized, or one slab a span at a time.
+    rows_per_block = n_tail
+    if span == row_len:
+        rows_per_block *= max(
+            1, _BLOCK_TARGET_BYTES // (8 * row_elems * n_tail)
         )
-        for wt, members in groups.items()
+    rows_per_block = min(rows_per_block, n_rows)
+    # The gather-index tables persist across blocks (congruent blocks
+    # share them).  The gathered codes and the block's matrices are
+    # scratch: one allocation per block, released before the next.  In
+    # a scan -> pack -> free loop that measured better than a long-lived
+    # workspace (the allocator kept trimming the heap through a
+    # process's first chunk) and than one array per piece (pages
+    # re-faulted every block).
+    sizes = {
+        wt: rows_per_block * (span - 1 + wt) * face.size
+        for wt, face in faces.items()
     }
+    tables = {wt: np.empty(size, dtype=np.int64) for wt, size in sizes.items()}
+    built: Dict[int, tuple] = {}
 
     emit_start = 0
-    buf: Optional[np.ndarray] = None
-    buf_fill = 0
-    b_cur = 0
+    out: Optional[np.ndarray] = None
+    fill = 0
     for r0 in range(0, n_rows, rows_per_block):
         rb = min(rows_per_block, n_rows - r0)
-        mats_block = _rolling_block(
-            groups, block_bufs, lead, row_len, r0, rb, levels
-        )
-        if symmetric:
-            symmetrize_inplace(mats_block)
-        pos = 0
-        nblk = mats_block.shape[0]
-        while pos < nblk:
-            if buf is None:
-                b_cur = min(batch, npos - emit_start)
-                if nblk - pos >= b_cur:
-                    # Whole output batch available in this block: yield a
-                    # view, no assembly copy.
-                    yield emit_start, mats_block[pos : pos + b_cur]
-                    emit_start += b_cur
-                    pos += b_cur
-                    continue
-                buf = np.empty((b_cur, levels, levels), dtype=np.int64)
-                buf_fill = 0
-            take = min(b_cur - buf_fill, nblk - pos)
-            buf[buf_fill : buf_fill + take] = mats_block[pos : pos + take]
-            buf_fill += take
-            pos += take
-            if buf_fill == b_cur:
-                yield emit_start, buf
-                emit_start += b_cur
-                buf = None
-
-
-def megabatch_scan(
-    data: np.ndarray,
-    roi: ROISpec,
-    levels: int,
-    directions: Optional[Sequence[Direction]] = None,
-    distance: int = 1,
-    batch: int = 2048,
-    symmetric: bool = True,
-    validate: bool = True,
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Chunk-at-once mega-batched scan.
-
-    Builds the pair-code array of the whole chunk once (one flat
-    concatenation over all directions), then histograms *every*
-    window's GLCM into a single ``(n_windows, G*G)`` accumulator using
-    the cached gather geometry of
-    :func:`~repro.core.workspace.scan_offsets` — per-direction sliding
-    views over each cache-resident code segment, fused with the
-    bincount row shift.  The yielded batches are views of the
-    accumulator, so there is no per-ROI dispatch and no emission copy.
-    Same yield contract and bit-identical matrices as
-    ``reference_scan``.
-    """
-    data = np.asarray(data)
-    if validate:
-        check_levels(data, levels)
-    else:
-        num_levels_ok(levels)
-    if data.ndim != roi.ndim:
-        raise ValueError(f"data ndim {data.ndim} != ROI ndim {roi.ndim}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    grid = valid_positions_shape(data.shape, roi)
-    npos = int(np.prod(grid))
-    dirs = resolve_directions(data.ndim, directions, distance)
-    gg = levels * levels
-    offs = scan_offsets(data.shape, roi, tuple(dirs))
-
-    # The chunk's pair codes, every direction's array flattened into one
-    # buffer so one gather serves the whole direction group.
-    codes_cat = np.empty(offs.cat_size, dtype=np.int64)
-    for v, seg_start, seg_stop in offs.segments:
-        codes, _ = pair_code_array(data, levels, v)
-        codes_cat[seg_start:seg_stop] = codes.reshape(-1)
-
-    # No fitting direction (every displacement overflows the ROI): all
-    # matrices stay zero.  Otherwise the accumulator is fully written
-    # slab by slab, so it can start uninitialized.
-    mats = (
-        np.zeros((npos, gg), dtype=np.int64)
-        if not offs.groups
-        else np.empty((npos, gg), dtype=np.int64)
-    )
-    mrows = mats.reshape(offs.n_rows, offs.row_len, gg)
-
-    # Rows per internal block: the output slab plus, per group, the
-    # gathered code block and its bincount segments — sized for cache
-    # residency so the slab stays hot from accumulation through
-    # symmetrization, and never beyond the workspace budget.
-    worst = offs.row_len * gg
-    for g in offs.groups:
-        worst += g.n_planes * (g.total_face + gg)
-    budget = min(WORKSPACE_BYTES, _BLOCK_TARGET_BYTES)
-    rows_per_block = max(1, min(offs.n_rows, budget // (8 * worst)))
-
-    # Per-group reusable gather buffers and per-member sliding views over
-    # the concatenated code buffer.  Gathering per member segment keeps
-    # each gather's source inside one direction's cache-resident slice of
-    # ``codes_cat`` — striding the whole buffer per scan row thrashes the
-    # cache and measures ~2x slower.
-    lead_axes = tuple(range(data.ndim - 1))
-    bufs = []
-    for g in offs.groups:
-        views = []
-        for seg_start, cshape, wlead, face in g.members:
-            size = 1
-            for c in cshape:
-                size *= c
-            codes = codes_cat[seg_start : seg_start + size].reshape(cshape)
-            if data.ndim > 1:
-                views.append(
-                    (sliding_window_view(codes, wlead, axis=lead_axes), face)
-                )
-            else:
-                views.append((codes, face))
-        block_buf = np.empty(
-            (rows_per_block, g.n_planes, g.total_face), dtype=np.int64
-        )
-        bufs.append((g, views, block_buf))
-
-    lead = offs.grid[:-1]
-    origins = np.unravel_index(np.arange(offs.n_rows), lead) if lead else None
-    out = mats.reshape(npos, levels, levels)
-    for r0 in range(0, offs.n_rows, rows_per_block):
-        rb = min(rows_per_block, offs.n_rows - r0)
-        m = mrows[r0 : r0 + rb]
-        idx = (
-            tuple(o[r0 : r0 + rb] for o in origins)
-            if origins is not None
-            else None
-        )
-        shifts = [
-            pair_shift(rb * g.n_planes, gg).reshape(rb, g.n_planes, 1)
-            for g, _views, _buf in bufs
-        ]
-        first = True
-        for (g, views, block_buf), shift in zip(bufs, shifts):
-            block = block_buf[:rb]
-            off = 0
-            for vw, face in views:
-                src = vw[idx] if idx is not None else vw[np.newaxis]
-                # Fused gather + per-(row, plane) bincount-segment shift:
-                # one write pass into the block instead of copy-then-add.
-                np.add(
-                    src.reshape(rb, g.n_planes, face),
-                    shift,
-                    out=block[:, :, off : off + face],
-                )
-                off += face
-            h = np.bincount(
-                block.reshape(-1), minlength=rb * g.n_planes * gg
-            ).reshape(rb, g.n_planes, gg)
-            # GLCM at row position t is the sum of planes [t, t + W_t).
-            for k in range(g.trailing_extent):
-                if first:
-                    np.copyto(m, h[:, k : k + offs.row_len])
-                    first = False
-                else:
-                    m += h[:, k : k + offs.row_len]
-        if symmetric:
-            # While the slab is still cache-hot.
-            symmetrize_inplace(
-                out[r0 * offs.row_len : (r0 + rb) * offs.row_len]
+        for t0 in range(0, row_len, span):
+            sp = min(span, row_len - t0)
+            mats, *blocks = np.split(
+                np.empty(rb * sp * gg + sum(sizes.values()), dtype=np.int64),
+                np.cumsum([rb * sp * gg, *sizes.values()])[:-1],
             )
-    for start in range(0, npos, batch):
-        yield start, out[start : start + batch]
+            mats = mats.reshape(rb, sp, gg)
+            bufs = {wt: (tables[wt], b) for wt, b in zip(sizes, blocks)}
+            _rolling_block(
+                codes, faces, bufs, built, mats, origins[r0 : r0 + rb] + t0
+            )
+            mats = mats.reshape(rb * sp, levels, levels)
+            # Rows are computed (slab, tail, t) but leave (slab, t, tail).
+            order = (
+                np.arange(rb * sp)
+                .reshape(-1, n_tail, sp)
+                .transpose(0, 2, 1)
+                .reshape(-1)
+            )
+            pos = 0
+            while pos < order.size:
+                if out is None:
+                    out = np.empty(
+                        (min(batch, npos - emit_start), levels, levels),
+                        dtype=np.int64,
+                    )
+                    fill = 0
+                take = min(out.shape[0] - fill, order.size - pos)
+                dest = out[fill : fill + take]
+                np.take(
+                    mats, order[pos : pos + take], axis=0, out=dest,
+                    mode="clip",
+                )
+                if symmetric:
+                    symmetrize_inplace(dest)
+                fill += take
+                pos += take
+                if fill == out.shape[0]:
+                    yield emit_start, out
+                    emit_start += fill
+                    out = None
 
 
 def _gpu_scan(
@@ -474,7 +451,6 @@ _REGISTRY: Dict[str, ScanKernel] = {
     "batched": cooccurrence_scan,
     "gpu": _gpu_scan,
     "incremental": incremental_scan,
-    "megabatch": megabatch_scan,
     "reference": reference_scan,
 }
 
@@ -486,11 +462,10 @@ KERNEL_INFO: Dict[str, str] = {
     "batched": "vectorized windowed bincount; O(ROI volume) codes per "
                "ROI per direction",
     "gpu": "CuPy (or Numba-CUDA) pair-code scatter on a CUDA device; "
-           "falls back to megabatch without one",
-    "incremental": "rolling hyperplane histograms (default); O(ROI face) "
-                   "codes per ROI, streams batches as computed",
-    "megabatch": "chunk-at-once mega-batch; cached offset tables, "
-                 "whole-chunk accumulator, zero-copy batch views",
+           "falls back to incremental without one",
+    "incremental": "rolling hyperplane histograms along the best-overlap "
+                   "axis (default); O(ROI face) codes per ROI, streams "
+                   "batches as computed",
     "reference": "paper Fig. 2 loop, one window at a time; ground "
                  "truth, slow",
 }
@@ -532,7 +507,7 @@ def resolve_scan_kernel(name: str):
         if not probe.available:
             return scan, {
                 "requested": "gpu",
-                "used": "megabatch",
+                "used": "incremental",
                 "reason": probe.detail,
             }
     return scan, None

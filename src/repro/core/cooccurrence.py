@@ -84,9 +84,6 @@ def check_levels(data: np.ndarray, levels: int) -> None:
         )
 
 
-_check_levels = check_levels
-
-
 def cooccurrence_matrix(
     window: np.ndarray,
     levels: int,

@@ -34,6 +34,7 @@ degenerate statistics (zero variance, empty matrix) yield 0.0.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,57 +78,195 @@ def feature_index(name: str) -> int:
         ) from None
 
 
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    """``x * ln(x)`` with the ``0 ln 0 = 0`` convention."""
-    out = np.zeros_like(x)
-    nz = x > 0
-    out[nz] = x[nz] * np.log(x[nz])
+#: Float working set of one :func:`haralick_features` sub-block.  Packets
+#: larger than this are processed a slab at a time, so the temporaries
+#: never grow with the batch length.
+FEATURE_BLOCK_BYTES = 4 * 2**20
+
+#: Moment-table columns each GEMM-derived feature reads (``"1"``, the
+#: matrix total, is always present).  ``x``/``y`` are the row/column
+#: grey levels centred at ``(G - 1) / 2``, ``d = |i - j|``, ``s = x + y``.
+_MOMENT_COLUMNS: Dict[str, Tuple[str, ...]] = {
+    "contrast": ("dd",),
+    "correlation": ("x", "y", "xx", "yy", "xy"),
+    "sum_of_squares": ("x", "xx"),
+    "sum_average": ("s",),
+    "sum_variance": ("s", "ss"),
+    "difference_variance": ("d", "dd"),
+}
+
+
+@lru_cache(maxsize=64)
+def _moment_table(levels: int, columns: Tuple[str, ...]) -> np.ndarray:
+    """Read-only ``(G*G, K)`` table: one column per requested moment.
+
+    Every column is integer- or half-integer-valued, so the product with
+    a count matrix is exact in float64 whatever order BLAS sums it in —
+    which is what makes a feature value independent of the packet the
+    matrix travelled in.
+    """
+    c = (levels - 1) / 2.0
+    i, j = np.divmod(np.arange(levels * levels), levels)
+    x, y = i - c, j - c
+    col = {
+        "1": np.ones_like(x), "x": x, "y": y,
+        "xx": x * x, "yy": y * y, "xy": x * y,
+        "d": np.abs(x - y), "dd": (x - y) ** 2,
+        "s": x + y, "ss": (x + y) ** 2,
+    }
+    table = np.stack([col[k] for k in columns], axis=1)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=16)
+def _idm_weights(levels: int) -> np.ndarray:
+    i, j = np.divmod(np.arange(levels * levels), levels)
+    w = 1.0 / (1.0 + (i - j) ** 2.0)
+    w.setflags(write=False)
+    return w
+
+
+def _entropy(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``-sum p ln p`` per row of ``counts`` with ``p = counts / totals``.
+
+    Only non-zero cells are visited (the paper's zero-skip, Section
+    4.4.1): they are gathered once, and each row's terms are summed as
+    one ``reduceat`` segment.
+    """
+    mask = counts > 0
+    per_row = np.count_nonzero(mask, axis=1)
+    p = counts.reshape(-1)[np.flatnonzero(mask)] / np.repeat(totals, per_row)
+    p *= np.log(p)
+    out = np.zeros(counts.shape[0])
+    has = per_row > 0
+    if has.any():
+        out[has] = -np.add.reduceat(p, (np.cumsum(per_row) - per_row)[has])
     return out
 
 
-def _sum_diff_operators(levels: int) -> Tuple[np.ndarray, np.ndarray]:
-    """One-hot scatter operators mapping ``p.reshape(-1)`` onto the
-    ``p_{x+y}`` (length ``2G-1``) and ``p_{x-y}`` (length ``G``) marginals.
+def _sum_diff_histograms(p3: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``p_{x+y}`` (``2G - 1`` bins) and ``p_{|x-y|}`` (``G`` bins).
+
+    Row ``i`` of every matrix lands on the anti-diagonal bins
+    ``[i, i + G)`` and the signed-diagonal bins ``[G-1-i, 2G-1-i)``: ``G``
+    shifted slab adds each instead of two one-hot GEMMs.
     """
-    i, j = np.meshgrid(np.arange(levels), np.arange(levels), indexing="ij")
-    s = (i + j).reshape(-1)
-    d = np.abs(i - j).reshape(-1)
-    S = np.zeros((levels * levels, 2 * levels - 1))
-    S[np.arange(s.size), s] = 1.0
-    D = np.zeros((levels * levels, levels))
-    D[np.arange(d.size), d] = 1.0
-    return S, D
+    n, g, _ = p3.shape
+    p_sum = np.zeros((n, 2 * g - 1))
+    signed = np.zeros((n, 2 * g - 1))
+    for i in range(g):
+        p_sum[:, i : i + g] += p3[:, i]
+        signed[:, g - 1 - i : 2 * g - 1 - i] += p3[:, i]
+    p_diff = signed[:, g - 1 :]
+    p_diff[:, 1:] += signed[:, g - 2 :: -1]
+    return p_sum, p_diff
 
 
-_OP_CACHE: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _ops(levels: int) -> Tuple[np.ndarray, np.ndarray]:
-    if levels not in _OP_CACHE:
-        _OP_CACHE[levels] = _sum_diff_operators(levels)
-    return _OP_CACHE[levels]
-
-
-def _mcc(p: np.ndarray, px: np.ndarray, py: np.ndarray) -> float:
-    """Maximal correlation coefficient of a single probability matrix.
+def _mcc_batch(p3: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Maximal correlation coefficient of every matrix in a packet.
 
     sqrt of the second-largest eigenvalue magnitude of
     ``Q(i, j) = sum_k p(i, k) p(j, k) / (px(i) py(k))``, computed on the
-    submatrix of levels with non-zero marginals.
+    submatrix of levels with non-zero marginals (0 with fewer than two).
+    Matrices are grouped by their number of kept levels ``k`` and each
+    group goes through one stacked ``(n_k, k, k)`` ``eigvals`` call.
     """
     keep = (px > 0) & (py > 0)
-    if keep.sum() < 2:
-        return 0.0
-    psub = p[np.ix_(keep, keep)]
-    pxs = px[keep]
-    pys = py[keep]
-    a = psub / pxs[:, None]
-    b = psub / pys[None, :]
-    q = a @ b.T
-    eig = np.abs(np.linalg.eigvals(q))
-    eig.sort()
-    second = eig[-2]
-    return float(np.sqrt(max(0.0, min(second, 1.0))))
+    kept = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")  # kept levels first
+    out = np.zeros(p3.shape[0])
+    for k in np.unique(kept):
+        if k < 2:
+            continue
+        sel = np.flatnonzero(kept == k)
+        lev = order[sel, :k]
+        sub = p3[sel[:, None, None], lev[:, :, None], lev[:, None, :]]
+        a = sub / np.take_along_axis(px[sel], lev, 1)[:, :, None]
+        b = sub / np.take_along_axis(py[sel], lev, 1)[:, None, :]
+        eig = np.abs(np.linalg.eigvals(a @ b.transpose(0, 2, 1)))
+        eig.sort(axis=1)
+        out[sel] = np.sqrt(np.clip(eig[:, -2], 0.0, 1.0))
+    return out
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` where ``den > 0``, else 0 (degenerate statistics)."""
+    ok = den > 0
+    return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+
+
+def _feature_block(
+    flat: np.ndarray, need: frozenset, levels: int
+) -> Dict[str, np.ndarray]:
+    """The features in ``need`` for one ``(n, G, G)`` slab of matrices."""
+    n = flat.shape[0]
+    p = flat.reshape(n, levels * levels).astype(np.float64, copy=False)
+    p3 = p.reshape(n, levels, levels)
+    columns = ("1",) + tuple(
+        sorted({c for name in need for c in _MOMENT_COLUMNS.get(name, ())})
+    )
+    moments = p @ _moment_table(levels, columns)
+    m = {c: moments[:, k] for k, c in enumerate(columns)}
+    empty = m["1"] <= 0
+    tot = np.where(empty, 1.0, m["1"])
+    tot2 = tot * tot
+
+    out: Dict[str, np.ndarray] = {}
+    if "asm" in need:
+        out["asm"] = np.einsum("bk,bk->b", p, p) / tot2
+    if "contrast" in need:
+        out["contrast"] = m["dd"] / tot
+    # Variances as (N * S2 - S1**2) / N**2: on count matrices both
+    # products are exact integers, so the subtraction cancels nothing.
+    if need & {"correlation", "sum_of_squares"}:
+        var_x = tot * m["xx"] - m["x"] ** 2
+    if "correlation" in need:
+        var_y = tot * m["yy"] - m["y"] ** 2
+        out["correlation"] = _ratio(
+            tot * m["xy"] - m["x"] * m["y"],
+            np.sqrt(np.clip(var_x, 0, None) * np.clip(var_y, 0, None)),
+        )
+    if "sum_of_squares" in need:
+        # Variance about the mean of the x-marginal (Haralick f4).
+        out["sum_of_squares"] = var_x / tot2
+    if "idm" in need:
+        # Not in the GEMM: its weights are not dyadic, and einsum sums
+        # each row the same way whatever the packet length.
+        out["idm"] = np.einsum("bk,k->b", p, _idm_weights(levels)) / tot
+    if "sum_average" in need:
+        out["sum_average"] = m["s"] / tot + (levels - 1)
+    if "sum_variance" in need:
+        out["sum_variance"] = (tot * m["ss"] - m["s"] ** 2) / tot2
+    if "difference_variance" in need:
+        out["difference_variance"] = (tot * m["dd"] - m["d"] ** 2) / tot2
+    if need & {"entropy", "imc1", "imc2"}:
+        hxy = _entropy(p, tot)
+        if "entropy" in need:
+            out["entropy"] = hxy
+    if need & {"sum_entropy", "difference_entropy"}:
+        p_sum, p_diff = _sum_diff_histograms(p3)
+        if "sum_entropy" in need:
+            out["sum_entropy"] = _entropy(p_sum, tot)
+        if "difference_entropy" in need:
+            out["difference_entropy"] = _entropy(p_diff, tot)
+    if need & {"imc1", "imc2", "mcc"}:
+        px = p3 @ np.ones(levels)
+        py = p3.sum(axis=1)
+    if need & {"imc1", "imc2"}:
+        # HXY1 = -sum p ln(px py) and HXY2 = -sum px py ln(px py) both
+        # collapse to HX + HY, so no (B, G, G) outer product is formed.
+        hx = _entropy(px, tot)
+        hy = _entropy(py, tot)
+        if "imc1" in need:
+            out["imc1"] = _ratio(hxy - hx - hy, np.maximum(hx, hy))
+        if "imc2" in need:
+            out["imc2"] = np.sqrt(
+                np.clip(1.0 - np.exp(-2.0 * (hx + hy - hxy)), 0.0, 1.0)
+            )
+    if "mcc" in need:
+        out["mcc"] = _mcc_batch(p3, px, py)
+    return {name: np.where(empty, 0.0, vals) for name, vals in out.items()}
 
 
 def haralick_features(
@@ -148,12 +287,23 @@ def haralick_features(
     Returns
     -------
     dict mapping feature name -> array of shape ``matrices.shape[:-2]``.
+
+    Each slab of at most ``FEATURE_BLOCK_BYTES`` is converted to float
+    once.  The linear and quadratic statistics (f2-f4, f6, f7, f10) come
+    from one ``(n, G*G) @ (G*G, K)`` product with a cached moment table
+    holding only the columns the requested features need; ``asm`` and
+    ``idm`` are one ``einsum`` each; the entropies visit non-zero cells
+    only; ``p_x``, ``p_y``, ``p_{x+y}`` and ``p_{x-y}`` are built only
+    for the entropy/IMC/MCC features that read them; ``mcc`` is one
+    stacked ``eigvals`` call per distinct count of occupied levels.
+    A matrix's values do not depend on which other matrices share its
+    batch, so any packetization of a scan yields the same volumes.
     """
     wanted = tuple(features) if features is not None else HARALICK_FEATURES
     for name in wanted:
         feature_index(name)  # validates
 
-    matrices = np.asarray(matrices, dtype=np.float64)
+    matrices = np.asarray(matrices)
     if matrices.ndim < 2 or matrices.shape[-1] != matrices.shape[-2]:
         raise ValueError(f"expected (..., G, G) matrices, got {matrices.shape}")
     levels = matrices.shape[-1]
@@ -161,92 +311,17 @@ def haralick_features(
     flat = matrices.reshape(-1, levels, levels)
     nmat = flat.shape[0]
 
-    totals = flat.sum(axis=(1, 2))
-    safe_tot = np.where(totals > 0, totals, 1.0)
-    p = flat / safe_tot[:, None, None]
-
-    lev = np.arange(levels, dtype=np.float64)
-    px = p.sum(axis=2)  # (..., G) marginal over columns
-    py = p.sum(axis=1)
-    mu_x = px @ lev
-    mu_y = py @ lev
-    var_x = px @ (lev**2) - mu_x**2
-    var_y = py @ (lev**2) - mu_y**2
-
-    need = set(wanted)
-    out: Dict[str, np.ndarray] = {}
-
-    if {"contrast", "sum_average", "sum_variance", "sum_entropy",
-        "difference_variance", "difference_entropy"} & need:
-        S, D = _ops(levels)
-        p2 = p.reshape(nmat, -1)
-        p_sum = p2 @ S  # (B, 2G-1)
-        p_diff = p2 @ D  # (B, G)
-        ks = np.arange(2 * levels - 1, dtype=np.float64)
-        kd = np.arange(levels, dtype=np.float64)
-
-    if "asm" in need:
-        out["asm"] = (p**2).sum(axis=(1, 2))
-    if "contrast" in need:
-        out["contrast"] = p_diff @ (kd**2)
-    if "correlation" in need:
-        ij = np.outer(lev, lev)
-        num = (p * ij).sum(axis=(1, 2)) - mu_x * mu_y
-        denom = np.sqrt(np.clip(var_x, 0, None) * np.clip(var_y, 0, None))
-        out["correlation"] = np.where(denom > 0, num / np.where(denom > 0, denom, 1), 0.0)
-    if "sum_of_squares" in need:
-        # Variance about the mean of the x-marginal (Haralick f4).
-        d2 = (lev[None, :, None] - mu_x[:, None, None]) ** 2
-        out["sum_of_squares"] = (p * d2).sum(axis=(1, 2))
-    if "idm" in need:
-        i, j = np.meshgrid(lev, lev, indexing="ij")
-        w = 1.0 / (1.0 + (i - j) ** 2)
-        out["idm"] = (p * w[None]).sum(axis=(1, 2))
-    if "sum_average" in need or "sum_variance" in need:
-        f6 = p_sum @ ks
-        if "sum_average" in need:
-            out["sum_average"] = f6
-    if "sum_variance" in need:
-        out["sum_variance"] = (p_sum * (ks[None, :] - f6[:, None]) ** 2).sum(axis=1)
-    if "sum_entropy" in need:
-        out["sum_entropy"] = -_xlogx(p_sum).sum(axis=1)
-    if "entropy" in need or "imc1" in need or "imc2" in need:
-        hxy = -_xlogx(p).sum(axis=(1, 2))
-        if "entropy" in need:
-            out["entropy"] = hxy
-    if "difference_variance" in need:
-        mean_d = p_diff @ kd
-        out["difference_variance"] = (
-            p_diff * (kd[None, :] - mean_d[:, None]) ** 2
-        ).sum(axis=1)
-    if "difference_entropy" in need:
-        out["difference_entropy"] = -_xlogx(p_diff).sum(axis=1)
-    if "imc1" in need or "imc2" in need:
-        # Joint of the independent marginals, with 0 log 0 handling.
-        pxy = px[:, :, None] * py[:, None, :]
-        log_pxy = np.zeros_like(pxy)
-        nz = pxy > 0
-        log_pxy[nz] = np.log(pxy[nz])
-        hxy1 = -(p * log_pxy).sum(axis=(1, 2))
-        hxy2 = -_xlogx(pxy).sum(axis=(1, 2))
-        hx = -_xlogx(px).sum(axis=1)
-        hy = -_xlogx(py).sum(axis=1)
-        if "imc1" in need:
-            hmax = np.maximum(hx, hy)
-            out["imc1"] = np.where(hmax > 0, (hxy - hxy1) / np.where(hmax > 0, hmax, 1), 0.0)
-        if "imc2" in need:
-            out["imc2"] = np.sqrt(np.clip(1.0 - np.exp(-2.0 * (hxy2 - hxy)), 0.0, 1.0))
-    if "mcc" in need:
-        out["mcc"] = np.array(
-            [_mcc(p[k], px[k], py[k]) for k in range(nmat)], dtype=np.float64
-        )
-
-    empty = totals == 0
-    result = {}
-    for name in wanted:
-        vals = np.where(empty, 0.0, out[name])
-        result[name] = vals.reshape(lead)
-    return result
+    need = frozenset(wanted)
+    # mcc holds the gathered submatrices, both normalizations, their
+    # product and its complex spectrum on top of the float slab.
+    per_matrix = levels * levels * 8 * (6 if "mcc" in need else 2)
+    step = max(1, FEATURE_BLOCK_BYTES // per_matrix)
+    out = {name: np.empty(nmat) for name in wanted}
+    for lo in range(0, nmat, step):
+        vals = _feature_block(flat[lo : lo + step], need, levels)
+        for name in wanted:
+            out[name][lo : lo + step] = vals[name]
+    return {name: out[name].reshape(lead) for name in wanted}
 
 
 def haralick_feature_vector(

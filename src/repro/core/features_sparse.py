@@ -30,6 +30,7 @@ import numpy as np
 from .features import (
     HARALICK_FEATURES,
     PAPER_FEATURES,
+    _mcc_batch,
     feature_index,
     haralick_features,
 )
@@ -48,19 +49,6 @@ def _entropy_terms(w: np.ndarray) -> np.ndarray:
     nz = w > 0
     out[nz] = w[nz] * np.log(w[nz])
     return out
-
-
-def _mcc_from_entries(
-    i: np.ndarray, j: np.ndarray, w: np.ndarray, levels: int
-) -> float:
-    """Dense-submatrix fallback for the maximal correlation coefficient."""
-    from .features import _mcc  # shared implementation
-
-    p = np.zeros((levels, levels))
-    np.add.at(p, (i, j), w)
-    px = p.sum(axis=1)
-    py = p.sum(axis=0)
-    return _mcc(p, px, py)
 
 
 def features_from_entries(
@@ -142,25 +130,22 @@ def features_from_entries(
     if "difference_entropy" in need:
         out["difference_entropy"] = float(-_entropy_terms(p_diff).sum())
     if "imc1" in need or "imc2" in need:
-        pxy = np.outer(px, py)
-        hxy1_terms = np.zeros_like(pxy)
-        nz = pxy > 0
-        cellm = np.bincount(i * levels + j, weights=w, minlength=levels * levels)
-        cellm = cellm.reshape(levels, levels)
-        hxy1_terms[nz] = cellm[nz] * np.log(pxy[nz])
-        hxy1 = float(-hxy1_terms.sum())
-        hxy2 = float(-_entropy_terms(pxy).sum())
+        # HXY1 and HXY2 both reduce to HX + HY (see haralick_features).
         hx = float(-_entropy_terms(px).sum())
         hy = float(-_entropy_terms(py).sum())
         if "imc1" in need:
             hmax = max(hx, hy)
-            out["imc1"] = (hxy - hxy1) / hmax if hmax > 0 else 0.0
+            out["imc1"] = (hxy - hx - hy) / hmax if hmax > 0 else 0.0
         if "imc2" in need:
             out["imc2"] = float(
-                np.sqrt(np.clip(1.0 - np.exp(-2.0 * (hxy2 - hxy)), 0.0, 1.0))
+                np.sqrt(np.clip(1.0 - np.exp(-2.0 * (hx + hy - hxy)), 0.0, 1.0))
             )
     if "mcc" in need:
-        out["mcc"] = _mcc_from_entries(i, j, w, levels)
+        # Dense fallback: the eigendecomposition needs the matrix.
+        cell = np.bincount(i * levels + j, weights=w, minlength=levels * levels)
+        out["mcc"] = float(
+            _mcc_batch(cell.reshape(1, levels, levels), px[None], py[None])[0]
+        )
 
     return {name: out[name] for name in wanted}
 

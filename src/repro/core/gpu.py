@@ -4,8 +4,8 @@ The CUDA GLCM formulation (Hong, Zheng & Pan, arXiv:1710.06189) maps the
 co-occurrence scan onto massively parallel histogramming: encode every
 grey-level pair as a scalar *pair code* ``a*G + b``, then scatter the
 codes of each window into that window's ``G x G`` histogram with atomic
-adds.  This module implements exactly that, reusing the host-side
-geometry of the mega-batched kernel:
+adds.  This module implements exactly that, on host-side geometry that
+is cached per chunk shape:
 
 * the pair codes of the whole chunk are built once (one concatenated
   array over all directions),
@@ -23,7 +23,7 @@ block back, so PCIe traffic is two bulk copies per chunk.
 
 Nothing here imports CuPy or Numba at module import time.  The first
 call to :func:`probe_gpu` attempts the imports and caches the outcome;
-:func:`gpu_scan` falls back to the CPU ``megabatch`` kernel — emitting a
+:func:`gpu_scan` falls back to the CPU ``incremental`` kernel — emitting a
 :class:`GpuUnavailableWarning` (and the filters a ``kernel.fallback``
 obs event) — whenever no usable device is found, so ``--kernel gpu`` is
 always safe to request.  ``repro kernels`` prints the probe outcome,
@@ -138,7 +138,7 @@ def probe_gpu(refresh: bool = False) -> GpuProbe:
 
 
 def gpu_fallback_count() -> int:
-    """How many ``gpu`` scans fell back to ``megabatch`` this process."""
+    """How many ``gpu`` scans fell back to ``incremental`` this process."""
     return _fallbacks
 
 
@@ -152,7 +152,7 @@ def gpu_scan(
     symmetric: bool = True,
     validate: bool = True,
 ) -> Iterator[Tuple[int, np.ndarray]]:
-    """GPU pair-code-scatter scan; clean ``megabatch`` fallback.
+    """GPU pair-code-scatter scan; clean ``incremental`` fallback.
 
     Same yield contract and bit-identical matrices as the CPU backends
     (integer count arithmetic on both sides — there is nothing to
@@ -164,13 +164,13 @@ def gpu_scan(
         _fallbacks += 1
         warnings.warn(
             f"scan kernel 'gpu' unavailable ({probe.detail}); "
-            "falling back to 'megabatch'",
+            "falling back to 'incremental'",
             GpuUnavailableWarning,
             stacklevel=3,
         )
-        from .backends import megabatch_scan
+        from .backends import incremental_scan
 
-        yield from megabatch_scan(
+        yield from incremental_scan(
             data, roi, levels, directions, distance,
             batch=batch, symmetric=symmetric, validate=validate,
         )
@@ -197,7 +197,7 @@ def _host_geometry(data, roi, levels, directions, distance, validate):
     grid = valid_positions_shape(data.shape, roi)
     npos = int(np.prod(grid))
     dirs = resolve_directions(data.ndim, directions, distance)
-    offs = scan_offsets(data.shape, roi, tuple(dirs), with_tables=True)
+    offs = scan_offsets(data.shape, roi, tuple(dirs))
     codes_cat = np.empty(offs.cat_size, dtype=np.int64)
     for v, seg_start, seg_stop in offs.segments:
         codes, _ = pair_code_array(data, levels, v)

@@ -10,7 +10,7 @@ Two implementations:
 
 ``raster_scan``
     The production path: a GLCM scan backend (``repro.core.backends``,
-    selected by the ``kernel`` argument — batched or incremental)
+    selected by the ``kernel`` argument, ``incremental`` by default)
     feeding the vectorized feature kernels, with a bounded per-batch
     working set so arbitrarily large chunks can be scanned without
     densifying all matrices at once.
@@ -22,7 +22,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .backends import get_kernel
+from .backends import DEFAULT_KERNEL, get_kernel
 from .cooccurrence import check_levels, cooccurrence_matrix
 from .directions import Direction
 from .features import PAPER_FEATURES, haralick_features
@@ -67,7 +67,7 @@ def raster_scan_batches(
     directions: Optional[Sequence[Direction]] = None,
     distance: int = 1,
     batch: int = 2048,
-    kernel: str = "batched",
+    kernel: str = DEFAULT_KERNEL,
     validate: bool = True,
 ) -> Iterator[Tuple[int, Dict[str, np.ndarray]]]:
     """Stream feature batches in raster order.
@@ -95,7 +95,7 @@ def raster_scan(
     directions: Optional[Sequence[Direction]] = None,
     distance: int = 1,
     batch: int = 2048,
-    kernel: str = "batched",
+    kernel: str = DEFAULT_KERNEL,
     validate: bool = True,
 ) -> Dict[str, np.ndarray]:
     """Vectorized raster scan; same results as ``raster_scan_reference``."""

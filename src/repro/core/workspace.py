@@ -9,13 +9,12 @@ parameters, not on the data being scanned:
     of per-window pair codes into disjoint histogram segments for a
     single ``bincount`` call.
 ``scan_offsets``
-    Precomputed flat-index gather tables for the mega-batched
-    chunk-at-once kernel: per scan row and per direction group, the
-    flat positions of every pair-code hyperplane inside one
-    concatenated pair-code array.  These depend only on
-    ``(chunk_shape, roi_shape, directions)`` — in the pipeline every
-    interior chunk shares one shape, so the tables are built once and
-    reused for every chunk of the run.
+    Precomputed flat-index gather tables for the GPU scatter kernels:
+    per scan row and per direction group, the flat positions of every
+    pair-code hyperplane inside one concatenated pair-code array.
+    These depend only on ``(chunk_shape, roi_shape, directions)`` — in
+    the pipeline every interior chunk shares one shape, so the tables
+    are built once and reused for every chunk of the run.
 
 Allocating these per call shows up in profiles (they are as large as a
 batch row), so they are cached here and shared by every kernel and every
@@ -101,7 +100,7 @@ def symmetrize_inplace(mats: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Mega-batch gather tables: chunk-shape-keyed flat-index offsets.
+# GPU gather tables: chunk-shape-keyed flat-index offsets.
 # --------------------------------------------------------------------------
 
 
@@ -118,24 +117,15 @@ class GroupOffsets:
     pair-code array is C-contiguous along the innermost axis.
 
     The flat table is what the GPU scatter kernels consume (their gather
-    latency is hidden across threads).  The CPU mega-batch kernel instead
-    walks ``members`` — per direction, the segment start, the pair-code
-    array shape and the leading window shape — and gathers through
-    per-segment sliding views, which keeps each gather's source inside
-    one direction's cache-resident segment instead of striding across
-    the whole concatenated buffer.  Because the tables are
-    ``O(n_rows * total_face)`` — easily larger than the chunk itself —
-    they are only materialized when :func:`scan_offsets` is called with
-    ``with_tables=True``; otherwise ``table`` is ``None``.
+    latency is hidden across threads).  It is ``O(n_rows * total_face)``
+    — easily larger than the chunk itself — which is why no CPU kernel
+    builds one.
     """
 
     trailing_extent: int  # W_t: planes summed per window
     n_planes: int  # row_len - 1 + W_t: planes gathered per row
     total_face: int  # code faces per plane, summed over members
-    table: "np.ndarray | None"  # (n_rows, total_face) read-only intp
-    #: per member direction: (segment start, pair-code array shape,
-    #: leading window shape, face size)
-    members: Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...], int], ...]
+    table: np.ndarray  # (n_rows, total_face) read-only intp
 
 
 @dataclass(frozen=True)
@@ -148,21 +138,11 @@ class ScanOffsets:
     the only per-chunk work left; everything index-shaped is here.
     """
 
-    grid: Tuple[int, ...]
     n_rows: int
     row_len: int
     cat_size: int
     segments: Tuple[Tuple[Tuple[int, ...], int, int], ...]
     groups: Tuple[GroupOffsets, ...]
-
-    @property
-    def nbytes(self) -> int:
-        """Resident size of the cached tables (for memory budgeting)."""
-        return sum(g.table.nbytes for g in self.groups if g.table is not None)
-
-    @property
-    def has_tables(self) -> bool:
-        return all(g.table is not None for g in self.groups)
 
 
 #: Distinct (chunk_shape, roi_shape, directions) entries kept.  The
@@ -177,7 +157,6 @@ def _build_scan_offsets(
     data_shape: Tuple[int, ...],
     roi: ROISpec,
     directions: Tuple[Tuple[int, ...], ...],
-    with_tables: bool,
 ) -> ScanOffsets:
     nd = len(data_shape)
     grid = valid_positions_shape(data_shape, roi)
@@ -210,50 +189,40 @@ def _build_scan_offsets(
         face = 1
         for e in w[:-1]:
             face *= e
-        member = (base, cshape, w[:-1], face)
-        if with_tables:
-            # Flat offsets of the leading window face (innermost axis
-            # left to the per-plane ``+ j`` walk).
-            if nd > 1:
-                ix = np.ix_(*[np.arange(e, dtype=np.intp) for e in w[:-1]])
-                lead_offs = sum(g * s for g, s in zip(ix, strides[:-1]))
-                lead_offs = np.asarray(lead_offs, dtype=np.intp).reshape(-1)
-            else:
-                lead_offs = np.zeros(1, dtype=np.intp)
-            if lead:
-                row_base = sum(
-                    origins[i].astype(np.intp) * strides[i]
-                    for i in range(nd - 1)
-                )
-            else:
-                row_base = np.zeros(1, dtype=np.intp)
-            cols = base + row_base[:, None] + lead_offs[None, :]
+        # Flat offsets of the leading window face (innermost axis left
+        # to the per-plane ``+ j`` walk).
+        if nd > 1:
+            ix = np.ix_(*[np.arange(e, dtype=np.intp) for e in w[:-1]])
+            lead_offs = sum(g * s for g, s in zip(ix, strides[:-1]))
+            lead_offs = np.asarray(lead_offs, dtype=np.intp).reshape(-1)
         else:
-            cols = None
-        per_group.setdefault(w[-1], []).append((cols, member))
+            lead_offs = np.zeros(1, dtype=np.intp)
+        if lead:
+            row_base = sum(
+                origins[i].astype(np.intp) * strides[i]
+                for i in range(nd - 1)
+            )
+        else:
+            row_base = np.zeros(1, dtype=np.intp)
+        cols = base + row_base[:, None] + lead_offs[None, :]
+        per_group.setdefault(w[-1], []).append((cols, face))
 
     groups = []
     for wt in sorted(per_group):
-        total_face = sum(m[3] for _cols, m in per_group[wt])
-        if with_tables:
-            table = np.ascontiguousarray(
-                np.concatenate([cols for cols, _m in per_group[wt]], axis=1),
-                dtype=np.intp,
-            )
-            table.setflags(write=False)
-        else:
-            table = None
+        table = np.ascontiguousarray(
+            np.concatenate([cols for cols, _face in per_group[wt]], axis=1),
+            dtype=np.intp,
+        )
+        table.setflags(write=False)
         groups.append(
             GroupOffsets(
                 trailing_extent=wt,
                 n_planes=row_len - 1 + wt,
-                total_face=total_face,
+                total_face=sum(face for _cols, face in per_group[wt]),
                 table=table,
-                members=tuple(m for _cols, m in per_group[wt]),
             )
         )
     return ScanOffsets(
-        grid=grid,
         n_rows=n_rows,
         row_len=row_len,
         cat_size=cat_size,
@@ -266,28 +235,21 @@ def scan_offsets(
     data_shape: Tuple[int, ...],
     roi: ROISpec,
     directions: Tuple[Tuple[int, ...], ...],
-    with_tables: bool = False,
 ) -> ScanOffsets:
     """Cached gather geometry for one (chunk shape, ROI, directions) scan.
 
     Distance is already baked into ``directions`` (they arrive scaled by
     :func:`~repro.core.cooccurrence.resolve_directions`), so the key is
     exactly the geometry the tables depend on.  Cached arrays are
-    read-only and shared across threads, kernels and filter copies.
-
-    ``with_tables=True`` additionally materializes the flat gather
-    tables the GPU scatter kernels consume; the CPU kernels leave them
-    out because the tables can dwarf the chunk itself.  A cache entry
-    built without tables is upgraded in place on the first request that
-    needs them.
+    read-only and shared across threads and filter copies.
     """
     key = (tuple(int(s) for s in data_shape), roi.shape, tuple(directions))
     with _lock:
         cached = _offsets_cache.get(key)
-        if cached is not None and (not with_tables or cached.has_tables):
+        if cached is not None:
             _offsets_cache.move_to_end(key)
             return cached
-    built = _build_scan_offsets(key[0], roi, key[2], with_tables)
+    built = _build_scan_offsets(key[0], roi, key[2])
     with _lock:
         _offsets_cache[key] = built
         _offsets_cache.move_to_end(key)

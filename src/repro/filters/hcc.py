@@ -42,8 +42,7 @@ class HaralickCoMatrixCalculator(Filter):
         q = p.quantize(tc.data)
         check_levels(q, p.levels)  # once per chunk, not per kernel call
         # The whole quantized chunk goes to the scan kernel in one call;
-        # chunk-at-once backends (megabatch, gpu) see every ROI at once
-        # and packetization only slices their accumulator into views.
+        # the kernel packetizes, and a yielded batch is never overwritten.
         scan, fallback = resolve_scan_kernel(p.kernel)
         batch = p.packet_rois(tc.chunk)
         tracing = ctx.tracing

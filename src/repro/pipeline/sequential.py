@@ -22,7 +22,9 @@ import numpy as np
 
 from ..chunks.chunking import ChunkSpec
 from ..chunks.stitch import OutputStitcher
-from ..core.raster import raster_scan
+from ..core.backends import get_kernel
+from ..core.features import haralick_features
+from ..core.roi import valid_positions_shape
 from ..datacutter.obs import Tracer
 from ..regions import RegionStore, read_chunk_staged
 from ..storage.dataset import DiskDataset4D
@@ -100,21 +102,26 @@ def iter_chunk_features(
         q = params.quantize(data)
         emit("chunk.stitch", chunk, time.perf_counter() - t0,
              bytes=int(q.nbytes))
-        t0 = time.perf_counter()
-        local = raster_scan(
-            q,
-            params.roi,
-            params.levels,
-            features=params.features,
-            distance=params.distance,
-            kernel=params.kernel,
-        )
-        dt = time.perf_counter() - t0
-        # raster_scan fuses co-occurrence and feature computation; split
-        # the span evenly so both lifecycle stages appear per chunk.
-        emit("chunk.cooccur", chunk, dt / 2.0)
-        emit("chunk.features", chunk, dt / 2.0)
-        yield chunk, local
+        # ``raster_scan``'s composition (scan at its default batch, then
+        # features per batch), driven here so each half is timed, as HMP
+        # does per packet.
+        grid = valid_positions_shape(q.shape, params.roi)
+        flat = {name: np.empty(int(np.prod(grid))) for name in params.features}
+        t_cooc = t_feat = 0.0
+        mark = time.perf_counter()
+        for start, mats in get_kernel(params.kernel)(
+            q, params.roi, params.levels, distance=params.distance
+        ):
+            now = time.perf_counter()
+            t_cooc += now - mark
+            vals = haralick_features(mats, params.features)
+            for name in params.features:
+                flat[name][start : start + mats.shape[0]] = vals[name]
+            mark = time.perf_counter()
+            t_feat += mark - now
+        emit("chunk.cooccur", chunk, t_cooc)
+        emit("chunk.features", chunk, t_feat)
+        yield chunk, {name: arr.reshape(grid) for name, arr in flat.items()}
 
 
 def transform_disk_dataset(

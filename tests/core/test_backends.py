@@ -11,18 +11,21 @@ from repro.core.backends import (
     KERNELS,
     get_kernel,
     incremental_scan,
-    megabatch_scan,
     reference_scan,
 )
 from repro.core.cooccurrence import check_levels, cooccurrence_scan
-from repro.core.raster import raster_scan, raster_scan_reference
+from repro.core.raster import (
+    raster_scan,
+    raster_scan_batches,
+    raster_scan_reference,
+)
 from repro.core.roi import ROISpec
 from repro.core import workspace
 from repro.core.workspace import pair_shift, symmetrize_inplace
 from repro.filters.messages import TextureParams
 
 # The "gpu" entry participates in the generic registry loops below; on a
-# machine without a CUDA device it falls back to megabatch with a warning
+# machine without a CUDA device it falls back to incremental with a warning
 # (the warning itself is covered in tests/core/test_gpu_backend.py).
 pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.core.gpu.GpuUnavailableWarning"
@@ -37,16 +40,13 @@ def small_volume():
 
 class TestRegistry:
     def test_kernels_contents(self):
-        assert KERNELS == (
-            "batched", "gpu", "incremental", "megabatch", "reference"
-        )
+        assert KERNELS == ("batched", "gpu", "incremental", "reference")
         assert DEFAULT_KERNEL in KERNELS
         assert set(KERNEL_INFO) == set(KERNELS)
 
     def test_get_kernel_resolves(self):
         assert get_kernel("batched") is cooccurrence_scan
         assert get_kernel("incremental") is incremental_scan
-        assert get_kernel("megabatch") is megabatch_scan
         assert get_kernel("reference") is reference_scan
 
     def test_get_kernel_unknown(self):
@@ -56,8 +56,8 @@ class TestRegistry:
     def test_get_kernel_suggests_close_match(self):
         with pytest.raises(ValueError, match="did you mean 'incremental'"):
             get_kernel("incrmental")
-        with pytest.raises(ValueError, match="did you mean 'megabatch'"):
-            get_kernel("megabatched")
+        with pytest.raises(ValueError, match="did you mean 'batched'"):
+            get_kernel("bached")
         # Nothing close: no suggestion, but the valid list is shown.
         with pytest.raises(ValueError, match=r"valid kernels") as exc:
             get_kernel("turbo")
@@ -88,6 +88,15 @@ class TestDispatch:
         ref = raster_scan_reference(small_volume, roi, 16)
         for name, vol in ref.items():
             np.testing.assert_allclose(outs["batched"][name], vol, atol=1e-12)
+
+    def test_raster_scan_defaults_to_the_default_kernel(self):
+        # A direct caller of the documented top-level ``raster_scan``
+        # gets the same kernel as the configs, not the 4x slower one.
+        import inspect
+
+        for fn in (raster_scan, raster_scan_batches):
+            default = inspect.signature(fn).parameters["kernel"].default
+            assert default == DEFAULT_KERNEL, fn.__name__
 
     def test_haralick_transform_kernel_equality(self, small_volume):
         outs = {

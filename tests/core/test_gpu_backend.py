@@ -1,7 +1,7 @@
 """Tests for the import-guarded GPU backend and its fallback path.
 
 Everything above the ``@pytest.mark.gpu`` section runs on CPU-only
-machines: probing, the megabatch fallback (bit-identity + warning), the
+machines: probing, the incremental fallback (bit-identity + warning), the
 ``kernel.fallback`` obs event emitted by the texture filters, and the
 ``repro kernels`` CLI.  The marked tests exercise a real CUDA device and
 are auto-skipped when the probe finds none.
@@ -16,7 +16,7 @@ from repro.cli import main
 from repro.core import gpu as gpu_mod
 from repro.core.backends import (
     get_kernel,
-    megabatch_scan,
+    incremental_scan,
     reference_scan,
     resolve_scan_kernel,
 )
@@ -80,8 +80,8 @@ class TestProbe:
 
 class TestResolveFallback:
     def test_resolve_non_gpu_has_no_fallback(self):
-        scan, fallback = resolve_scan_kernel("megabatch")
-        assert scan is megabatch_scan
+        scan, fallback = resolve_scan_kernel("incremental")
+        assert scan is incremental_scan
         assert fallback is None
 
     @pytest.mark.skipif(HAVE_DEVICE, reason="CUDA device present")
@@ -89,7 +89,7 @@ class TestResolveFallback:
         scan, fallback = resolve_scan_kernel("gpu")
         assert fallback == {
             "requested": "gpu",
-            "used": "megabatch",
+            "used": "incremental",
             "reason": probe_gpu().detail,
         }
 
@@ -120,7 +120,7 @@ class TestFallbackPath:
                 gpu_scan, data, roi, 8, batch=3, symmetric=False
             )
         want = _collect(
-            megabatch_scan, data, roi, 8, batch=3, symmetric=False
+            incremental_scan, data, roi, 8, batch=3, symmetric=False
         )
         assert len(got) == len(want) > 1  # batch honoured
         for (s0, m0), (s1, m1) in zip(want, got):
@@ -191,7 +191,7 @@ class TestFilterFallbackEvent:
         _kind, chunk, attrs = fallbacks[0]
         assert chunk == tc.chunk.index
         assert attrs["requested"] == "gpu"
-        assert attrs["used"] == "megabatch"
+        assert attrs["used"] == "incremental"
         assert attrs["reason"]
         assert ctx.sent  # the chunk was still fully processed
 
@@ -199,7 +199,7 @@ class TestFilterFallbackEvent:
         rng = np.random.default_rng(6)
         tc = self._chunk(rng)
         ctx = EventContext()
-        HaralickMatrixProducer(self._params(kernel="megabatch")).process(
+        HaralickMatrixProducer(self._params(kernel="incremental")).process(
             "in", DataBuffer(payload=tc), ctx
         )
         assert not [e for e in ctx.events if e[0] == "kernel.fallback"]
@@ -209,14 +209,14 @@ class TestKernelsCli:
     def test_kernels_command(self, capsys):
         assert main(["kernels"]) == 0
         out = capsys.readouterr().out
-        for k in ("batched", "gpu", "incremental", "megabatch", "reference"):
+        for k in ("batched", "gpu", "incremental", "reference"):
             assert k in out
         assert "default kernel" in out
         probe = probe_gpu()
         if probe.available:
             assert "available via" in out
         else:
-            assert "falls back to megabatch" in out
+            assert "falls back to incremental" in out
             # The import/driver evidence is printed for diagnosability.
             assert probe.detail.splitlines()[0] in out
 
@@ -244,7 +244,7 @@ class TestOnDevice:
         data = rng.integers(0, 32, size=(20, 20, 12, 7), dtype=np.int32)
         roi = ROISpec((5, 5, 5, 3))
         got = _collect(gpu_scan, data, roi, 32, batch=2048)
-        want = _collect(megabatch_scan, data, roi, 32, batch=2048)
+        want = _collect(incremental_scan, data, roi, 32, batch=2048)
         for (s0, m0), (s1, m1) in zip(want, got):
             assert s0 == s1
             assert np.array_equal(m0, m1)

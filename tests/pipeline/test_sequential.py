@@ -59,3 +59,30 @@ class TestTransformDiskDataset:
         from repro.pipeline.builder import plan_chunks
 
         assert count == len(plan_chunks(dataset.shape, cfg))
+
+    def test_lifecycle_spans_are_measured(self, setup):
+        # chunk.cooccur and chunk.features are timed around the scan and
+        # the feature kernel, not one wall split in half: they differ,
+        # and together they fit inside the time the chunk took.
+        import time
+
+        from repro.datacutter.obs import Tracer
+
+        _vol, root, cfg = setup
+        tracer = Tracer()
+        walls = {}
+        t0 = time.perf_counter()
+        for chunk, _local in iter_chunk_features(
+            DiskDataset4D.open(root), cfg, tracer=tracer
+        ):
+            walls[chunk.index] = time.perf_counter() - t0
+            t0 = time.perf_counter()
+        spans = {}
+        for ev in tracer.drain():
+            if ev.kind in ("chunk.cooccur", "chunk.features"):
+                spans.setdefault(tuple(ev.chunk), {})[ev.kind] = ev.dur
+        assert set(spans) == set(walls)
+        for index, per in spans.items():
+            assert per["chunk.cooccur"] > 0 and per["chunk.features"] > 0
+            assert per["chunk.cooccur"] != per["chunk.features"]
+            assert sum(per.values()) <= walls[index]
