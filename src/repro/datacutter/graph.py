@@ -90,11 +90,20 @@ class FilterGraph:
         return self.filters[name].copies
 
     def validate(self) -> None:
-        """Check the graph is runnable: connected, acyclic, has sources."""
+        """Check the graph is runnable: connected, acyclic, has sources,
+        and every filter can tell its input streams apart."""
         if not self.filters:
             raise ValueError("empty filter graph")
         if not self.sources():
             raise ValueError("graph has no source filters (cycle or no entry)")
+        # A consumer identifies the edge a buffer arrived on by stream
+        # name, so its input streams must be distinct.
+        for name in self.filters:
+            streams = [e.stream for e in self.in_edges(name)]
+            if len(streams) != len(set(streams)):
+                raise ValueError(
+                    f"filter {name!r} has duplicate input stream names: {streams}"
+                )
         # Cycle check via Kahn's algorithm on filter-level edges.
         indeg = {name: len(self.in_edges(name)) for name in self.filters}
         ready = [n for n, d in indeg.items() if d == 0]

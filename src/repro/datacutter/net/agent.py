@@ -60,21 +60,11 @@ import queue
 import selectors
 import socket
 import threading
-import time
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..buffers import DataBuffer
-from ..faults import (
-    NULL_CONNECTION_INJECTOR,
-    NULL_INJECTOR,
-    CopyFailure,
-    RetryPolicy,
-    _Aborted,
-    _CopyDied,
-    _process_with_retry,
-)
-from ..filter import FilterContext
+from ..copyloop import CopyContext, CopyPort, run_copy
+from ..faults import NULL_CONNECTION_INJECTOR, RetryPolicy, _Aborted
 from ..graph import FilterGraph
 from ..obs import Tracer
 from . import codec
@@ -131,73 +121,29 @@ class _SendWindow:
             self.cond.notify_all()
 
 
-class _AgentContext(FilterContext):
+class _AgentContext(CopyContext):
     """Bridges a filter copy's sends and deposits onto the head link."""
 
-    def __init__(
-        self,
-        runner: "AgentRunner",
-        filter_name: str,
-        copy_index: int,
-        num_copies: int,
-        out_edges: Dict[str, Any],
-        tracer: Optional[Tracer] = None,
-    ):
-        super().__init__(filter_name, copy_index, num_copies)
+    def __init__(self, runner: "AgentRunner", filter_name, copy_index, tracer):
+        super().__init__(runner.graph, filter_name, copy_index, tracer)
         self._runner = runner
-        self._out = out_edges  # stream name -> StreamEdge
-        self._tracer = tracer
-        self.tracing = tracer is not None
 
-    def event(self, kind, *, dur=0.0, chunk=None, **attrs):
-        if self._tracer is not None:
-            self._tracer.emit(
-                kind,
-                filter=self.filter_name,
-                copy=self.copy_index,
-                dur=dur,
-                chunk=chunk,
-                **attrs,
-            )
-
-    def send(self, stream, payload, size_bytes=0, metadata=None, dest_copy=None):
-        try:
-            edge = self._out[stream]
-        except KeyError:
-            raise RuntimeError(
-                f"filter {self.filter_name!r} has no output stream {stream!r}"
-            ) from None
-        explicit = edge.policy == "explicit"
-        if explicit and dest_copy is None:
-            raise RuntimeError(
-                f"stream {stream!r} is explicit: dest_copy required"
-            )
-        if not explicit and dest_copy is not None:
-            raise RuntimeError(
-                f"stream {stream!r} is {edge.policy}: dest_copy only valid "
-                "on explicit streams"
-            )
-        if dest_copy is not None and not (
-            0 <= dest_copy < self._runner.graph.copies(edge.dst)
-        ):
-            raise RuntimeError(
-                f"stream {stream!r}: dest copy {dest_copy} out of range"
-            )
-        buf = DataBuffer(
-            payload=payload, size_bytes=size_bytes, metadata=dict(metadata or {})
-        )
-        window = self._runner.send_window(self.filter_name, self.copy_index, stream)
-        window.acquire()
+    def _deliver(self, stream, buffer, dest_copy):
+        self._runner.send_window(
+            self.filter_name, self.copy_index, stream
+        ).acquire()
         self._runner.post(
-            ("send", self.filter_name, self.copy_index, stream, dest_copy, buf)
+            ("send", self.filter_name, self.copy_index, stream, dest_copy, buffer)
         )
 
     def deposit(self, key, value):
         self._runner.post(("deposit", key, value))
 
 
-class _CopyWorker:
-    """One hosted filter copy: its thread, input queue and life cycle."""
+class _CopyWorker(CopyPort):
+    """One hosted filter copy: its thread, its input queue, and the port
+    through which :func:`~repro.datacutter.copyloop.run_copy` reaches
+    the head."""
 
     def __init__(self, runner: "AgentRunner", filter_name: str, copy_index: int):
         self.runner = runner
@@ -205,178 +151,74 @@ class _CopyWorker:
         self.copy_index = copy_index
         self.in_q: "queue.Queue" = queue.Queue()
         self.dead = False  # failed; the dispatcher drops later deliveries
-        self.retries = 0
-        # Per-copy tracer: events batch locally and ride home on the
-        # terminal done/copy_failed message, never per-buffer frames.
-        self.tracer: Optional[Tracer] = Tracer() if runner.trace else None
+        self.open = {e.stream for e in runner.graph.in_edges(filter_name)}
         self.thread = threading.Thread(
             target=self._run,
             name=f"{filter_name}[{copy_index}]@agent{runner.agent_index}",
             daemon=True,
         )
 
-    def _count_retry(self) -> None:
-        self.retries += 1
-
-    # -- life cycle ---------------------------------------------------------
-
     def _run(self) -> None:
         runner = self.runner
-        graph = runner.graph
-        spec = graph.filters[self.filter_name]
-        injector = (
-            runner.faults.injector_for(self.filter_name, self.copy_index)
-            if runner.faults is not None
-            else NULL_INJECTOR
+        # Per-copy tracer: events batch locally and ride home on the
+        # terminal done/copy_failed message, never per-buffer frames.
+        ctx = _AgentContext(
+            runner, self.filter_name, self.copy_index,
+            Tracer() if runner.trace else None,
         )
-        t_busy = 0.0
-        out_edges = {e.stream: e for e in graph.out_edges(self.filter_name)}
-        in_streams = {e.stream for e in graph.in_edges(self.filter_name)}
-        try:
-            filt = spec.factory()
-            ctx = _AgentContext(
-                runner,
-                self.filter_name,
-                self.copy_index,
-                spec.copies,
-                out_edges,
-                self.tracer,
-            )
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "copy.start",
-                    filter=self.filter_name,
-                    copy=self.copy_index,
-                    agent=runner.agent_name,
-                )
-            t0 = time.perf_counter()
-            filt.initialize(ctx)
-            t_busy += time.perf_counter() - t0
-            if not in_streams:
-                t0 = time.perf_counter()
-                filt.generate(ctx)
-                t_busy += time.perf_counter() - t0
-            else:
-                open_streams = set(in_streams)
-                while open_streams:
-                    if runner.abort.is_set():
-                        raise _Aborted()
-                    try:
-                        # Every wake is a put (buf/close/stop — the
-                        # dispatcher and the abort paths both post
-                        # "stop"), so the timeout is a pure watchdog.
-                        item = self.in_q.get(timeout=runner.poll)
-                    except queue.Empty:
-                        continue
-                    kind = item[0]
-                    if kind == "close":
-                        open_streams.discard(item[1])
-                        continue
-                    if kind == "stop":
-                        raise _Aborted()
-                    _, stream, seq, buffer = item
-                    if self.tracer is not None:
-                        enq = buffer.metadata.pop("_obs_enq", None)
-                        chunk = buffer.metadata.get("chunk")
-                        if enq is not None:
-                            self.tracer.emit(
-                                "queue.wait",
-                                filter=self.filter_name,
-                                copy=self.copy_index,
-                                dur=max(time.time() - enq, 0.0),
-                                chunk=chunk,
-                                stream=stream,
-                            )
-                        self.tracer.emit(
-                            "queue.depth",
-                            filter=self.filter_name,
-                            copy=self.copy_index,
-                            depth=self.in_q.qsize(),
-                        )
-                    try:
-                        # A hard injected crash is a real machine
-                        # failure: the whole agent dies with no goodbye
-                        # and the head's death detection must catch it.
-                        dt = _process_with_retry(
-                            filt, stream, buffer, ctx, injector,
-                            runner.retry, runner.abort.wait,
-                            self._count_retry, hard_exit=CRASH_EXIT,
-                        )
-                        t_busy += dt
-                        if self.tracer is not None:
-                            self.tracer.emit(
-                                "service",
-                                filter=self.filter_name,
-                                copy=self.copy_index,
-                                dur=dt,
-                                chunk=buffer.metadata.get("chunk"),
-                                stream=stream,
-                            )
-                        runner.post(("ack", seq))
-                    except _CopyDied as died:
-                        self.dead = True
-                        # The head holds every unacknowledged delivery for
-                        # this copy — the in-hand buffer included — in its
-                        # in-flight table and reroutes them all, so just
-                        # report the death and stop.
-                        runner.post(
-                            (
-                                "copy_failed",
-                                CopyFailure(
-                                    filter_name=self.filter_name,
-                                    copy_index=self.copy_index,
-                                    error=repr(died.cause),
-                                    kind="crash" if died.injected else "exception",
-                                    injected=died.injected,
-                                ),
-                                t_busy,
-                                self.retries,
-                                self._drain_events(),
-                            )
-                        )
-                        return
-            t0 = time.perf_counter()
-            filt.finalize(ctx)
-            t_busy += time.perf_counter() - t0
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "copy.done",
-                    filter=self.filter_name,
-                    copy=self.copy_index,
-                    busy=t_busy,
-                    dead=False,
-                )
-            runner.post(
-                (
-                    "done",
-                    self.filter_name,
-                    self.copy_index,
-                    t_busy,
-                    self.retries,
-                    self._drain_events(),
-                )
-            )
-        except _Aborted:
-            pass
-        except BaseException:  # noqa: BLE001 - reported to the head
-            self.dead = True
-            runner.post(
-                (
-                    "copy_failed",
-                    CopyFailure(
-                        filter_name=self.filter_name,
-                        copy_index=self.copy_index,
-                        error=traceback.format_exc().strip(),
-                        kind="exception",
-                    ),
-                    t_busy,
-                    self.retries,
-                    self._drain_events(),
-                )
-            )
+        # A hard injected crash is a real machine failure: the whole
+        # agent dies with no goodbye and the head's death detection
+        # must catch it.
+        run_copy(
+            runner.graph, ctx, self, runner.retry, runner.faults,
+            CRASH_EXIT, agent=runner.agent_name,
+        )
 
-    def _drain_events(self):
-        return self.tracer.drain() if self.tracer is not None else []
+    # -- the copy's port ----------------------------------------------------
+
+    def abort_wait(self, timeout):
+        return self.runner.abort.wait(timeout)
+
+    def next_input(self):
+        while self.open:
+            if self.runner.abort.is_set():
+                raise _Aborted()
+            try:
+                # Every wake is a put (buf/close/stop — the dispatcher
+                # and the abort paths both post "stop"), so the timeout
+                # is a pure watchdog.
+                item = self.in_q.get(timeout=self.runner.poll)
+            except queue.Empty:
+                continue
+            if item[0] == "close":
+                self.open.discard(item[1])
+            elif item[0] == "stop":
+                raise _Aborted()
+            else:
+                _, stream, seq, buffer = item
+                return stream, buffer, seq
+        return None
+
+    def depth(self, stream):
+        return self.in_q.qsize()
+
+    def ack(self, stream, seq):
+        self.runner.post(("ack", seq))
+
+    def died(self, failure):
+        # The head holds every unacknowledged delivery for this copy —
+        # the in-hand buffer included — in its in-flight table and
+        # reroutes them all, so just report the death and stop.
+        return False
+
+    def report(self, failure, busy, retries, events):
+        if failure is None:
+            self.runner.post(
+                ("done", self.filter_name, self.copy_index, busy, retries, events)
+            )
+        else:
+            self.dead = True
+            self.runner.post(("copy_failed", failure, busy, retries, events))
 
 
 class AgentRunner:

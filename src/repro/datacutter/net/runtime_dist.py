@@ -87,7 +87,7 @@ from ..faults import (
 from ..graph import FilterGraph, StreamEdge
 from ..obs import Trace, Tracer, snapshot_run
 from ..placement import Placement
-from ..runtime_local import LocalRuntime, RunResult
+from ..runtime_local import RunResult
 from ..scheduling import CopyState, make_policy
 from . import codec
 
@@ -261,7 +261,6 @@ class DistRuntime:
         poll_interval: Optional[float] = None,
     ):
         graph.validate()
-        LocalRuntime._check_stream_names(graph)
         if not hosts:
             raise ValueError("distributed runtime needs at least one host")
         if max_queue < 1 or send_window < 1:

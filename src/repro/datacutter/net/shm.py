@@ -65,8 +65,8 @@ FLAG_SHM = 0x01
 
 _SLOT = struct.Struct("!I")
 
-#: Shared-memory segment name prefix; the leak checks (tests and the CI
-#: transport job) grep ``/dev/shm`` for it after every run.
+#: Shared-memory segment name prefix; the leak gate (``tests/conftest.py``)
+#: globs ``/dev/shm`` for it when a test session ends.
 NAME_PREFIX = "reproshm"
 
 

@@ -1,35 +1,58 @@
-"""Threaded local runtime: real concurrent execution of a filter graph.
+"""Peer runtime engine, and its threaded instance :class:`LocalRuntime`.
 
-Each filter copy runs in its own thread with a bounded input queue, so
-producers and consumers "run concurrently and process data chunks in a
-pipelined fashion" (paper Section 4.1) for real on this machine.  The
-overlap is I/O against compute: texture filtering holds the GIL for most
-of its time, so replicating texture copies here does not scale (the
-ROADMAP probe measured 17.6k ROIs/s with one copy, 16.4k with two) —
-that is what the processes runtime is for.
+A *peer* runtime runs every filter copy of a
+:class:`~repro.datacutter.graph.FilterGraph` on this machine and lets
+the copies route to each other directly: each stream edge is one
+:class:`_SharedEdge` — per-consumer bounded queues plus shared depth,
+dead/departed and ``producers_done`` counters under one lock — and a
+parent that only collects deposits and terminal reports.  In DataCutter
+(paper Sections 4.1, 5.2) placing two copies in one address space or on
+two nodes changes how a buffer travels, never the stream protocol; here
+likewise the engine is written once, against a small backend object
+that supplies the primitives (lock, event, bounded queue, integer
+cells, ``spawn``), how a buffer is handed over, how the parent waits
+and what a hard crash looks like.  Two backends exist:
 
-Per-stream routing honours the configured scheduling policy
-(:mod:`repro.datacutter.scheduling`).  End-of-stream is tracked at the
-edge router rather than with in-band markers: each producer copy ticks a
-shared ``producers_done`` counter when it finishes, and a consumer copy
-closes the stream only when every producer is done, its own delivery
-accounting has drained to zero, *and* no failed sibling copy still holds
-undelivered buffers.  The close is atomic with routing (same lock), so a
-buffer re-delivered by a dying copy can never race past a survivor's
-shutdown — the DataCutter guarantee (consumer finishes once every
-producer copy of every input stream completes) extends cleanly to
-at-least-once re-delivery.
+* :class:`_ThreadBackend` (this module, :class:`LocalRuntime`): copies
+  are threads, a delivery is a pointer copy, so ``wire_bytes`` is empty,
+  payloads and deposits need not pickle, and nothing forks.  The overlap
+  is I/O against compute: texture filtering holds the GIL for most of
+  its time, so replicating texture copies here does not scale — that is
+  what the processes runtime is for.
+* the fork backend of :mod:`repro.datacutter.runtime_mp`
+  (:class:`~repro.datacutter.runtime_mp.MPRuntime`): copies are
+  processes and every buffer is framed by the wire codec.
+
+The life of one copy (``initialize`` → ``generate``/``process`` →
+``finalize``, tracing, retries) is :func:`repro.datacutter.copyloop.run_copy`,
+shared with the distributed agent; this module supplies its port.
+
+End-of-stream is tracked at the edge rather than with in-band markers:
+each producer copy ticks ``producers_done`` when it finishes, and a
+consumer copy closes the stream only when every producer is done and
+*every* copy's delivery accounting has drained to zero — so a survivor
+can never shut down while a dying sibling still holds buffers destined
+for it.  The close is atomic with routing (same lock): the DataCutter
+guarantee (a consumer finishes once every producer copy of every input
+stream completes) extends cleanly to at-least-once re-delivery.
 
 Fault tolerance (:mod:`repro.datacutter.faults`): every blocking queue
 operation is abort-aware, so a failed copy can never wedge the run.  A
-``process()`` call that raises is retried per the :class:`RetryPolicy`;
-a copy that exhausts its retries is declared dead — its in-hand buffer
-and everything still queued for it are *rerouted* to surviving
-transparent copies (the dead copy's thread stays alive in drain mode,
-re-delivering until its input streams close, so producers never block on
-a dead queue).  Unrecoverable failures trigger a shared abort that
-unblocks every thread, and ``run()`` raises a structured
-:class:`PipelineError` instead of deadlocking.
+copy that exhausts its retries marks itself dead on its input edges (so
+producers stop picking it), reroutes its in-hand buffer and stays behind
+in drain mode — re-delivering everything still queued for it to
+surviving transparent copies — until its input streams close.
+Unrecoverable failures raise the shared abort, which unblocks every
+copy, and ``run()`` raises a structured :class:`PipelineError` instead
+of deadlocking.
+
+Wakeups are event-driven: every transition a blocked consumer could be
+waiting on — a delivery, a producer finishing, the last in-flight buffer
+of an edge draining, a sibling dying, the abort — sets that copy's
+wakeup event; the consumer clears the event, re-checks everything it
+guards and only then waits, so no wakeup can be lost.  ``poll_interval``
+is only a watchdog bounding how long a *missed* wakeup could go
+unnoticed.
 
 The runtime records per-copy busy time (time spent inside
 ``generate``/``process``/``finalize``), giving the per-filter processing
@@ -41,39 +64,31 @@ from __future__ import annotations
 import queue
 import threading
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .buffers import DataBuffer
-from .faults import (
-    NULL_INJECTOR,
-    CopyFailure,
-    FaultPlan,
-    InjectedCrash,
-    InjectedFault,
-    PipelineError,
-    RetryPolicy,
-    _Aborted,
-    _CopyDied,
-    _process_with_retry,
-)
-from .filter import FilterContext
+from .copyloop import CopyContext, CopyPort, run_copy
+from .faults import CopyFailure, FaultPlan, PipelineError, RetryPolicy, _Aborted
 from .graph import FilterGraph, StreamEdge
 from .obs import Trace, Tracer, snapshot_run
-from .scheduling import CopyState, make_policy
+from .scheduling import make_policy
 
 __all__ = ["LocalRuntime", "RunResult"]
 
-#: Watchdog granularity while blocked on a queue (seconds).  Every
-#: transition a blocked worker waits on — new buffer, stream closure,
-#: copy death, abort — raises a wakeup (a queue put or a ``_WAKE``
-#: nudge), so this only bounds recovery from a missed one.
+#: Default watchdog granularity of :class:`LocalRuntime` (seconds).
+#: Every transition a blocked copy waits on raises a wakeup event, so
+#: this only bounds recovery from a missed one.
 _POLL = 0.05
+#: Parent watchdog: the parent is woken by the results queue (and, for
+#: processes, the child sentinels), so its fallback tick can be long.
+_PARENT_WATCHDOG = 1.0
+#: How long after a child exits the parent waits for its (possibly still
+#: buffered) terminal report before declaring it silently dead.
+_EXIT_GRACE = 2.0
 
-#: No-op queue token: wakes a consumer blocked in ``get`` so it re-checks
-#: stream closure immediately instead of waiting out a poll interval.
-_WAKE = object()
+_CTRL_DEPOSIT = "__deposit__"
+_CTRL_REPORT = "__copy_report__"
 
 
 @dataclass
@@ -84,8 +99,16 @@ class RunResult:
     elapsed: float
     busy_time: Dict[Tuple[str, int], float]
     buffers_sent: Dict[str, int]
-    #: Failure accounting: process() retries, buffers re-delivered to a
-    #: surviving copy, and the copies that died but were recovered from.
+    #: Failure accounting: ``process()`` retries, re-deliveries, and the
+    #: copies that died but were recovered from.  One reroute is one
+    #: buffer that had been claimed for a copy and was picked again for
+    #: another because the first died: on the peer runtimes (threads,
+    #: processes) that is every buffer a dead copy hands back in drain
+    #: mode (the one in hand and each one still queued for it) plus
+    #: every re-pick by a producer whose chosen copy died while the
+    #: producer was blocked on that copy's full queue; on the
+    #: distributed runtime, every unacknowledged or pending delivery the
+    #: head moves off a dead copy.
     retries: int = 0
     reroutes: int = 0
     failed_copies: List[CopyFailure] = field(default_factory=list)
@@ -127,277 +150,791 @@ class RunResult:
         return self.results.get(key, [])
 
 
-class _RunState:
-    """Shared per-run coordination: abort signal and failure accounting.
+class _SharedAbort:
+    """Run-wide abort flag with event-driven wakeup.
 
-    The abort also *wakes* every consumer: queues attached via
-    :meth:`attach_queues` get a best-effort ``_WAKE`` nudge when the
-    abort trips, so a worker blocked in ``get`` unwinds immediately
-    instead of discovering the flag at its next watchdog expiry.
+    Raising it (``abort.value = 1``) also sets an event (so retry
+    backoffs block on :meth:`wait` instead of sleeping in poll ticks)
+    and every per-copy wakeup event attached before the copies were
+    spawned (so consumers blocked on their input wait unblock at once).
     """
 
-    def __init__(self) -> None:
-        self.abort = threading.Event()
-        self.lock = threading.Lock()
-        self.failures: List[CopyFailure] = []
-        self.fatal = False
-        self.retries = 0
-        self.reroutes = 0
-        self._wake_queues: List["queue.Queue"] = []
+    def __init__(self, backend):
+        self._flag = backend.cell()
+        self._event = backend.Event()
+        self._wakeups: List[Any] = []
 
-    def attach_queues(self, queues: List["queue.Queue"]) -> None:
-        self._wake_queues.extend(queues)
+    def attach_wakeups(self, events: List[Any]) -> None:
+        """Register events to set on abort (call before spawning)."""
+        self._wakeups.extend(events)
 
-    def _wake_all(self) -> None:
-        for q in self._wake_queues:
-            try:
-                q.put_nowait(_WAKE)
-            except queue.Full:
-                pass  # a full queue wakes its consumer on its own
+    @property
+    def value(self) -> int:
+        return self._flag.value
 
-    def record_failure(self, failure: CopyFailure, fatal: bool) -> None:
-        with self.lock:
-            self.failures.append(failure)
-            if fatal:
-                self.fatal = True
-        if fatal:
-            self.abort.set()
-            self._wake_all()
+    @value.setter
+    def value(self, v: int) -> None:
+        self._flag.value = v
+        if v:
+            self._event.set()
+            for ev in self._wakeups:
+                ev.set()
 
-    def trigger_abort(self) -> None:
-        with self.lock:
-            self.fatal = True
-        self.abort.set()
-        self._wake_all()
-
-    def count_retry(self) -> None:
-        with self.lock:
-            self.retries += 1
-
-    def count_reroute(self) -> None:
-        with self.lock:
-            self.reroutes += 1
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until aborted (True) or the timeout elapses (False)."""
+        return self._event.wait(timeout)
 
 
-class _EdgeRouter:
-    """Routes buffers of one stream edge to the consumer's copies.
+class _SharedEdge:
+    """Routing state of one stream edge, shared by all its copies.
 
-    Dead consumer copies are excluded from scheduling; blocked producers
-    re-check the abort signal and the dead set every :data:`_POLL`
-    seconds, so no failure can leave a producer wedged on a full queue.
+    ``wake`` holds one event per consumer copy of the destination
+    filter — shared by every edge into that filter — set on each
+    transition a blocked consumer could be waiting on.  The queue bound
+    is per (edge, consumer copy).
     """
 
     def __init__(
         self,
         edge: StreamEdge,
-        consumer_queues: List["queue.Queue"],
-        state: _RunState,
+        num_consumers: int,
+        max_queue: int,
+        backend,
         n_producers: int,
-        tracer: Optional[Tracer] = None,
+        wake: List[Any],
         poll: float = _POLL,
     ):
         self.edge = edge
-        self.policy = make_policy(edge.policy)
-        self.queues = consumer_queues
-        self.states = [CopyState(i) for i in range(len(consumer_queues))]
-        self.lock = threading.Lock()
-        self.state = state
+        self.num_consumers = num_consumers
         self.n_producers = n_producers
-        self.producers_done = 0
-        self.dead: set = set()  # copies that failed
-        self.departed: set = set()  # copies that closed the stream cleanly
-        self.sent = 0
-        self.tracer = tracer
+        self.backend = backend
         self.poll = poll
+        self.wake = wake
+        #: The transparent policy's pure rule (``None``: explicit).
+        self.rule = make_policy(edge.policy).rule
+        self.queues = [backend.Queue(max_queue) for _ in range(num_consumers)]
+        self.lock = backend.Lock()
+        # Per-consumer depth and assignment counters.
+        self.queued = backend.array(num_consumers)
+        self.assigned = backend.array(num_consumers)
+        # 1 where the consumer copy has been declared dead.
+        self.dead = backend.array(num_consumers)
+        # 1 where the consumer copy closed the stream cleanly.
+        self.departed = backend.array(num_consumers)
+        # Producer copies that finished sending (edge-level EOS).
+        self.producers_done = backend.cell()
+        self.picks = backend.cell()
+        self.sent = backend.cell()
+        self.rerouted = backend.cell()
+        self.wire = backend.cell()
+        # Payload bytes handed over via pool slabs instead of the pipe.
+        self.shm = backend.cell()
 
-    def mark_dead(self, copy_index: int) -> None:
+    def mark_dead(self, idx: int) -> None:
         with self.lock:
-            self.dead.add(copy_index)
+            self.dead[idx] = 1
+        # Siblings may be able to close now that this copy no longer
+        # counts as a live reroute target; have them re-check.
+        self._wake_all()
+
+    def _wake_all(self) -> None:
+        for ev in self.wake:
+            ev.set()
 
     def producer_done(self) -> None:
         """One producer copy finished (its share of the stream is sent)."""
         with self.lock:
-            self.producers_done += 1
-            last = self.producers_done == self.n_producers
-        if last:
-            self._nudge()
+            self.producers_done.value += 1
+        # Wake every consumer so it re-checks closure immediately instead
+        # of discovering the EOS at its next watchdog tick.
+        self._wake_all()
 
-    def _nudge(self) -> None:
-        """Wake blocked consumers so they re-check closure immediately.
+    def try_close(self, idx: int) -> bool:
+        """Atomically close consumer copy ``idx``'s view of the stream.
 
-        Best-effort: a full queue wakes its consumer on its own.
-        """
-        for q in self.queues:
-            try:
-                q.put_nowait(_WAKE)
-            except queue.Full:
-                pass
-
-    def try_close(self, copy_index: int) -> bool:
-        """Atomically close this consumer copy's view of the stream.
-
-        True once (a) every producer copy signalled completion and
-        (b) every copy's delivery accounting has drained — nothing
-        queued, nothing in flight.  The sibling condition is deliberate:
+        True once every producer copy is done and every copy's delivery
+        accounting drained to zero.  The sibling condition is deliberate:
         while *any* sibling (alive or dead) still holds buffers, that
         sibling could yet fail and need this copy as a reroute target.
-        Closing marks the copy *departed* under the routing lock, so a
-        concurrent reroute either lands before the close (keeping the
-        copy alive to process it) or picks a different survivor.
+        The close marks the copy departed under the routing lock, so it
+        can never race a concurrent re-delivery.
         """
         with self.lock:
-            if copy_index in self.departed:
+            if self.departed[idx]:
                 return True
-            if self.producers_done < self.n_producers:
+            if self.producers_done.value < self.n_producers:
                 return False
-            if any(s.queued for s in self.states):
-                return False
-            self.departed.add(copy_index)
+            for j in range(self.num_consumers):
+                if self.queued[j]:
+                    return False
+            self.departed[idx] = 1
             return True
 
     def has_survivors(self) -> bool:
         with self.lock:
-            return len(self.dead | self.departed) < len(self.queues)
-
-    def _pick(self, buffer: DataBuffer, dest_copy: Optional[int]) -> int:
-        if self.policy.requires_explicit_dest():
-            if dest_copy is None:
-                raise RuntimeError(
-                    f"stream {self.edge.stream!r} is explicit: dest_copy required"
-                )
-            idx = dest_copy
-            if not (0 <= idx < len(self.queues)):
-                raise RuntimeError(
-                    f"stream {self.edge.stream!r}: dest copy {idx} out of range"
-                )
-            with self.lock:
-                if idx in self.dead or idx in self.departed:
-                    # Explicit placement is semantic (all pieces of one
-                    # chunk meet at one copy); a dead destination is
-                    # unrecoverable — abort the run.
-                    self.state.trigger_abort()
-                    raise _Aborted()
-                self.states[idx].on_assign(buffer)
-                self.sent += 1
-            return idx
-        if dest_copy is not None:
-            raise RuntimeError(
-                f"stream {self.edge.stream!r} is {self.edge.policy}: "
-                "dest_copy only valid on explicit streams"
+            return any(
+                self.dead[i] == 0 and self.departed[i] == 0
+                for i in range(self.num_consumers)
             )
+
+    def choose(self, abort) -> int:
+        """Claim the transparent policy's pick among the live copies."""
         with self.lock:
-            gone = self.dead | self.departed
-            alive = [s for s in self.states if s.copy_index not in gone]
+            alive = [
+                i
+                for i in range(self.num_consumers)
+                if self.dead[i] == 0 and self.departed[i] == 0
+            ]
             if not alive:
-                self.state.trigger_abort()
+                abort.value = 1
                 raise _Aborted()
-            idx = self.policy.choose(alive, buffer)
-            self.states[idx].on_assign(buffer)
-            self.sent += 1
+            idx = self.rule(alive, self.queued, self.assigned, self.picks.value)
+            self.picks.value += 1
+            self.queued[idx] += 1
+            self.assigned[idx] += 1
+            self.sent.value += 1
         return idx
 
-    def route(self, buffer: DataBuffer, dest_copy: Optional[int]) -> None:
-        item = (self.edge.stream, buffer)
+    def assign_explicit(self, idx: int, abort) -> None:
+        with self.lock:
+            if self.dead[idx] or self.departed[idx]:
+                # Explicit placement is semantic (all pieces of one chunk
+                # meet at one copy); a dead destination is unrecoverable.
+                abort.value = 1
+                raise _Aborted()
+            self.queued[idx] += 1
+            self.assigned[idx] += 1
+            self.sent.value += 1
+
+    def unassign(self, idx: int) -> None:
+        with self.lock:
+            self.queued[idx] -= 1
+            self.assigned[idx] -= 1
+            self.sent.value -= 1
+
+    def on_consume(self, idx: int) -> None:
+        with self.lock:
+            self.queued[idx] -= 1
+            drained = self.producers_done.value >= self.n_producers and not any(
+                self.queued[j] for j in range(self.num_consumers)
+            )
+        if drained:
+            # The last in-flight buffer on this edge just completed:
+            # every copy can now close, so don't make them wait out a
+            # watchdog tick to notice.
+            self._wake_all()
+
+    def deliver(
+        self, buffer: DataBuffer, dest_copy: Optional[int], abort, tracer=None
+    ) -> None:
+        """Abort-aware routed put; repicks if the chosen copy dies."""
+        if tracer is not None:
+            # Enqueue timestamp rides with the buffer so the consumer
+            # can measure queue wait (across the pipe, for processes).
+            buffer.metadata["_obs_enq"] = time.time()
+        # Hand-over form, made once: the same frame fits whichever copy
+        # wins the re-pick.
+        frame, wire_n, shm_n = self.backend.pack((self.edge.stream, buffer))
         while True:
-            idx = self._pick(buffer, dest_copy)
-            if self.tracer is not None:
-                self.tracer.emit(
+            if dest_copy is not None:
+                idx = dest_copy
+                self.assign_explicit(idx, abort)
+            else:
+                idx = self.choose(abort)
+            if tracer is not None:
+                tracer.emit(
                     "sched.pick",
                     chunk=buffer.metadata.get("chunk"),
                     stream=self.edge.stream,
                     policy=self.edge.policy,
                     dest=idx,
                 )
-                buffer.metadata["_obs_enq"] = time.time()
             while True:
-                if self.state.abort.is_set():
+                if abort.value:
+                    # Undo the claim from choose()/assign_explicit():
+                    # a leaked positive depth counter would make an
+                    # idle consumer block on a frame that never lands.
+                    self.unassign(idx)
                     raise _Aborted()
-                with self.lock:
-                    died = idx in self.dead and dest_copy is None
-                if died:
-                    # Chosen copy died while we were blocked: undo the
-                    # assignment and pick a survivor instead.
+                if dest_copy is None and self.dead[idx]:
+                    # Died while we were blocked: undo and re-pick.
+                    self.unassign(idx)
                     with self.lock:
-                        self.states[idx].on_unassign(buffer)
-                        self.sent -= 1
+                        self.rerouted.value += 1
                     break
                 try:
-                    # The timeout is a watchdog: it bounds how long a
-                    # producer blocked on a full queue goes without
-                    # re-checking the abort flag and the dead set (a
-                    # consume frees a slot and wakes the put directly).
-                    self.queues[idx].put(item, timeout=self.poll)
-                    return
+                    # Bounded, not `poll`: a full queue (backpressure,
+                    # or a silently dead consumer) must re-check abort
+                    # and copy death promptly — the blocked put cannot
+                    # be interrupted by either.
+                    self.queues[idx].put(frame, timeout=min(self.poll, 0.05))
                 except queue.Full:
                     continue
+                self.wake[idx].set()
+                if wire_n:
+                    with self.lock:
+                        self.wire.value += wire_n
+                        self.shm.value += shm_n
+                    if tracer is not None:
+                        self._trace_frame(tracer, "wire.frame", buffer, wire_n, idx)
+                        if shm_n:
+                            self._trace_frame(tracer, "shm.frame", buffer, shm_n, idx)
+                return
 
-    def on_consume(self, copy_index: int) -> None:
-        with self.lock:
-            self.states[copy_index].on_consume()
-            drained = self.producers_done == self.n_producers and not any(
-                s.queued for s in self.states
-            )
-        if drained:
-            # The last in-flight buffer on this edge just completed:
-            # every copy can now close, so don't make them poll for it.
-            self._nudge()
-
-
-class _LocalContext(FilterContext):
-    def __init__(
-        self,
-        results: Dict[str, List[Any]],
-        results_lock: threading.Lock,
-        filter_name: str,
-        copy_index: int,
-        num_copies: int,
-        out_routers: Dict[str, _EdgeRouter],
-        tracer: Optional[Tracer] = None,
-    ):
-        super().__init__(filter_name, copy_index, num_copies)
-        self._results = results
-        self._results_lock = results_lock
-        self._out = out_routers
-        self._tracer = tracer
-        self.tracing = tracer is not None
-
-    def event(self, kind, *, dur=0.0, chunk=None, **attrs):
-        if self._tracer is not None:
-            self._tracer.emit(
-                kind,
-                filter=self.filter_name,
-                copy=self.copy_index,
-                dur=dur,
-                chunk=chunk,
-                **attrs,
-            )
-
-    def send(self, stream, payload, size_bytes=0, metadata=None, dest_copy=None):
-        try:
-            router = self._out[stream]
-        except KeyError:
-            raise RuntimeError(
-                f"filter {self.filter_name!r} has no output stream {stream!r}"
-            ) from None
-        buf = DataBuffer(
-            payload=payload, size_bytes=size_bytes, metadata=dict(metadata or {})
+    def _trace_frame(self, tracer, kind, buffer, nbytes, idx) -> None:
+        tracer.emit(
+            kind,
+            chunk=buffer.metadata.get("chunk"),
+            stream=self.edge.stream,
+            bytes=nbytes,
+            dest=idx,
         )
-        router.route(buf, dest_copy)
+
+    def reroute(self, buffer: DataBuffer, abort, tracer=None) -> None:
+        """Re-deliver a buffer a dead copy hands back (counted)."""
+        with self.lock:
+            self.rerouted.value += 1
+        self.deliver(buffer, None, abort, tracer)
+
+
+class _PeerContext(CopyContext):
+    def __init__(self, graph, filter_name, copy_index, out_edges, results_q,
+                 abort, tracer=None):
+        super().__init__(graph, filter_name, copy_index, tracer)
+        self._edges = out_edges
+        self.results_q = results_q
+        self.abort = abort
+
+    def _deliver(self, stream, buffer, dest_copy):
+        self._edges[stream].deliver(buffer, dest_copy, self.abort, self.tracer)
 
     def deposit(self, key, value):
-        with self._results_lock:
-            self._results.setdefault(key, []).append(value)
+        self.results_q.put((_CTRL_DEPOSIT, key, value))
 
 
-class LocalRuntime:
+class _PeerPort(CopyPort):
+    """One peer copy's side of its input edges (see ``copyloop``).
+
+    ``wake`` is this copy's wakeup event (``None`` for a source, which
+    has no input to wait on): producers set it after every delivery and
+    on every edge transition, so the idle wait blocks on it instead of
+    ticking over the queues at ``poll`` granularity.
+    """
+
+    def __init__(self, ctx, in_edges, backend, reroute, poll, wake):
+        self.ctx = ctx
+        self.index = ctx.copy_index
+        self.in_edges = in_edges
+        self.open = set(in_edges)
+        self.results_q = ctx.results_q
+        self.abort = ctx.abort
+        self.backend = backend
+        self.may_reroute = reroute
+        self.poll = poll
+        self.wake = wake
+
+    def abort_wait(self, timeout):
+        return self.abort.wait(timeout)
+
+    def _close_drained(self) -> bool:
+        """Close every open stream that can close (all producers done,
+        nothing pending here or on a dead sibling still draining)."""
+        closed = {s for s in self.open if self.in_edges[s].try_close(self.index)}
+        self.open -= closed
+        return bool(closed)
+
+    def next_input(self):
+        i = self.index
+        while self.open:
+            if self.abort.value:
+                raise _Aborted()
+            # Sweep each open input edge's queue for this copy without
+            # blocking (the wakeup event is the blocking point).
+            frame = None
+            for stream in self.open:
+                try:
+                    frame = self.in_edges[stream].queues[i].get_nowait()
+                except queue.Empty:
+                    continue
+                break
+            if frame is None:
+                if self._close_drained():
+                    continue
+                # Decide how to block.  A positive depth counter means a
+                # frame for this copy is still in flight into that queue
+                # (the counter is bumped before the put) — block on the
+                # queue, which wakes the instant the frame lands.
+                pending = [s for s in self.open if self.in_edges[s].queued[i] > 0]
+                if pending:
+                    # Bounded, not `poll`: the frame normally lands
+                    # within microseconds, and if the counter lies
+                    # (producer hard-killed between its claim and its
+                    # put) the loop must re-check abort/EOS promptly
+                    # rather than sit out the watchdog.
+                    try:
+                        frame = self.in_edges[pending[0]].queues[i].get(
+                            timeout=min(self.poll, 0.05)
+                        )
+                    except queue.Empty:
+                        continue
+                else:
+                    # Truly idle: wait on the wakeup event.  The
+                    # no-lost-wakeup protocol is clear *first*, then
+                    # re-check everything the event guards: a producer
+                    # bumps counters before setting the event, so state
+                    # changed before the clear is visible in the
+                    # re-check, and state changed after it re-raises the
+                    # event and the wait returns immediately.  The
+                    # watchdog timeout only bounds the impossible case.
+                    self.wake.clear()
+                    ready = any(self.in_edges[s].queued[i] for s in self.open)
+                    if not self._close_drained() and not ready:
+                        if self.abort.value:
+                            raise _Aborted()
+                        self.wake.wait(timeout=max(self.poll, 0.05))
+                    continue
+            stream, buffer = self.backend.unpack(frame)
+            return stream, buffer, None
+        return None
+
+    def depth(self, stream):
+        return int(self.in_edges[stream].queued[self.index])
+
+    def ack(self, stream, token):
+        self.in_edges[stream].on_consume(self.index)
+
+    def died(self, failure):
+        edges = self.in_edges.values()
+        for e in edges:
+            e.mark_dead(self.index)
+        failure.recovered = (
+            self.may_reroute
+            and all(e.edge.policy != "explicit" for e in edges)
+            and all(e.has_survivors() for e in edges)
+        )
+        return failure.recovered
+
+    def reroute(self, stream, buffer, token):
+        # Re-deliver *before* on_consume so the buffer is never
+        # invisible to try_close.
+        self.in_edges[stream].reroute(buffer, self.abort, self.ctx.tracer)
+        self.in_edges[stream].on_consume(self.index)
+
+    def report(self, failure, busy, retries, events):
+        fatal = failure is not None and not failure.recovered
+        # After an abort nobody collects: a report left in the queue's
+        # feeder would only delay this copy's exit.
+        if fatal or not self.abort.value:
+            self.results_q.put(
+                (_CTRL_REPORT, self.ctx.filter_name, self.index, failure,
+                 busy, retries, events)
+            )
+        if fatal:
+            self.abort.value = 1
+
+
+def _copy_main(graph, name, index, in_edges, out_edges, results_q, abort,
+               backend, retry, faults, trace, poll, wake) -> None:
+    """Entry point of one filter copy (a thread or a forked child)."""
+    # Per-copy tracer: events batch locally and ride home on the
+    # terminal report, so tracing adds no per-buffer traffic.
+    ctx = _PeerContext(
+        graph, name, index, out_edges, results_q, abort,
+        Tracer() if trace else None,
+    )
+    port = _PeerPort(ctx, in_edges, backend, retry.reroute, poll, wake)
+    try:
+        run_copy(graph, ctx, port, retry, faults, backend.hard_exit)
+    finally:
+        # Tick edge-level EOS (never blocks) however the copy ended:
+        # consumers must never wait for a producer copy that is gone.
+        for e in out_edges.values():
+            e.producer_done()
+
+
+class _Cell:
+    """Integer cell with the ``.value`` of ``multiprocessing.Value``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
+class _CopyThread(threading.Thread):
+    """A filter copy as a thread, with the handle ``spawn`` must return."""
+
+    #: A thread cannot die without its terminal report reaching the
+    #: parent, so the silent-death watcher never sees an exit status.
+    exitcode = None
+
+    def terminate(self) -> None:
+        """Threads cannot be killed; they leave on the abort flag."""
+
+
+class _ThreadBackend:
+    """Peer-engine primitives for copies that share the address space."""
+
+    #: A hard injected crash cannot take one thread down alone.
+    hard_exit = None
+    #: No shared-memory pool: nothing is ever copied.
+    pool = None
+
+    Lock = staticmethod(threading.Lock)
+    Event = staticmethod(threading.Event)
+    Queue = staticmethod(queue.Queue)
+    cell = staticmethod(_Cell)
+
+    @staticmethod
+    def array(n: int) -> List[int]:
+        return [0] * n
+
+    @staticmethod
+    def spawn(target, args, name: str) -> _CopyThread:
+        th = _CopyThread(target=target, args=args, name=name, daemon=True)
+        th.start()
+        return th
+
+    @staticmethod
+    def pack(item):
+        """Hand-over is the object itself: ``(frame, wire, shm bytes)``."""
+        return item, 0, 0
+
+    @staticmethod
+    def unpack(frame):
+        return frame
+
+    @staticmethod
+    def wait(results_q, live, timeout: float):
+        """Next control message, or ``None`` after ``timeout`` seconds."""
+        try:
+            return results_q.get(timeout=timeout)
+        except queue.Empty:
+            return None
+
+    @staticmethod
+    def traffic(edges) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """``(wire_bytes, shm_bytes)``: pointer copies move no bytes."""
+        return {}, {}
+
+    def close(self) -> None:
+        pass
+
+
+class _PeerRuntime:
+    """The engine: spawn one copy per (filter, index), collect reports."""
+
+    def __init__(self, graph, max_queue, retry, faults, trace, poll_interval):
+        graph.validate()
+        self.graph = graph
+        self.max_queue = max_queue
+        self.retry = retry if retry is not None else RetryPolicy()
+        self.faults = faults
+        self.trace = bool(trace)
+        self.poll_interval = float(poll_interval)
+        if self.poll_interval <= 0:
+            raise ValueError("poll_interval must be positive")
+        self._run_lock = threading.Lock()
+        self._procs: List[Tuple[Any, str, int]] = []
+        self._abort = None
+        self._results_q = None
+        # True once close() raised the in-flight run's abort: copies
+        # leaving on it are healthy, not silently dead.
+        self._closed = False
+
+    def _open_backend(self):
+        raise NotImplementedError
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def close(self) -> None:
+        """Abort any in-flight run and reap its copies.
+
+        Idempotent, and safe to call from another thread while ``run()``
+        is blocked: the abort flag unwedges every copy, leftover
+        processes are terminated, and ``run()`` raises a
+        :class:`PipelineError` saying the run was closed.  Nothing is
+        held between runs.
+        """
+        # Read in the reverse of the order run() clears them, so a live
+        # abort always comes with its queue.
+        results_q, abort = self._results_q, self._abort
+        if abort is not None:
+            self._closed = True
+            abort.value = 1
+            results_q.put(None)  # wake the collecting parent at once
+        for p, _, _ in list(self._procs):
+            p.join(timeout=5)
+            if p.is_alive():
+                p.terminate()
+                p.join(timeout=5)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
+
+    # -- execution ---------------------------------------------------------
+
+    def run(self, timeout: Optional[float] = None) -> RunResult:
+        # One run at a time per instance: concurrent jobs must use
+        # separate runtime instances (the service's warm pool leases
+        # guarantee this).  Raising beats silently interleaving two
+        # jobs' deposits and trace events into one result.
+        if not self._run_lock.acquire(blocking=False):
+            raise RuntimeError(
+                f"{type(self).__name__}.run() is already executing; "
+                "concurrent runs need separate runtime instances"
+            )
+        try:
+            if self.faults is not None:
+                self.faults.validate(
+                    {name: spec.copies for name, spec in self.graph.filters.items()}
+                )
+            backend = self._open_backend()
+            try:
+                return self._run(backend, timeout)
+            except BaseException:
+                # Anything that escapes the run — PipelineError, but also
+                # a KeyboardInterrupt or an unexpected parent-side
+                # failure — must not strand copies: raise the shared
+                # abort and reap whatever is still alive first.
+                self.close()
+                raise
+            finally:
+                # Unconditional (normal completion, aborts and silently
+                # dead children alike), so a per-run shared-memory pool
+                # never outlives its run.
+                backend.close()
+        finally:
+            self._abort = self._results_q = None
+            self._procs = []
+            self._run_lock.release()
+
+    def _run(self, backend, timeout: Optional[float]) -> RunResult:
+        graph = self.graph
+        results_q = self._results_q = backend.Queue(0)
+        abort = _SharedAbort(backend)
+        self._closed = False
+        self._abort = abort
+
+        # One wakeup event per (filter, copy) with inputs: producers on
+        # any of its in-edges set it after each transition, so an idle
+        # copy blocks on its event instead of ticking over its queues.
+        wake_events: Dict[Tuple[str, int], Any] = {
+            (spec.name, i): backend.Event()
+            for spec in graph.filters.values()
+            if graph.in_edges(spec.name)
+            for i in range(spec.copies)
+        }
+        abort.attach_wakeups(list(wake_events.values()))
+
+        edges: Dict[Tuple[str, str], _SharedEdge] = {}
+        for edge in graph.edges:
+            n_dst = graph.copies(edge.dst)
+            edges[(edge.src, edge.stream)] = _SharedEdge(
+                edge,
+                n_dst,
+                self.max_queue,
+                backend,
+                n_producers=graph.copies(edge.src),
+                wake=[wake_events[(edge.dst, i)] for i in range(n_dst)],
+                poll=self.poll_interval,
+            )
+
+        procs = self._procs = []
+        start = time.perf_counter()
+        for spec in graph.filters.values():
+            in_edges = {
+                e.stream: edges[(e.src, e.stream)] for e in graph.in_edges(spec.name)
+            }
+            out_edges = {
+                e.stream: edges[(spec.name, e.stream)]
+                for e in graph.out_edges(spec.name)
+            }
+            for i in range(spec.copies):
+                p = backend.spawn(
+                    _copy_main,
+                    (graph, spec.name, i, in_edges, out_edges, results_q,
+                     abort, backend, self.retry, self.faults, self.trace,
+                     self.poll_interval, wake_events.get((spec.name, i))),
+                    f"{spec.name}[{i}]",
+                )
+                procs.append((p, spec.name, i))
+
+        results: Dict[str, List[Any]] = {}
+        busy: Dict[Tuple[str, int], float] = {}
+        all_events: List[Any] = []
+        failures: List[CopyFailure] = []
+        total_retries = 0
+        fatal = False
+        timed_out = False
+        terminal: set = set()  # (name, idx) whose report arrived
+        exited_at: Dict[Tuple[str, int], float] = {}
+        deadline = None if timeout is None else start + timeout
+
+        # The parent blocks in ``backend.wait`` — on the results queue
+        # and, where copies are processes, every live child's sentinel —
+        # so a control message or a child death wakes it instantly;
+        # _PARENT_WATCHDOG only bounds the deadline/grace bookkeeping
+        # below.  Children already in their exit-grace window are not
+        # waited on (their sentinel stays permanently ready and would
+        # busy-loop the wait); the timeout is clamped to the earliest
+        # grace expiry instead.
+        while len(terminal) < len(procs):
+            wait_timeout = _PARENT_WATCHDOG
+            if deadline is not None:
+                wait_timeout = min(
+                    wait_timeout, max(deadline - time.perf_counter(), 0.0)
+                )
+            if exited_at:
+                first = min(exited_at.values())
+                wait_timeout = min(
+                    wait_timeout, max(first + _EXIT_GRACE - time.monotonic(), 0.0)
+                )
+            live = [
+                p
+                for p, name, idx in procs
+                if (name, idx) not in terminal
+                and (name, idx) not in exited_at
+                and p.exitcode is None
+            ]
+            msg = backend.wait(results_q, live, wait_timeout)
+            if msg is None:
+                pass  # watchdog tick, child exit or close() wakeup
+            elif msg[0] == _CTRL_DEPOSIT:
+                _, key, value = msg
+                results.setdefault(key, []).append(value)
+            else:
+                _, name, idx, failure, t_busy, retries, events = msg
+                busy[(name, idx)] = t_busy
+                total_retries += retries
+                all_events.extend(events)
+                terminal.add((name, idx))
+                if failure is not None:
+                    failures.append(failure)
+                    fatal = fatal or not failure.recovered
+            if self._closed:
+                # close() raised the abort: copies leave on it without a
+                # report, so there is nothing to collect and their clean
+                # exits are not failures.
+                break
+            # Watch for children that died without a report (hard kill,
+            # segfault, os._exit): synthesize their failure.
+            now = time.monotonic()
+            for p, name, idx in procs:
+                key = (name, idx)
+                if key in terminal or p.exitcode is None:
+                    continue
+                first_seen = exited_at.setdefault(key, now)
+                if now - first_seen >= _EXIT_GRACE:
+                    failures.append(
+                        CopyFailure(
+                            filter_name=name,
+                            copy_index=idx,
+                            error=(
+                                f"process exited with code {p.exitcode} "
+                                "without reporting completion"
+                            ),
+                            kind="exitcode",
+                            exitcode=p.exitcode,
+                        )
+                    )
+                    terminal.add(key)
+                    fatal = True
+            if fatal:
+                abort.value = 1
+                break
+            if deadline is not None and time.perf_counter() > deadline:
+                timed_out = True
+                abort.value = 1
+                break
+
+        if abort.value:
+            # Give copies a moment to observe the abort, then reap.
+            for p, _, _ in procs:
+                p.join(timeout=5)
+            for p, _, _ in procs:
+                if p.is_alive():
+                    p.terminate()
+                    p.join(timeout=5)
+        else:
+            # Normal completion: drain any deposits still in flight.
+            for p, _, _ in procs:
+                p.join(timeout=10)
+                if p.is_alive():
+                    p.terminate()
+            while True:
+                try:
+                    msg = results_q.get_nowait()
+                except queue.Empty:
+                    break
+                if msg is not None and msg[0] == _CTRL_DEPOSIT:
+                    _, key, value = msg
+                    results.setdefault(key, []).append(value)
+        elapsed = time.perf_counter() - start
+
+        if timed_out:
+            raise PipelineError(
+                failures, f"pipeline did not finish within {timeout}s"
+            )
+        if self._closed:
+            raise PipelineError(
+                failures, f"run closed by {type(self).__name__}.close()"
+            )
+        if fatal:
+            raise PipelineError(failures)
+
+        by_label = {f"{src}:{stream}": e for (src, stream), e in edges.items()}
+        buffers_sent = {label: e.sent.value for label, e in by_label.items()}
+        wire_bytes, shm_bytes = backend.traffic(by_label)
+        reroutes = sum(e.rerouted.value for e in edges.values())
+        events = all_events if self.trace else None
+        pool = backend.pool
+        return RunResult(
+            results=results,
+            elapsed=elapsed,
+            busy_time=busy,
+            buffers_sent=buffers_sent,
+            retries=total_retries,
+            reroutes=reroutes,
+            failed_copies=failures,
+            wire_bytes=wire_bytes,
+            shm_bytes=shm_bytes,
+            metrics=snapshot_run(
+                busy,
+                buffers_sent,
+                total_retries,
+                reroutes,
+                [(f.filter_name, f.copy_index) for f in failures],
+                wire_bytes,
+                elapsed,
+                events,
+                shm_bytes=shm_bytes,
+                shm_pool=pool.stats() if pool is not None else None,
+            ),
+            trace=Trace(events) if events is not None else None,
+        )
+
+
+class LocalRuntime(_PeerRuntime):
     """Executes a validated :class:`FilterGraph` with one thread per copy.
+
+    The peer engine on thread primitives: buffers are handed over by
+    reference (``RunResult.wire_bytes`` is empty), filter factories may
+    be closures, deposits need not pickle, and nothing forks.
 
     Parameters
     ----------
     graph:
         The filter network to execute.
     max_queue:
-        Bound on each copy's input queue (backpressure).
+        Bound on each copy's input queue *per input stream*
+        (backpressure).  A copy fed by two streams can therefore hold up
+        to ``2 * max_queue`` undelivered buffers — the bound was per
+        copy across streams before the runtimes shared one engine.
     retry:
         :class:`RetryPolicy` for failed ``process()`` calls; the default
         retries 3 times with backoff and reroutes a dead copy's buffers
@@ -411,10 +948,9 @@ class LocalRuntime:
         ``ctx.event``) into ``RunResult.trace``.  Off by default; the
         disabled path adds only ``is not None`` branches.
     poll_interval:
-        Watchdog granularity in seconds (default 0.05).  Blocked workers
-        are woken on every queue transition (puts, ``_WAKE`` closure
-        nudges, abort nudges), so it only bounds recovery from a missed
-        wakeup.
+        Watchdog granularity in seconds (default 0.05).  Blocked copies
+        are woken by an event on every queue transition, so it only
+        bounds recovery from a missed wakeup.
     """
 
     def __init__(
@@ -426,353 +962,12 @@ class LocalRuntime:
         trace: bool = False,
         poll_interval: Optional[float] = None,
     ):
-        graph.validate()
-        self._check_stream_names(graph)
-        self.graph = graph
-        self.max_queue = max_queue
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.faults = faults
-        self.trace = bool(trace)
-        self.poll_interval = (
-            _POLL if poll_interval is None else float(poll_interval)
-        )
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
-        self._run_lock = threading.Lock()
-        self._active_state: Optional[_RunState] = None
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Abort any in-flight run.  Idempotent.
-
-        The threaded runtime holds no resources between runs (worker
-        threads end with each ``run()``), so closing only matters for a
-        run that is still executing: its shared abort flag is raised and
-        ``run()`` will unwind with a :class:`PipelineError`.
-        """
-        state = self._active_state
-        if state is not None:
-            state.trigger_abort()
-
-    def __enter__(self) -> "LocalRuntime":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    @staticmethod
-    def _check_stream_names(graph: FilterGraph) -> None:
-        # A consumer identifies the edge by stream name, so its input
-        # streams must be distinct.
-        for name in graph.filters:
-            streams = [e.stream for e in graph.in_edges(name)]
-            if len(streams) != len(set(streams)):
-                raise ValueError(
-                    f"filter {name!r} has duplicate input stream names: {streams}"
-                )
-
-    # -- execution ---------------------------------------------------------
-
-    def run(self, timeout: Optional[float] = None) -> RunResult:
-        # One run at a time per instance: concurrent jobs must use
-        # separate runtime instances (the service's warm pool leases
-        # guarantee this).  Raising beats silently interleaving two
-        # jobs' deposits and trace events into one result.
-        if not self._run_lock.acquire(blocking=False):
-            raise RuntimeError(
-                "LocalRuntime.run() is already executing; concurrent runs "
-                "need separate runtime instances"
-            )
-        try:
-            return self._run(timeout)
-        finally:
-            self._active_state = None
-            self._run_lock.release()
-
-    def _run(self, timeout: Optional[float] = None) -> RunResult:
-        # Per-run state: nothing below survives on the instance, so a
-        # finished run leaves no mutable state for the next one (or a
-        # concurrent one on another instance) to trip over.
-        results: Dict[str, List[Any]] = {}
-        results_lock = threading.Lock()
-        graph = self.graph
-        if self.faults is not None:
-            self.faults.validate(
-                {name: spec.copies for name, spec in graph.filters.items()}
-            )
-        state = _RunState()
-        self._active_state = state
-        tracer = Tracer() if self.trace else None
-        # Input queues per (filter, copy).
-        queues: Dict[Tuple[str, int], queue.Queue] = {}
-        for spec in graph.filters.values():
-            for i in range(spec.copies):
-                queues[(spec.name, i)] = queue.Queue(maxsize=self.max_queue)
-        # Abort raises a nudge in every consumer queue, so workers
-        # blocked in ``get`` unwind without waiting out the watchdog.
-        state.attach_queues(
-            [
-                queues[(spec.name, i)]
-                for spec in graph.filters.values()
-                if graph.in_edges(spec.name)
-                for i in range(spec.copies)
-            ]
+        # Only None means "use the default": an explicit 0 must reach
+        # the validation, not be swallowed by truthiness.
+        super().__init__(
+            graph, max_queue, retry, faults, trace,
+            _POLL if poll_interval is None else poll_interval,
         )
 
-        # One router per edge, shared by all producer copies.
-        routers: Dict[Tuple[str, str], _EdgeRouter] = {}
-        for edge in graph.edges:
-            consumer_queues = [
-                queues[(edge.dst, i)] for i in range(graph.copies(edge.dst))
-            ]
-            routers[(edge.src, edge.stream)] = _EdgeRouter(
-                edge,
-                consumer_queues,
-                state,
-                n_producers=graph.copies(edge.src),
-                tracer=tracer,
-                poll=self.poll_interval,
-            )
-
-        busy: Dict[Tuple[str, int], float] = {}
-        threads: List[threading.Thread] = []
-
-        def worker(spec_name: str, copy_index: int) -> None:
-            spec = graph.filters[spec_name]
-            injector = (
-                self.faults.injector_for(spec_name, copy_index)
-                if self.faults is not None
-                else NULL_INJECTOR
-            )
-            out_routers = {
-                e.stream: routers[(spec_name, e.stream)]
-                for e in graph.out_edges(spec_name)
-            }
-            in_edges = graph.in_edges(spec_name)
-            in_routers = {e.stream: routers[(e.src, e.stream)] for e in in_edges}
-            q = queues[(spec_name, copy_index)]
-            t_busy = 0.0
-            dead = False  # this copy failed but drains/reroutes its queue
-            try:
-                filt = spec.factory()
-                ctx = _LocalContext(
-                    results, results_lock, spec_name, copy_index, spec.copies,
-                    out_routers, tracer,
-                )
-                if tracer is not None:
-                    tracer.emit("copy.start", filter=spec_name, copy=copy_index)
-                t0 = time.perf_counter()
-                filt.initialize(ctx)
-                t_busy += time.perf_counter() - t0
-                if not in_edges:
-                    t0 = time.perf_counter()
-                    filt.generate(ctx)
-                    t_busy += time.perf_counter() - t0
-                else:
-                    open_streams = set(in_routers)
-                    while open_streams:
-                        if state.abort.is_set():
-                            raise _Aborted()
-                        try:
-                            got = q.get(timeout=self.poll_interval)
-                        except queue.Empty:
-                            got = _WAKE
-                        if got is _WAKE:
-                            # Nothing queued (or a producer-done nudge):
-                            # see whether any stream can close (all
-                            # producers done, nothing pending here or on
-                            # a dead sibling still draining).
-                            for s in list(open_streams):
-                                if in_routers[s].try_close(copy_index):
-                                    open_streams.discard(s)
-                            continue
-                        stream, item = got
-                        router = in_routers[stream]
-                        if tracer is not None:
-                            chunk_id = item.metadata.get("chunk")
-                            enq = item.metadata.pop("_obs_enq", None)
-                            if enq is not None:
-                                tracer.emit(
-                                    "queue.wait",
-                                    filter=spec_name,
-                                    copy=copy_index,
-                                    dur=max(time.time() - enq, 0.0),
-                                    chunk=chunk_id,
-                                    stream=stream,
-                                )
-                            tracer.emit(
-                                "queue.depth",
-                                filter=spec_name,
-                                copy=copy_index,
-                                depth=q.qsize(),
-                            )
-                        if dead:
-                            # Drain mode: this copy is gone, but it keeps
-                            # its queue moving — every buffer is handed
-                            # back to the router for a surviving copy, so
-                            # producers never block on a dead queue.  The
-                            # re-assign happens *before* on_consume so the
-                            # buffer is never invisible to try_close.
-                            state.count_reroute()
-                            if tracer is not None:
-                                tracer.emit(
-                                    "fault.reroute",
-                                    filter=spec_name,
-                                    copy=copy_index,
-                                    chunk=item.metadata.get("chunk"),
-                                    stream=stream,
-                                )
-                            router.route(item, None)
-                            router.on_consume(copy_index)
-                            continue
-                        try:
-                            dt = _process_with_retry(
-                                filt, stream, item, ctx, injector,
-                                self.retry, state.abort.wait,
-                                state.count_retry,
-                            )
-                            t_busy += dt
-                            if tracer is not None:
-                                tracer.emit(
-                                    "service",
-                                    filter=spec_name,
-                                    copy=copy_index,
-                                    dur=dt,
-                                    chunk=item.metadata.get("chunk"),
-                                    stream=stream,
-                                )
-                            router.on_consume(copy_index)
-                        except _CopyDied as died_exc:
-                            for r in in_routers.values():
-                                r.mark_dead(copy_index)
-                            failure = CopyFailure(
-                                filter_name=spec_name,
-                                copy_index=copy_index,
-                                error=repr(died_exc.cause),
-                                kind="crash" if died_exc.injected else "exception",
-                                injected=died_exc.injected,
-                            )
-                            recoverable = (
-                                self.retry.reroute
-                                and all(
-                                    not r.policy.requires_explicit_dest()
-                                    for r in in_routers.values()
-                                )
-                                and all(
-                                    r.has_survivors() for r in in_routers.values()
-                                )
-                            )
-                            if not recoverable:
-                                state.record_failure(failure, fatal=True)
-                                raise _Aborted() from died_exc
-                            failure.recovered = True
-                            state.record_failure(failure, fatal=False)
-                            state.count_reroute()
-                            if tracer is not None:
-                                tracer.emit(
-                                    "fault.reroute",
-                                    filter=spec_name,
-                                    copy=copy_index,
-                                    chunk=item.metadata.get("chunk"),
-                                    stream=stream,
-                                )
-                            router.route(item, None)
-                            router.on_consume(copy_index)
-                            dead = True
-                if not dead:
-                    t0 = time.perf_counter()
-                    filt.finalize(ctx)
-                    t_busy += time.perf_counter() - t0
-            except _Aborted:
-                pass
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
-                state.record_failure(
-                    CopyFailure(
-                        filter_name=spec_name,
-                        copy_index=copy_index,
-                        error="".join(
-                            traceback.format_exception_only(type(exc), exc)
-                        ).strip(),
-                        kind="exception",
-                        injected=isinstance(exc, (InjectedFault, InjectedCrash)),
-                    ),
-                    fatal=True,
-                )
-            finally:
-                # Tick completion even on failure/abort: consumers must
-                # never wait for a producer copy that will not send more.
-                for e in graph.out_edges(spec_name):
-                    routers[(spec_name, e.stream)].producer_done()
-                busy[(spec_name, copy_index)] = t_busy
-                if tracer is not None:
-                    tracer.emit(
-                        "copy.done",
-                        filter=spec_name,
-                        copy=copy_index,
-                        busy=t_busy,
-                        dead=dead,
-                    )
-
-        start = time.perf_counter()
-        for spec in graph.filters.values():
-            for i in range(spec.copies):
-                th = threading.Thread(
-                    target=worker,
-                    args=(spec.name, i),
-                    name=f"{spec.name}[{i}]",
-                    daemon=True,
-                )
-                th.start()
-                threads.append(th)
-        deadline = None if timeout is None else start + timeout
-        timed_out = False
-        for th in threads:
-            while th.is_alive():
-                if deadline is None:
-                    # No deadline to police: a plain join blocks on the
-                    # thread's own exit, no tick needed.
-                    th.join()
-                    break
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    timed_out = True
-                    state.trigger_abort()
-                    deadline = None  # abort set; now join for real
-                    continue
-                th.join(timeout=remaining)
-        elapsed = time.perf_counter() - start
-
-        if timed_out:
-            raise PipelineError(
-                state.failures,
-                f"pipeline did not finish within {timeout}s",
-            )
-        if state.fatal:
-            raise PipelineError(state.failures)
-
-        buffers_sent = {
-            f"{src}:{stream}": r.sent for (src, stream), r in routers.items()
-        }
-        events = tracer.drain() if tracer is not None else None
-        return RunResult(
-            results=results,
-            elapsed=elapsed,
-            busy_time=busy,
-            buffers_sent=buffers_sent,
-            retries=state.retries,
-            reroutes=state.reroutes,
-            failed_copies=list(state.failures),
-            metrics=snapshot_run(
-                busy,
-                buffers_sent,
-                state.retries,
-                state.reroutes,
-                [(f.filter_name, f.copy_index) for f in state.failures],
-                {},
-                elapsed,
-                events,
-            ),
-            trace=Trace(events) if events is not None else None,
-        )
+    def _open_backend(self) -> _ThreadBackend:
+        return _ThreadBackend()

@@ -10,9 +10,13 @@ filter, the DataCutter scheduler decides which copy receives each buffer
   can process them the fastest", tracked through buffer consumption: the
   copy with the fewest unconsumed (queued, in-flight) buffers wins.
 
-Both runtimes consult the same policy objects through the
-:class:`CopyState` view, so scheduling behaviour — the subject of the
-paper's Fig. 11 experiment — is identical in real and simulated runs.
+Each transparent rule is written once, as a pure function
+(:func:`round_robin`, :func:`demand_driven`).  The peer runtimes apply
+it straight to their shared per-edge counters; the distributed head and
+the simulator reach the same function through the policy objects and
+the :class:`CopyState` view, so scheduling behaviour — the subject of
+the paper's Fig. 11 experiment — is identical in real and simulated
+runs.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ __all__ = [
     "DemandDrivenPolicy",
     "ExplicitPolicy",
     "make_policy",
+    "round_robin",
+    "demand_driven",
 ]
 
 
@@ -62,14 +68,47 @@ class CopyState:
         self.assigned_bytes -= buffer.size_bytes
 
 
+def round_robin(alive, queued, assigned, counter) -> int:
+    """Copies take turns: the ``counter``-th pick goes to the
+    ``counter``-th live copy, cyclically."""
+    return alive[counter % len(alive)]
+
+
+def demand_driven(alive, queued, assigned, counter) -> int:
+    """Fewest unconsumed buffers wins; ties break by fewest buffers ever
+    assigned, then lowest copy index (deterministic)."""
+    return min(alive, key=lambda i: (queued[i], assigned[i], i))
+
+
 class SchedulingPolicy(abc.ABC):
-    """Chooses the consumer copy for each buffer on one stream edge."""
+    """Chooses the consumer copy for each buffer on one stream edge.
+
+    A transparent policy is its :attr:`rule`, a pure function
+    ``(alive, queued, assigned, counter) -> copy index`` over the live
+    copy indices, the per-copy depth and assignment counts (indexable by
+    copy index) and the number of picks made on the edge so far.  The
+    peer runtimes apply the rule straight to their shared counters; the
+    head and the simulator go through :meth:`choose`.
+    """
 
     name: str = "abstract"
+    rule = None
 
-    @abc.abstractmethod
+    def __init__(self) -> None:
+        self._picks = 0
+
     def choose(self, copies: List[CopyState], buffer: DataBuffer) -> int:
         """Return the copy index that should receive ``buffer``."""
+        if not copies:
+            raise ValueError("no consumer copies")
+        idx = self.rule(
+            [c.copy_index for c in copies],
+            {c.copy_index: c.queued for c in copies},
+            {c.copy_index: c.assigned for c in copies},
+            self._picks,
+        )
+        self._picks += 1
+        return idx
 
     def requires_explicit_dest(self) -> bool:
         return False
@@ -79,16 +118,7 @@ class RoundRobinPolicy(SchedulingPolicy):
     """Cycle through copies; each receives ~the same number of buffers."""
 
     name = "round_robin"
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def choose(self, copies: List[CopyState], buffer: DataBuffer) -> int:
-        if not copies:
-            raise ValueError("no consumer copies")
-        idx = self._next % len(copies)
-        self._next += 1
-        return copies[idx].copy_index
+    rule = staticmethod(round_robin)
 
 
 class DemandDrivenPolicy(SchedulingPolicy):
@@ -96,17 +126,11 @@ class DemandDrivenPolicy(SchedulingPolicy):
 
     A copy that drains its queue quickly (fast node) keeps its queue
     short and therefore attracts more buffers — the consumption-rate
-    behaviour of the DataCutter demand-driven scheduler.  Ties break by
-    fewest total assigned buffers, then lowest copy index (deterministic).
+    behaviour of the DataCutter demand-driven scheduler.
     """
 
     name = "demand_driven"
-
-    def choose(self, copies: List[CopyState], buffer: DataBuffer) -> int:
-        if not copies:
-            raise ValueError("no consumer copies")
-        best = min(copies, key=lambda c: (c.queued, c.assigned, c.copy_index))
-        return best.copy_index
+    rule = staticmethod(demand_driven)
 
 
 class ExplicitPolicy(SchedulingPolicy):

@@ -86,6 +86,19 @@ class TestFilterGraph:
     def test_valid_graph_passes(self):
         linear_graph().validate()
 
+    def test_duplicate_input_stream_names_rejected(self):
+        # A consumer tells its input edges apart by stream name: two
+        # producers feeding one filter over equally named streams make
+        # the graph itself invalid, whatever runtime would execute it.
+        g = FilterGraph()
+        g.add_filter("A", Dummy)
+        g.add_filter("B", Dummy)
+        g.add_filter("C", Dummy)
+        g.connect("A", "out", "C")
+        g.connect("B", "out", "C")
+        with pytest.raises(ValueError, match="duplicate input stream names"):
+            g.validate()
+
 
 class TestPlacement:
     def test_place_and_lookup(self):

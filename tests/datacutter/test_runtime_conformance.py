@@ -10,6 +10,7 @@ Filter classes live at module level so forked children can run them.
 """
 
 import sys
+import time
 
 import pytest
 
@@ -53,12 +54,13 @@ def execute(kind, graph, *, retry=None, faults=None, max_queue=64):
 
 
 class Producer(Filter):
-    def __init__(self, count=COUNT):
+    def __init__(self, count=COUNT, stream="out"):
         self.count = count
+        self.stream = stream
 
     def generate(self, ctx):
         for i in range(self.count):
-            ctx.send("out", i, size_bytes=8)
+            ctx.send(self.stream, i, size_bytes=8)
 
 
 class Doubler(Filter):
@@ -78,6 +80,14 @@ class Collector(Filter):
         self.finalized += 1
         ctx.deposit("collected", sorted(self.items))
         ctx.deposit("finalize_calls", self.finalized)
+
+
+class SlowCollector(Collector):
+    """Consumer slower than its producers, so bounded queues fill."""
+
+    def process(self, stream, buffer, ctx):
+        time.sleep(0.002)
+        self.items.append((stream, buffer.payload))
 
 
 class Exploder(Filter):
@@ -148,6 +158,24 @@ class TestConformance:
         )
         (items,) = result.deposits("collected")
         assert items == sorted([2 * i for i in range(COUNT)] * 2)
+
+    def test_two_input_streams_backpressured_exactly_once(self, runtime):
+        # Two producers feed one copy over two streams through queues of
+        # one slot each (the peer runtimes bound each (stream, copy)
+        # pair): both stay blocked on a slow consumer most of the run,
+        # and still every buffer of either stream arrives exactly once.
+        g = FilterGraph()
+        g.add_filter("P", lambda: Producer(stream="left"))
+        g.add_filter("Q", lambda: Producer(stream="right"))
+        g.add_filter("C", SlowCollector)
+        g.connect("P", "left", "C")
+        g.connect("Q", "right", "C")
+        result = execute(runtime, g, max_queue=1)
+        (items,) = result.deposits("collected")
+        assert items == sorted(
+            (s, i) for s in ("left", "right") for i in range(COUNT)
+        )
+        assert result.buffers_sent == {"P:left": COUNT, "Q:right": COUNT}
 
     def test_downstream_finalizes_exactly_once(self, runtime):
         result = execute(runtime, pipeline(doubler_copies=3))

@@ -1,9 +1,9 @@
 """Event-driven wakeups: lost-wakeup safety, fault detection, abort wake.
 
 Every blocking wait in the runtimes is woken by the transition it waits
-for (``multiprocessing.Event`` on queue transitions, ``_WAKE`` queue
-nudges in the threaded runtime, ``selectors`` readiness in the net
-agent); the poll interval is only a watchdog.  These tests pin the
+for (a per-copy event set on queue transitions in both peer runtimes —
+``threading.Event`` or ``multiprocessing.Event``, one code path —
+and ``selectors`` readiness in the net agent); the poll interval is only a watchdog.  These tests pin the
 properties that matter:
 
 * **No lost wakeups.**  With a deliberately huge watchdog interval, any
