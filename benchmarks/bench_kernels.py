@@ -13,11 +13,16 @@ kernel-benchmark smoke job::
 
 The comparison writes ``BENCH_kernels.json`` at the repo root with
 rois/sec per scan backend and per rolling-axis chunk shape; the feature
-rows are merged into the same file (see docs/kernels.md).
+rows are merged into the same file (see docs/kernels.md).  ``incremental``
+is timed twice, with its compiled pass and with the numpy passes it
+falls back to (the loader's result patched to "unavailable", as in the
+tests); ``reference`` is the naive one-matrix-per-window column.
 """
 
+import contextlib
 import json
 import os
+import statistics
 import time
 import tracemalloc
 
@@ -25,6 +30,7 @@ import numpy as np
 import pytest
 
 from harness import REPO_ROOT, record_repo_json
+from repro.core import native
 from repro.core.backends import (
     KERNELS,
     _rolling_plan,
@@ -38,7 +44,6 @@ from repro.core.cooccurrence import (
 )
 from repro.core.features import HARALICK_FEATURES, PAPER_FEATURES, haralick_features
 from repro.core.features_sparse import features_from_sparse
-from repro.core.gpu import probe_gpu
 from repro.core.quantization import quantize_linear
 from repro.core.roi import ROISpec, valid_positions_shape
 from repro.core.sparse import batch_sparse_from_dense, sparse_from_dense
@@ -48,12 +53,27 @@ from repro.data import PhantomConfig, generate_phantom
 LEVELS = 32
 ROI = ROISpec((5, 5, 5, 3))
 
-#: Kernels the comparison times.  "gpu" joins only when a device is
-#: present — on CPU-only machines it is incremental behind a fallback
-#: warning, which would just double-count one column.
-BENCH_KERNELS = tuple(k for k in KERNELS if k != "gpu") + (
-    ("gpu",) if probe_gpu().available else ()
-)
+#: The row of ``incremental`` on its numpy passes; plain ``incremental``
+#: is whatever this machine resolves to (the compiled pass wherever a C
+#: compiler exists).
+NUMPY_ROW = "incremental (numpy passes)"
+
+#: Rows the comparison times.
+BENCH_ROWS = KERNELS + (NUMPY_ROW,)
+
+
+@contextlib.contextmanager
+def _implementation(row):
+    """Resolve a bench row to its scan; patches the loader for NUMPY_ROW."""
+    if row != NUMPY_ROW:
+        yield get_kernel(row)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            native, "_status",
+            native.NativeStatus(None, None, "patched out by the bench"),
+        )
+        yield incremental_scan
 
 
 @pytest.fixture(scope="module")
@@ -129,32 +149,36 @@ def _collect(scan, volume, levels=LEVELS, batch=2048):
     return np.concatenate(out)
 
 
-def _time_matrix(kernels, volume, levels, repeats):
-    """Interleaved best-of-N wall times, one entry per kernel.
+def _time_matrix(rows, volume, levels, repeats):
+    """Interleaved wall times, one entry per row: best, median, spread.
 
-    One round times every kernel back to back before the next round
-    starts, so slow drift on a shared machine hits all kernels equally
+    One round times every row back to back before the next round
+    starts, so slow drift on a shared machine hits all rows equally
     instead of biasing whichever ran last.
     """
-    best = {k: float("inf") for k in kernels}
-    rois = {k: 0 for k in kernels}
+    times = {k: [] for k in rows}
+    rois = {k: 0 for k in rows}
     for r in range(repeats):
-        for k in kernels:
+        for k in rows:
             if r > 0 and k == "reference":
                 continue  # one round is plenty for the slow baseline
-            scan = get_kernel(k)
-            t0 = time.perf_counter()
-            rois[k] = sum(
-                m.shape[0] for _s, m in scan(volume, ROI, levels, batch=2048)
-            )
-            best[k] = min(best[k], time.perf_counter() - t0)
+            with _implementation(k) as scan:
+                t0 = time.perf_counter()
+                rois[k] = sum(
+                    m.shape[0]
+                    for _s, m in scan(volume, ROI, levels, batch=2048)
+                )
+                times[k].append(time.perf_counter() - t0)
     return {
         k: {
             "rois": rois[k],
-            "seconds": round(best[k], 6),
-            "rois_per_sec": round(rois[k] / best[k], 1),
+            "repeats": len(times[k]),
+            "seconds": round(min(times[k]), 6),
+            "seconds_median": round(statistics.median(times[k]), 6),
+            "seconds_max": round(max(times[k]), 6),
+            "rois_per_sec": round(rois[k] / min(times[k]), 1),
         }
-        for k in kernels
+        for k in rows
     }
 
 
@@ -192,26 +216,27 @@ def _rolling_axis_rows(repeats=3):
 
 
 def test_kernel_backend_comparison():
-    """All backends bit-identical; the rolling kernel beats the batched.
+    """All rows bit-identical; rolling beats batched, compiled beats numpy.
 
     Paper configuration: 5x5x5x3 ROI, 32 levels, all 40 unique 4D
     directions, distance 1, plus a grey-level sweep over 16/32/64 and
     one ``incremental`` row per pipeline chunk shape.  Writes the full
     kernel x levels throughput matrix to ``BENCH_kernels.json`` at the
-    repo root ("backends" holds the paper-config 32-level column).
+    repo root ("backends" holds the paper-config 32-level column, with
+    repeats and spread per row).
     """
     volume = _smoke_volume()
-    mats = {k: _collect(get_kernel(k), volume) for k in BENCH_KERNELS}
-    for k in BENCH_KERNELS:
-        assert np.array_equal(mats[k], mats["reference"]), (
-            f"{k} backend not bit-identical to reference"
-        )
-    del mats
-
     sweep = {}
     for levels in (16, 32, 64):
         vol = volume if levels == LEVELS else _smoke_volume(levels=levels)
-        sweep[levels] = _time_matrix(BENCH_KERNELS, vol, levels, repeats=3)
+        want = _collect(get_kernel("reference"), vol, levels)
+        for k in BENCH_ROWS:
+            with _implementation(k) as scan:
+                assert np.array_equal(_collect(scan, vol, levels), want), (
+                    f"{k} not bit-identical to reference at G={levels}"
+                )
+        del want
+        sweep[levels] = _time_matrix(BENCH_ROWS, vol, levels, repeats=5)
 
     results = sweep[LEVELS]
     payload = {
@@ -224,6 +249,9 @@ def test_kernel_backend_comparison():
             "batch": 2048,
         },
         "backends": results,
+        "native": (
+            "loaded" if native.load() is not None else native.status().reason
+        ),
         "levels_sweep": {
             str(levels): {k: r["rois_per_sec"] for k, r in row.items()}
             for levels, row in sweep.items()
@@ -233,24 +261,36 @@ def test_kernel_backend_comparison():
             / results["batched"]["rois_per_sec"],
             2,
         ),
+        "speedup_native_vs_numpy_passes": round(
+            results["incremental"]["rois_per_sec"]
+            / results[NUMPY_ROW]["rois_per_sec"],
+            2,
+        ),
         "rolling_axis": _rolling_axis_rows(),
     }
     path = _merge_bench_json(payload)
     print(f"\nwrote {path}")
     for levels, row in sweep.items():
         for k, r in row.items():
-            print(f"  G={levels:<3} {k:>11}: {r['rois_per_sec']:>10.1f} rois/sec")
+            print(f"  G={levels:<3} {k:>26}: {r['rois_per_sec']:>10.1f} rois/sec")
 
     for shape, row in payload["rolling_axis"].items():
         print(f"  {shape:>11}: axis {row['rolling_axis']} span {row['span']}"
               f" {row['rois_per_sec']:>10.1f} rois/sec")
 
     # CI gates on the paper config: the rolling kernel must not regress
-    # below the batched one.
+    # below the batched one, and where the compiled pass loaded it must
+    # beat the numpy passes it replaces (CI separately requires that it
+    # did load).
     assert (
         results["incremental"]["rois_per_sec"]
         >= results["batched"]["rois_per_sec"]
     ), payload
+    if native.load() is not None:
+        assert (
+            results["incremental"]["rois_per_sec"]
+            > results[NUMPY_ROW]["rois_per_sec"]
+        ), payload
 
 
 def _merge_bench_json(sections):
@@ -333,8 +373,7 @@ def test_scan_peak_memory(kernel):
     and blocks, bincount inputs and outputs, symmetrization scratch —
     must fit in a small multiple of ``WORKSPACE_BYTES``.  Guards the
     removal of the transpose copy and the ``block + shift``
-    mega-temporary from the batched scan, and the GPU gather tables
-    staying out of the CPU path.  The 16x16x10x6 volume rolls along
+    mega-temporary from the batched scan.  The 16x16x10x6 volume rolls along
     ``y`` (12 positions), not the innermost axis.
     """
     volume = _smoke_volume(shape=(16, 16, 10, 6), seed=1)

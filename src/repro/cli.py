@@ -5,7 +5,7 @@ Subcommands::
     repro phantom  --out DIR [--shape X Y Z T] [--nodes N] [--format raw|dicom]
     repro info     DATASET_DIR
     repro analyze  DATASET_DIR [--variant hmp|split] [--copies N] ...
-    repro kernels  [--refresh]
+    repro kernels
     repro simulate [--figure 7a|7b|8|9|10|11] [--scale S]
     repro serve    [--port P] [--workers N] [--weights tenant=W ...] ...
     repro submit   DATASET_DIR [--connect HOST:PORT] [--features ...] ...
@@ -112,12 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "wakeups are event-driven, so this only bounds "
                         "a missed-wakeup stall")
 
-    p = sub.add_parser(
-        "kernels", help="list scan kernels and probe the GPU backend"
+    sub.add_parser(
+        "kernels",
+        help="list scan kernels and say whether the compiled pass loaded",
     )
-    p.add_argument("--refresh", action="store_true",
-                   help="re-run the device probe instead of using the "
-                        "cached result")
 
     p = sub.add_parser("simulate", help="regenerate a paper figure series")
     p.add_argument("--figure", choices=("7a", "7b", "8", "9", "10", "11"),
@@ -292,22 +290,20 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
+    from .core import native
     from .core.backends import DEFAULT_KERNEL, KERNEL_INFO, KERNELS
-    from .core.gpu import probe_gpu
 
     width = max(len(k) for k in KERNELS)
     for k in KERNELS:
         mark = "*" if k == DEFAULT_KERNEL else " "
         print(f" {mark} {k:<{width}}  {KERNEL_INFO[k]}")
     print(f"   (* = default kernel)")
-    probe = probe_gpu(refresh=args.refresh)
-    if probe.available:
-        print(f"gpu: available via {probe.provider} ({probe.device})")
+    st = native.status()
+    if st.lib is not None:
+        print(f"native: loaded {st.path}")
     else:
-        print("gpu: unavailable — --kernel gpu falls back to incremental")
-    if probe.detail:
-        for line in probe.detail.splitlines():
-            print(f"     {line}")
+        print(f"native: unavailable — {st.reason}")
+        print("        incremental runs its numpy passes (same counts, slower)")
     return 0
 
 

@@ -12,14 +12,15 @@ cooccurrence
     Dense co-occurrence matrices: per-window reference kernel and the
     vectorized batched scan.
 backends
-    Pluggable GLCM scan kernels (batched / incremental / gpu /
-    reference) and the dispatch registry.
-gpu
-    Import-guarded CUDA backend (CuPy or Numba) with device probing
-    and a clean incremental fallback.
+    Pluggable GLCM scan kernels (batched / incremental / reference)
+    and the dispatch registry.
+native
+    Builds, caches and loads the compiled pass of the incremental
+    kernel (``_native.c``, ctypes); absent a C compiler the kernel runs
+    its numpy passes.
 workspace
     Shared cached scan workspaces (pair-shift arrays, in-place
-    symmetrization, GPU gather offset tables).
+    symmetrization).
 sparse
     Sparse (upper-triangle triplet) co-occurrence representation.
 features
@@ -46,7 +47,6 @@ from .backends import (
     resolve_scan_kernel,
 )
 from .cooccurrence import check_levels, cooccurrence_matrix, cooccurrence_scan
-from .gpu import GpuProbe, GpuUnavailableWarning, gpu_scan, probe_gpu
 from .directions import all_directions, direction_count, unique_directions
 from .features import (
     HARALICK_FEATURES,
@@ -78,10 +78,6 @@ __all__ = [
     "resolve_scan_kernel",
     "incremental_scan",
     "reference_scan",
-    "GpuProbe",
-    "GpuUnavailableWarning",
-    "gpu_scan",
-    "probe_gpu",
     "check_levels",
     "cooccurrence_matrix",
     "cooccurrence_scan",

@@ -2,7 +2,7 @@
 
 The paper's dominant cost is GLCM accumulation (Section 4.4.1), so the
 scan kernel is dispatchable behind one stable interface — the Region
-Templates idea of backend-selectable kernels.  Four backends:
+Templates idea of backend-selectable kernels.  Three backends:
 
 ``"batched"``
     :func:`repro.core.cooccurrence.cooccurrence_scan`.  One ``bincount``
@@ -22,16 +22,11 @@ Templates idea of backend-selectable kernels.  Four backends:
     instead of once per direction (40 for 4D) — the dominant saving for
     ``G = 32``.  The rolling axis is the one with the most window
     overlap for the chunk at hand (:func:`_rolling_plan`), not always
-    the innermost.
-
-``"gpu"``
-    :func:`repro.core.gpu.gpu_scan`.  Import-guarded GPU backend: the
-    same pair-code scatter formulation on a CUDA device via CuPy (or a
-    Numba-CUDA atomic-add kernel when CuPy is absent), one chunk
-    transferred in and one GLCM block out.  Falls back cleanly to
-    ``incremental`` — with a :class:`~repro.core.gpu.GpuUnavailableWarning`
-    and a ``kernel.fallback`` obs event from the filters — on machines
-    without a device.
+    the innermost.  The hyperplane histograms come from one compiled
+    pass (:mod:`repro.core.native`: built with the system C compiler on
+    first use, run without the interpreter lock) or, when that cannot
+    be built, from three numpy passes with the same integer counts;
+    either way it is this one kernel.
 
 ``"reference"``
     :func:`reference_scan`.  The paper's Fig. 2 loop — one
@@ -60,6 +55,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import native
 from .cooccurrence import (
     check_levels,
     cooccurrence_matrix,
@@ -237,10 +233,52 @@ def _rolling_codes(
     }
 
 
+def _numpy_plane_histograms(
+    codes: np.ndarray,
+    origins: np.ndarray,
+    n_planes: int,
+    face: np.ndarray,
+    gg: int,
+    table: np.ndarray,
+    scratch: np.ndarray,
+    built: Dict[int, tuple],
+    wt: int,
+) -> np.ndarray:
+    """:func:`repro.core.native.plane_histograms` as three numpy passes.
+
+    What runs when the compiled pass is unavailable: gather the code
+    hyperplanes every span needs (one ``take`` through window origin +
+    plane + face offsets; ``built[wt]`` notes what the group's index
+    ``table`` holds, so congruent blocks share it), shift each
+    (row, plane) into its own histogram segment and count them with one
+    ``bincount``.  Same integer counts as the C loop by construction.
+    """
+    rb = origins.size
+    base = int(origins[0])
+    rel = (origins - base).tobytes()
+    index, block = (
+        b[: rb * n_planes * face.size].reshape(rb, n_planes, face.size)
+        for b in (table, scratch)
+    )
+    if built.get(wt) != (n_planes, rel):
+        np.add(
+            (origins[:, None] - base + np.arange(n_planes))[:, :, None],
+            face,
+            out=index,
+        )
+        built[wt] = (n_planes, rel)
+    np.take(codes[base:], index, out=block, mode="clip")
+    block += pair_shift(rb * n_planes, gg).reshape(rb, n_planes, 1)
+    return np.bincount(
+        block.reshape(-1), minlength=rb * n_planes * gg
+    ).reshape(rb, n_planes, gg)
+
+
 def _rolling_block(
+    lib,
     codes: np.ndarray,
     faces: Dict[int, np.ndarray],
-    bufs: Dict[int, Tuple[np.ndarray, np.ndarray]],
+    bufs: Dict[int, Tuple[Optional[np.ndarray], np.ndarray]],
     built: Dict[int, tuple],
     mats: np.ndarray,
     origins: np.ndarray,
@@ -248,40 +286,31 @@ def _rolling_block(
     """Fill ``mats`` with the count matrices of one block of row spans.
 
     ``mats`` is ``(rows, span, G*G)`` and ``origins[r]`` the flat offset
-    of row ``r``'s first window.  Per group, widest window first: gather
-    the code hyperplanes every span needs (one ``take`` through window
-    origin + plane + face offsets; ``built`` notes what each group's
-    table holds, so congruent blocks share it),
-    shift each (row, plane) into its own histogram segment and count
-    them with one ``bincount``.  The GLCM at position ``t`` is the sum
+    of row ``r``'s first window.  Per group, widest window first:
+    histogram every code hyperplane the spans need, in one compiled pass
+    (``lib``, see :mod:`repro.core.native`) or, without it, in the numpy
+    passes; ``bufs[wt]`` is the group's ``(index table, scratch)``, the
+    table ``None`` under ``lib``.  The GLCM at position ``t`` is the sum
     over groups of planes ``[t, t + W_t)``; the windows nest, so the
     running sum of the groups' plane histograms is layered once per
     plane offset instead of once per (group, offset).
     """
     rb, span, gg = mats.shape
-    base = int(origins[0])
-    rel = (origins - base).tobytes()
     widths = sorted(faces, reverse=True)
     run = None  # summed plane histograms of the groups handled so far
     for g, wt in enumerate(widths):
         face = faces[wt]
         n_planes = span - 1 + wt
-        index, block = (
-            b[: rb * n_planes * face.size].reshape(rb, n_planes, face.size)
-            for b in bufs[wt]
-        )
-        if built.get(wt) != (n_planes, rel):
-            np.add(
-                (origins[:, None] - base + np.arange(n_planes))[:, :, None],
-                face,
-                out=index,
+        table, scratch = bufs[wt]
+        if lib is not None:
+            c = scratch[: rb * n_planes * gg].reshape(rb, n_planes, gg)
+            native.plane_histograms(
+                lib, codes, origins, n_planes, face, gg, out=c
             )
-            built[wt] = (n_planes, rel)
-        np.take(codes[base:], index, out=block, mode="clip")
-        block += pair_shift(rb * n_planes, gg).reshape(rb, n_planes, 1)
-        c = np.bincount(
-            block.reshape(-1), minlength=rb * n_planes * gg
-        ).reshape(rb, n_planes, gg)
+        else:
+            c = _numpy_plane_histograms(
+                codes, origins, n_planes, face, gg, table, scratch, built, wt
+            )
         if g == 0:
             np.copyto(mats, c[:, wt - 1 : wt - 1 + span])
         else:
@@ -312,7 +341,7 @@ def incremental_scan(
     docstring for the algorithm and complexity.  The rolling axis is a
     function of the shapes alone (:func:`_rolling_plan`).  Every yielded
     batch is a fresh array that the scan never touches again; only the
-    gather-index tables outlive a block.
+    numpy passes' gather-index tables outlive a block.
     """
     data = np.asarray(data)
     if validate:
@@ -361,18 +390,23 @@ def incremental_scan(
             1, _BLOCK_TARGET_BYTES // (8 * row_elems * n_tail)
         )
     rows_per_block = min(rows_per_block, n_rows)
-    # The gather-index tables persist across blocks (congruent blocks
-    # share them).  The gathered codes and the block's matrices are
-    # scratch: one allocation per block, released before the next.  In
-    # a scan -> pack -> free loop that measured better than a long-lived
-    # workspace (the allocator kept trimming the heap through a
-    # process's first chunk) and than one array per piece (pages
-    # re-faulted every block).
+    # Per group a block needs its plane histograms (compiled pass) or
+    # its gathered codes (numpy passes, whose index tables persist
+    # across blocks: congruent blocks share them).  Those and the
+    # block's matrices are scratch: one allocation per block, released
+    # before the next.  In a scan -> pack -> free loop that measured
+    # better than a long-lived workspace (the allocator kept trimming
+    # the heap through a process's first chunk) and than one array per
+    # piece (pages re-faulted every block).
+    lib = native.load()
     sizes = {
-        wt: rows_per_block * (span - 1 + wt) * face.size
+        wt: rows_per_block * (span - 1 + wt) * (face.size if lib is None else gg)
         for wt, face in faces.items()
     }
-    tables = {wt: np.empty(size, dtype=np.int64) for wt, size in sizes.items()}
+    tables = {
+        wt: np.empty(size, dtype=np.int64) if lib is None else None
+        for wt, size in sizes.items()
+    }
     built: Dict[int, tuple] = {}
 
     emit_start = 0
@@ -389,7 +423,8 @@ def incremental_scan(
             mats = mats.reshape(rb, sp, gg)
             bufs = {wt: (tables[wt], b) for wt, b in zip(sizes, blocks)}
             _rolling_block(
-                codes, faces, bufs, built, mats, origins[r0 : r0 + rb] + t0
+                lib, codes, faces, bufs, built, mats,
+                origins[r0 : r0 + rb] + t0,
             )
             mats = mats.reshape(rb * sp, levels, levels)
             # Rows are computed (slab, tail, t) but leave (slab, t, tail).
@@ -423,33 +458,8 @@ def incremental_scan(
                     out = None
 
 
-def _gpu_scan(
-    data: np.ndarray,
-    roi: ROISpec,
-    levels: int,
-    directions: Optional[Sequence[Direction]] = None,
-    distance: int = 1,
-    batch: int = 2048,
-    symmetric: bool = True,
-    validate: bool = True,
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Registry shim for the import-guarded GPU backend.
-
-    Deferring the :mod:`repro.core.gpu` import keeps device probing (and
-    the optional CuPy/Numba imports behind it) off this module's import
-    path.
-    """
-    from .gpu import gpu_scan
-
-    return gpu_scan(
-        data, roi, levels, directions, distance,
-        batch=batch, symmetric=symmetric, validate=validate,
-    )
-
-
 _REGISTRY: Dict[str, ScanKernel] = {
     "batched": cooccurrence_scan,
-    "gpu": _gpu_scan,
     "incremental": incremental_scan,
     "reference": reference_scan,
 }
@@ -461,11 +471,9 @@ KERNELS: Tuple[str, ...] = tuple(sorted(_REGISTRY))
 KERNEL_INFO: Dict[str, str] = {
     "batched": "vectorized windowed bincount; O(ROI volume) codes per "
                "ROI per direction",
-    "gpu": "CuPy (or Numba-CUDA) pair-code scatter on a CUDA device; "
-           "falls back to incremental without one",
     "incremental": "rolling hyperplane histograms along the best-overlap "
-                   "axis (default); O(ROI face) codes per ROI, streams "
-                   "batches as computed",
+                   "axis (default); O(ROI face) codes per ROI, one "
+                   "compiled pass when a C compiler is present",
     "reference": "paper Fig. 2 loop, one window at a time; ground "
                  "truth, slow",
 }
@@ -494,20 +502,20 @@ def resolve_scan_kernel(name: str):
 
     Returns ``(scan, fallback)`` where ``fallback`` is ``None`` for a
     kernel that will run as requested, or an attrs dict describing the
-    substitution (``requested``/``used``/``reason``) when ``"gpu"`` was
-    asked for on a machine without a usable device — the filters emit it
-    as a ``kernel.fallback`` obs event so degraded runs are diagnosable
-    from the trace alone.
+    substitution (``requested``/``used``/``reason``) when
+    ``"incremental"`` has to run its numpy passes because the compiled
+    one could not be built or loaded — the filters emit it as a
+    ``kernel.fallback`` obs event so degraded runs are diagnosable from
+    the trace alone.  Resolving ``"incremental"`` is also what builds
+    and loads the compiled pass, once per process.
     """
     scan = get_kernel(name)
-    if name == "gpu":
-        from .gpu import probe_gpu
-
-        probe = probe_gpu()
-        if not probe.available:
+    if name == "incremental":
+        reason = native.status().reason
+        if reason is not None:
             return scan, {
-                "requested": "gpu",
-                "used": "incremental",
-                "reason": probe.detail,
+                "requested": "incremental",
+                "used": "incremental (numpy passes)",
+                "reason": reason,
             }
     return scan, None

@@ -119,8 +119,9 @@ EVENT_KINDS: Dict[str, Tuple[str, ...]] = {
     # payload bytes handed over via a shared-memory pool slab (the pipe
     # carried only the descriptor frame, counted by its wire.frame)
     "shm.frame": ("stream", "bytes"),
-    # a texture filter substituted a scan kernel for the requested one
-    # (today: --kernel gpu on a machine without a usable CUDA device)
+    # a texture filter copy runs something other than the kernel as
+    # requested (today: incremental on its numpy passes because the
+    # compiled pass could not be built or loaded); once per copy
     "kernel.fallback": ("requested", "used"),
     # region-template data layer (repro.regions): one region staged into
     # a storage tier, served from a tier (ghost/overlap reuse), or

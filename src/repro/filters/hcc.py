@@ -33,6 +33,7 @@ class HaralickCoMatrixCalculator(Filter):
     def __init__(self, params: TextureParams, out_stream: str = "hcc2hpc"):
         self.params = params
         self.out_stream = out_stream
+        self._fallback_reported = False  # kernel.fallback: once per copy
 
     def process(self, stream: str, buffer: DataBuffer, ctx: FilterContext) -> None:
         tc = buffer.payload
@@ -46,7 +47,8 @@ class HaralickCoMatrixCalculator(Filter):
         scan, fallback = resolve_scan_kernel(p.kernel)
         batch = p.packet_rois(tc.chunk)
         tracing = ctx.tracing
-        if fallback and tracing:
+        if fallback and tracing and not self._fallback_reported:
+            self._fallback_reported = True
             ctx.event("kernel.fallback", chunk=tc.chunk.index, **fallback)
         t_cooc = 0.0
         t_mark = time.perf_counter() if tracing else 0.0

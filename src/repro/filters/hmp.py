@@ -39,6 +39,7 @@ class HaralickMatrixProducer(Filter):
     ):
         self.params = params
         self.out_stream = out_stream
+        self._fallback_reported = False  # kernel.fallback: once per copy
 
     def process(self, stream: str, buffer: DataBuffer, ctx: FilterContext) -> None:
         tc = buffer.payload
@@ -55,7 +56,8 @@ class HaralickMatrixProducer(Filter):
         # scan time (the generator) and parameter time, summed over
         # packets and emitted as one span each per chunk.
         tracing = ctx.tracing
-        if fallback and tracing:
+        if fallback and tracing and not self._fallback_reported:
+            self._fallback_reported = True
             ctx.event("kernel.fallback", chunk=tc.chunk.index, **fallback)
         t_cooc = t_feat = 0.0
         t_mark = time.perf_counter() if tracing else 0.0

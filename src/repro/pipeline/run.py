@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from ..core.backends import resolve_scan_kernel
 from ..core.roi import valid_positions_shape
 from ..datacutter.faults import FaultPlan, RetryPolicy
 from ..datacutter.graph import FilterGraph
@@ -114,6 +115,9 @@ def prepare_pipeline(
     pipeline (closed by :meth:`PreparedPipeline.close`).
     """
     config = config or AnalysisConfig()
+    # Build/load the compiled scan pass here, in the driver, so that
+    # every forked filter copy and loopback agent inherits the mapping.
+    resolve_scan_kernel(config.texture.kernel)
     dataset = DiskDataset4D.open(dataset_root)
     if region_store is None and config.staging is not None:
         region_store = RegionStore.from_policy(config.staging)

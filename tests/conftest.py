@@ -1,4 +1,5 @@
-"""Suite-wide leak gate.
+"""Suite-wide leak gate, and the switch between the two implementations
+of the rolling kernel's plane histograms.
 
 A run that returns (or raises) must leave nothing behind: no filter-copy
 thread still alive, no child process, no shared-memory segment.  The
@@ -7,6 +8,8 @@ is the test that fails; ``/dev/shm`` is checked once, when the session
 ends.
 """
 
+import contextlib
+import functools
 import glob
 import multiprocessing
 import threading
@@ -14,6 +17,7 @@ import time
 
 import pytest
 
+from repro.core import native
 from repro.datacutter.net.shm import NAME_PREFIX
 from repro.datacutter.runtime_local import _CopyThread
 
@@ -52,3 +56,40 @@ def no_leaked_shm_segments():
     yield
     leaked = glob.glob(f"/dev/shm/{NAME_PREFIX}*")
     assert not leaked, f"leaked shared-memory segments: {leaked}"
+
+
+@contextlib.contextmanager
+def patched_to_numpy_passes():
+    """``incremental`` on its numpy passes: the loader's result is patched
+    to "unavailable" (no environment variable selects an implementation)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            native, "_status",
+            native.NativeStatus(None, None, "patched out by the test suite"),
+        )
+        yield
+
+
+@pytest.fixture(scope="class")
+def numpy_passes():
+    with patched_to_numpy_passes():
+        yield
+
+
+def on_both_implementations(test):
+    """Run a test body as this machine resolves ``incremental`` (the
+    compiled pass wherever a C compiler exists), then on the numpy passes.
+
+    Goes under ``@given``/``@settings``, so every drawn example sees both.
+    """
+
+    @functools.wraps(test)
+    def both(*args, **kwargs):
+        test(*args, **kwargs)
+        with patched_to_numpy_passes():
+            try:
+                test(*args, **kwargs)
+            except AssertionError as exc:
+                raise AssertionError(f"on the numpy passes: {exc}") from exc
+
+    return both

@@ -24,13 +24,6 @@ from repro.core import workspace
 from repro.core.workspace import pair_shift, symmetrize_inplace
 from repro.filters.messages import TextureParams
 
-# The "gpu" entry participates in the generic registry loops below; on a
-# machine without a CUDA device it falls back to incremental with a warning
-# (the warning itself is covered in tests/core/test_gpu_backend.py).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.core.gpu.GpuUnavailableWarning"
-)
-
 
 @pytest.fixture(scope="module")
 def small_volume():
@@ -40,7 +33,7 @@ def small_volume():
 
 class TestRegistry:
     def test_kernels_contents(self):
-        assert KERNELS == ("batched", "gpu", "incremental", "reference")
+        assert KERNELS == ("batched", "incremental", "reference")
         assert DEFAULT_KERNEL in KERNELS
         assert set(KERNEL_INFO) == set(KERNELS)
 

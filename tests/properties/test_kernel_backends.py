@@ -8,10 +8,12 @@ random dimensionalities, ROI shapes (including degenerate extent-1
 windows and directions that do not fit the window), direction subsets,
 distances >= 1, grey-level counts, batch sizes and the symmetric flag.
 
-The ``gpu`` kernel is excluded from the generic loops: without a CUDA
-device it is incremental behind a fallback warning (covered in
-``tests/core/test_gpu_backend.py``); with one, the ``@pytest.mark.gpu``
-property test at the bottom runs the same bit-identity law on device.
+``incremental`` has two implementations of its plane histograms, the
+compiled pass and the numpy passes (``repro.core.native``).  Every test
+that scans is wrapped in ``on_both_implementations``: its body runs on
+whichever the machine resolves to (the compiled one wherever a C
+compiler exists) and again with the loader's result patched to
+"unavailable".
 """
 
 import tracemalloc
@@ -29,15 +31,15 @@ from repro.core.backends import (
 )
 from repro.core.cooccurrence import resolve_directions
 from repro.core.directions import all_directions, unique_directions
-from repro.core.gpu import gpu_scan, probe_gpu
 from repro.core.masking import mask_to_positions, masked_feature_samples
 from repro.core.raster import raster_scan
 from repro.core.roi import ROISpec, valid_positions_shape
 from repro.core.workspace import WORKSPACE_BYTES
 
-# Kernels exercised by the generic hypothesis loops (everything but the
-# device-dependent gpu entry).
-CPU_KERNELS = tuple(k for k in KERNELS if k not in ("reference", "gpu"))
+from ..conftest import on_both_implementations
+
+# Kernels the generic hypothesis loops compare against the reference.
+CPU_KERNELS = tuple(k for k in KERNELS if k != "reference")
 
 
 def _collect(scan, data, roi, levels, directions, distance, batch, symmetric):
@@ -85,6 +87,7 @@ class TestBackendBitIdentity:
     @pytest.mark.parametrize("kernel", CPU_KERNELS)
     @given(case=scan_cases())
     @settings(max_examples=60, deadline=None)
+    @on_both_implementations
     def test_bit_identical_to_reference(self, kernel, case):
         data, roi, levels, directions, distance, batch, symmetric = case
         ref = _collect(reference_scan, data, roi, levels, directions,
@@ -96,6 +99,7 @@ class TestBackendBitIdentity:
 
     @given(case=scan_cases())
     @settings(max_examples=30, deadline=None)
+    @on_both_implementations
     def test_batched_equals_incremental(self, case):
         data, roi, levels, directions, distance, batch, symmetric = case
         a = _collect(get_kernel("batched"), data, roi, levels, directions,
@@ -154,6 +158,7 @@ class TestRollingAxis:
 
     @given(case=rolling_cases())
     @settings(max_examples=150, deadline=None)
+    @on_both_implementations
     def test_every_axis_bit_identical(self, case):
         args, budget = case
         data, roi, levels, directions, distance, batch, symmetric = args
@@ -190,6 +195,7 @@ class TestRollingAxis:
             )
             assert (axis, span) == (long, 7)
 
+    @on_both_implementations
     def test_yielded_batches_survive_the_generator(self):
         # HCC hands matrices downstream by reference: keep every batch,
         # exhaust the generator, only then look.
@@ -219,12 +225,14 @@ class TestMegabatchEdgeCases:
     ``incremental`` when that kernel was deleted; the class keeps its
     name so the test ids stay stable."""
 
+    @on_both_implementations
     def test_degenerate_extent_one_window(self):
         rng = np.random.default_rng(0)
         data = rng.integers(0, 8, size=(6, 5, 4), dtype=np.int32)
         for roi in [(1, 1, 1), (1, 3, 2), (3, 1, 1), (2, 2, 1)]:
             _identical(incremental_scan, reference_scan, data, ROISpec(roi), 8)
 
+    @on_both_implementations
     def test_no_fitting_direction_yields_zeros(self):
         # A (1, 1) window admits no distance-1 pair at all: every matrix
         # must come back exactly zero, not garbage from an uninitialized
@@ -236,6 +244,7 @@ class TestMegabatchEdgeCases:
         assert out.shape == (12, 8, 8)
         assert not out.any()
 
+    @on_both_implementations
     def test_non_cubic_chunks(self):
         rng = np.random.default_rng(1)
         for shape, roi in [
@@ -247,6 +256,7 @@ class TestMegabatchEdgeCases:
             data = rng.integers(0, 16, size=shape, dtype=np.int32)
             _identical(incremental_scan, reference_scan, data, ROISpec(roi), 16)
 
+    @on_both_implementations
     def test_all_levels_equal_volume(self):
         # A constant volume concentrates every count on one diagonal bin.
         data = np.full((6, 5, 4), 3, dtype=np.int32)
@@ -258,6 +268,7 @@ class TestMegabatchEdgeCases:
             hot = mats.reshape(mats.shape[0], -1)
             assert (hot.sum(axis=1) == mats[:, 3, 3]).all()
 
+    @on_both_implementations
     def test_masked_analysis_matches_reference(self):
         # The default kernel through the full analysis path, restricted
         # by a voxel mask: masked feature samples must match the
@@ -279,6 +290,7 @@ class TestMegabatchEdgeCases:
         for name, want in out["reference"].items():
             assert np.array_equal(out["incremental"][name], want), name
 
+    @on_both_implementations
     def test_peak_memory_within_budget(self):
         # This chunk rolls along an inner-but-not-innermost axis and one
         # leading-axis slab is a good share of the workspace; the batch
@@ -304,17 +316,3 @@ class TestMegabatchEdgeCases:
             f"peak {peak / 2**20:.1f} MiB exceeds budget "
             f"{(batch_bytes + 3 * WORKSPACE_BYTES) / 2**20:.1f} MiB"
         )
-
-
-@pytest.mark.gpu
-@pytest.mark.skipif(not probe_gpu().available, reason="no CUDA device")
-class TestGpuBitIdentity:
-    @given(case=scan_cases())
-    @settings(max_examples=25, deadline=None)
-    def test_gpu_bit_identical_to_reference(self, case):
-        data, roi, levels, directions, distance, batch, symmetric = case
-        ref = _collect(reference_scan, data, roi, levels, directions,
-                       distance, batch, symmetric)
-        got = _collect(gpu_scan, data, roi, levels, directions,
-                       distance, batch, symmetric)
-        assert np.array_equal(got, ref)
