@@ -72,10 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="execution backend: threads (LocalRuntime), "
                         "processes (MPRuntime), or distributed "
                         "(DistRuntime over TCP worker agents)")
-    p.add_argument("--transport", choices=("pipe", "shm"), default="pipe",
-                   help="processes runtime: pipe (copy payloads through "
-                        "OS pipes) or shm (hand large payloads over via "
-                        "a shared-memory slab pool, zero-copy receive)")
     p.add_argument("--hosts", nargs="+", metavar="HOST",
                    help="distributed runtime: one worker agent per host "
                         "(loopback hosts are spawned locally)")
@@ -163,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intensity-max", type=float, default=4095.0)
     p.add_argument("--runtime", choices=("threads", "processes", "distributed"),
                    default="threads")
-    p.add_argument("--transport", choices=("pipe", "shm"), default="pipe")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the content-addressed result cache")
     p.add_argument("--no-wait", action="store_true",
@@ -247,9 +242,6 @@ def _cmd_analyze(args) -> int:
             print(f"bad --staging spec: {exc}", file=sys.stderr)
             return 2
     config = AnalysisConfig(**kwargs)
-    if args.transport != "pipe" and args.runtime != "processes":
-        print("--transport shm requires --runtime processes", file=sys.stderr)
-        return 2
     if (args.hosts or args.agents) and args.runtime != "distributed":
         print("--hosts/--agents require --runtime distributed", file=sys.stderr)
         return 2
@@ -273,7 +265,7 @@ def _cmd_analyze(args) -> int:
     result = run_pipeline(
         args.dataset, config, runtime=args.runtime, hosts=hosts,
         trace=args.trace, trace_out=args.trace_out,
-        transport=args.transport, elastic=args.elastic,
+        elastic=args.elastic,
         heartbeat_timeout=args.heartbeat_timeout,
         poll_interval=args.poll_interval,
     )
@@ -421,7 +413,6 @@ def _cmd_submit(args) -> int:
                     roi=list(args.roi),
                     intensity_range=[0.0, args.intensity_max],
                     runtime=args.runtime,
-                    transport=args.transport,
                     use_cache=not args.no_cache,
                 )
             except ServiceClientError as exc:

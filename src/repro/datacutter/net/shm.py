@@ -1,26 +1,27 @@
-"""Zero-copy shared-memory transport for same-host runtimes.
+"""The processes runtime's data plane: a pool of shared-memory slabs.
 
-The multiprocessing runtime frames every buffer with the wire codec and
-pushes the whole frame — payload included — through an OS pipe, so a
-chunk crossing an edge is copied three times (into the frame, into the
-pipe, out of the pipe) even though producer and consumer share the
-machine.  This module turns that into a pointer handoff: ndarray
-payloads are written once into a pooled ``multiprocessing.shared_memory``
-segment and the pipe carries only a few hundred bytes of header plus a
-*shm descriptor* (slot index + buffer lengths); the consumer maps the
-segment and rebuilds the arrays in place with ``np.frombuffer`` — zero
-copies on the consume side.
+Filter copies of one run are forks of one parent on one machine, so a
+payload need not travel anywhere: the producer writes its ndarray
+buffers once into a pooled slab and the pipe carries only a few hundred
+bytes of pickled header plus a *descriptor* (slot index + buffer
+lengths); the consumer rebuilds the arrays in place over the slab with
+``np.frombuffer`` — zero copies on the consume side.  This is the
+intra-node pointer hand-off of DataCutter's co-located filters (paper
+Sections 4.1 and 5), between processes.
 
 Pool design (a slab allocator with a free list):
 
-* The parent creates ``segments`` fixed-size shared-memory slabs before
-  forking; children inherit the mappings, so no per-child attach (and no
-  resource-tracker double registration) ever happens.  tmpfs commits
-  pages lazily, so unused slabs cost address space, not RAM.
+* The parent creates ``segments`` fixed-size slabs before forking, each
+  an anonymous shared mapping (``mmap.mmap(-1, n)``, i.e.
+  ``MAP_SHARED | MAP_ANONYMOUS``); children only ever use the mappings
+  they inherit.  A slab therefore has no name, no ``/dev/shm`` entry and
+  no size limit set by that mount, and nothing registers it anywhere.
+  Pages are committed on first touch, so unused slabs cost address
+  space, not RAM.
 * Allocation pops a free slab; payloads smaller than ``threshold`` (or
-  larger than a slab, or arriving while the pool is exhausted) fall back
-  to the in-band codec path and are counted, so the transport degrades
-  gracefully instead of ever blocking or failing.
+  larger than a slab, or arriving while the pool is exhausted) stay on
+  the in-band codec path and are counted, so the pool never blocks and
+  never fails a delivery.
 * Each slab carries a cross-process *refcount*.  The producer's acquire
   holds one reference for the in-flight delivery; on receive the
   reference is taken over by the rebuilt arrays — every carrier array
@@ -29,13 +30,11 @@ Pool design (a slab allocator with a free list):
   keeps the carrier alive) is garbage collected.  A slab returns to the
   free list only at refcount zero, so recycling can never corrupt a
   payload a filter still holds.
-* Crash cleanup is parent-side: segments are registered with the
-  ``multiprocessing`` resource tracker exactly once (at creation), and
-  :meth:`ShmPool.destroy` — run unconditionally when the run ends,
-  including the abort path the exitcode watcher triggers for silently
-  dead children — closes and unlinks every slab.  If the parent itself
-  is killed, the resource tracker unlinks the registered segments at
-  exit, so ``/dev/shm`` is clean after crashes either way.
+* Cleanup after a crash is the kernel's job: an anonymous mapping lives
+  exactly as long as some process maps it.  :meth:`ShmPool.destroy` —
+  run unconditionally when the run ends — closes the parent's mappings,
+  every child's go with the child however it died, and if the parent is
+  killed there is nothing left behind to unlink.
 
 Frame format: the codec's prefix ``flags`` byte gains :data:`FLAG_SHM`.
 A shm frame keeps the pickled header and per-buffer lengths in-band but
@@ -47,10 +46,9 @@ which keeps re-delivery and drain-mode rerouting working unchanged.
 
 from __future__ import annotations
 
-import secrets
+import mmap
 import struct
 import weakref
-from multiprocessing import shared_memory
 from typing import Any, List, Optional, Tuple
 
 import numpy as np
@@ -64,10 +62,6 @@ __all__ = ["ShmPool", "FLAG_SHM", "dumps", "loads"]
 FLAG_SHM = 0x01
 
 _SLOT = struct.Struct("!I")
-
-#: Shared-memory segment name prefix; the leak gate (``tests/conftest.py``)
-#: globs ``/dev/shm`` for it when a test session ends.
-NAME_PREFIX = "reproshm"
 
 
 class ShmPool:
@@ -107,12 +101,9 @@ class ShmPool:
             )
         self.segment_bytes = int(segment_bytes)
         self.threshold = int(threshold)
-        self.uid = f"{NAME_PREFIX}_{secrets.token_hex(4)}"
-        self._segments: List[shared_memory.SharedMemory] = [
-            shared_memory.SharedMemory(
-                create=True, name=f"{self.uid}_{i}", size=self.segment_bytes
-            )
-            for i in range(segments)
+        # MAP_SHARED | MAP_ANONYMOUS: forked children write the same pages.
+        self._segments: List[mmap.mmap] = [
+            mmap.mmap(-1, self.segment_bytes) for _ in range(segments)
         ]
         # Reentrant: a weakref.finalize release can fire from a GC pass
         # triggered while this process already holds the pool lock.
@@ -125,7 +116,6 @@ class ShmPool:
         self._fallbacks = ctx.Value("l", 0, lock=False)
         self._fallback_bytes = ctx.Value("l", 0, lock=False)
         self._peak_in_use = ctx.Value("l", 0, lock=False)
-        self._destroyed = False
 
     # -- allocation --------------------------------------------------------
 
@@ -172,6 +162,10 @@ class ShmPool:
     def release(self, slot: int) -> None:
         """Drop one reference; at zero the slab rejoins the free list."""
         with self._lock:
+            if self._refs[slot] <= 0:
+                # Letting it through would list the slab as free twice
+                # and hand it to two producers at once.
+                raise ValueError(f"slab {slot} is not leased")
             self._refs[slot] -= 1
             if self._refs[slot] == 0:
                 self._free[self._free_top.value] = slot
@@ -179,7 +173,7 @@ class ShmPool:
 
     def view(self, slot: int, offset: int, nbytes: int) -> memoryview:
         """Writable window into a slab (valid while the pool is alive)."""
-        return self._segments[slot].buf[offset : offset + nbytes]
+        return memoryview(self._segments[slot])[offset : offset + nbytes]
 
     def carrier(self, slot: int, offset: int, nbytes: int) -> np.ndarray:
         """A uint8 array over slab memory whose death releases one ref.
@@ -189,7 +183,7 @@ class ShmPool:
         recycled exactly when the consumer's last reference is gone.
         """
         arr = np.frombuffer(
-            self._segments[slot].buf, dtype=np.uint8, count=nbytes, offset=offset
+            self._segments[slot], dtype=np.uint8, count=nbytes, offset=offset
         )
         weakref.finalize(arr, self.release, slot)
         return arr
@@ -215,26 +209,20 @@ class ShmPool:
             }
 
     def destroy(self) -> None:
-        """Close and unlink every slab (parent-side, idempotent).
+        """Close this process's slab mappings (idempotent).
 
         The MP runtime calls this in a ``finally`` once children are
         reaped — normal completion, ``PipelineError`` aborts, and the
         exitcode-watcher path for silently dead children all funnel
-        through it, so no segment outlives its run.
+        through it.  There is nothing to unlink: the kernel frees a
+        slab's pages when its last mapping goes.
         """
-        if self._destroyed:
-            return
-        self._destroyed = True
         for seg in self._segments:
             try:
                 seg.close()
             except BufferError:
-                # A live numpy view pins the mapping; unlink still works
-                # and the map goes away with the process.
-                pass
-            try:
-                seg.unlink()
-            except FileNotFoundError:
+                # A live numpy view pins the mapping; it goes with the
+                # view (or the process).
                 pass
 
 
@@ -305,17 +293,26 @@ def loads(data: Any, pool: Optional[ShmPool]) -> Any:
         raise codec.CodecError(
             f"frame too large: nbufs={nbufs} header={header_len}"
         )
-    off = codec._PREFIX.size
-    lens = []
-    for _ in range(nbufs):
-        (n,) = codec._BUFLEN.unpack_from(view, off)
-        lens.append(n)
-        off += codec._BUFLEN.size
-    header = bytes(view[off : off + header_len])
-    if len(header) != header_len:
-        raise codec.CodecError("truncated frame (header)")
-    off += header_len
-    (slot,) = _SLOT.unpack_from(view, off)
+    # A shm frame is exactly: prefix, buffer lengths, header, slot.
+    lens_end = codec._PREFIX.size + codec._BUFLEN.size * nbufs
+    slot_off = lens_end + header_len
+    if len(view) != slot_off + _SLOT.size:
+        raise codec.CodecError("truncated frame (shm descriptor)")
+    (slot,) = _SLOT.unpack_from(view, slot_off)
+    if slot >= pool.num_segments:
+        raise codec.CodecError(
+            f"shm frame names slab {slot} of a {pool.num_segments}-slab pool"
+        )
+    lens = [
+        n for (n,) in codec._BUFLEN.iter_unpack(view[codec._PREFIX.size : lens_end])
+    ]
+    if not lens or sum(lens) > pool.segment_bytes:
+        # The delivery's slab reference dies with the frame that carried it.
+        pool.release(slot)
+        raise codec.CodecError(
+            f"shm frame describes {len(lens)} buffers of {sum(lens)} bytes "
+            f"in a {pool.segment_bytes}-byte slab"
+        )
     # The delivery's reference is taken over by the first carrier; the
     # remaining carriers each add one, so the slab frees exactly when
     # the last rebuilt array (or derived view) dies.
@@ -325,4 +322,4 @@ def loads(data: Any, pool: Optional[ShmPool]) -> Any:
     for n in lens:
         buffers.append(pool.carrier(slot, seg_off, n))
         seg_off += n
-    return codec.decode(header, buffers)
+    return codec.decode(bytes(view[lens_end:slot_off]), buffers)

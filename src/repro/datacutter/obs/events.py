@@ -119,6 +119,9 @@ EVENT_KINDS: Dict[str, Tuple[str, ...]] = {
     # payload bytes handed over via a shared-memory pool slab (the pipe
     # carried only the descriptor frame, counted by its wire.frame)
     "shm.frame": ("stream", "bytes"),
+    # the processes runtime could not map its slab pool and carries
+    # every payload of the run in-band; once per run, from the parent
+    "transport.fallback": ("reason",),
     # a texture filter copy runs something other than the kernel as
     # requested (today: incremental on its numpy passes because the
     # compiled pass could not be built or loaded); once per copy
@@ -153,6 +156,7 @@ _ROUTING_KINDS = frozenset(
         "sched.pick",
         "wire.frame",
         "shm.frame",
+        "transport.fallback",
         "fault.reroute",
         "agent.join",
         "agent.drain",

@@ -227,8 +227,8 @@ def snapshot_run(
     Always derivable from the aggregates every runtime already tracks;
     event-derived instruments are added only when a trace exists.
     ``shm_bytes`` / ``shm_pool`` (per-link slab bytes and a
-    :meth:`ShmPool.stats` dict) appear only for shared-memory-transport
-    runs of the multiprocessing runtime.
+    :meth:`ShmPool.stats` dict) come from the processes runtime, the
+    one whose copies exchange payloads through shared-memory slabs.
     """
     reg = MetricsRegistry()
     for (fname, copy), dt in busy.items():
@@ -254,6 +254,7 @@ def snapshot_run(
         reg.counter("shm_pool_fallback_bytes").inc(
             shm_pool.get("fallback_bytes", 0)
         )
+        reg.gauge("shm_pool_segments").set(float(shm_pool.get("segments", 0)))
         reg.gauge("shm_pool_in_use").set(float(shm_pool.get("in_use", 0)))
         reg.gauge("shm_pool_peak_in_use").set(
             float(shm_pool.get("peak_in_use", 0))

@@ -21,7 +21,8 @@ and what a hard crash looks like.  Two backends exist:
   what the processes runtime is for.
 * the fork backend of :mod:`repro.datacutter.runtime_mp`
   (:class:`~repro.datacutter.runtime_mp.MPRuntime`): copies are
-  processes and every buffer is framed by the wire codec.
+  processes, every buffer is framed by the wire codec and large
+  payloads cross in shared-memory slabs instead of the pipes.
 
 The life of one copy (``initialize`` → ``generate``/``process`` →
 ``finalize``, tracing, retries) is :func:`repro.datacutter.copyloop.run_copy`,
@@ -119,9 +120,9 @@ class RunResult:
     wire_bytes: Dict[str, int] = field(default_factory=dict)
     #: Payload bytes handed over through shared-memory pool slabs per
     #: stream (``"src:stream"``) instead of being copied through a pipe —
-    #: populated only by ``MPRuntime(transport="shm")``; empty elsewhere.
-    #: For a shm run, ``wire_bytes`` then counts just the descriptor
-    #: frames that still cross the pipe.
+    #: one entry per stream from the processes runtime; empty elsewhere.
+    #: For such a payload ``wire_bytes`` counts just the descriptor frame
+    #: that still crossed the pipe, so a link's traffic is the two added.
     shm_bytes: Dict[str, int] = field(default_factory=dict)
     #: Elastic membership (distributed runtime only): node names of the
     #: agents that joined the run live, and of the agents that left it
@@ -579,6 +580,8 @@ class _ThreadBackend:
     hard_exit = None
     #: No shared-memory pool: nothing is ever copied.
     pool = None
+    #: Nothing happens on the parent's side that a trace should show.
+    events = ()
 
     Lock = staticmethod(threading.Lock)
     Event = staticmethod(threading.Event)
@@ -705,8 +708,8 @@ class _PeerRuntime:
                 raise
             finally:
                 # Unconditional (normal completion, aborts and silently
-                # dead children alike), so a per-run shared-memory pool
-                # never outlives its run.
+                # dead children alike), so the run's shared-memory pool
+                # never outlives it.
                 backend.close()
         finally:
             self._abort = self._results_q = None
@@ -766,7 +769,7 @@ class _PeerRuntime:
 
         results: Dict[str, List[Any]] = {}
         busy: Dict[Tuple[str, int], float] = {}
-        all_events: List[Any] = []
+        all_events: List[Any] = list(backend.events)
         failures: List[CopyFailure] = []
         total_retries = 0
         fatal = False

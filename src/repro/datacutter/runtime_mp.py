@@ -3,9 +3,9 @@
 The closest local analog of DataCutter's deployment model: filter copies
 are separate processes (as the paper's filters are separate executables
 on cluster nodes) and every buffer crossing a stream is genuinely
-serialized through an OS pipe — so, unlike the threaded runtime, the
-sparse co-occurrence representation actually shrinks inter-filter
-traffic here, and replicated texture filters scale past the GIL.
+serialized — so, unlike the threaded runtime, the sparse co-occurrence
+representation actually shrinks inter-filter traffic here, and
+replicated texture filters scale past the GIL.
 
 :class:`MPRuntime` is the peer engine of
 :mod:`repro.datacutter.runtime_local` on ``fork``-context primitives
@@ -14,20 +14,25 @@ end-of-stream protocol, drain-mode rerouting, wakeups and result
 deposits are that module's code, not a second implementation.  What
 this module adds is what only processes have:
 
-* **Framing.**  Buffers cross the pipes framed by the same wire codec
-  the distributed TCP runtime uses (:mod:`repro.datacutter.net.codec`):
-  ndarray payloads travel as out-of-band buffers instead of being
-  pickled in-band, and each edge counts the bytes it moved, reported as
-  ``RunResult.wire_bytes``.  With ``transport="shm"`` the pipes stop
-  carrying payloads at all: ndarray payloads above a size threshold are
-  written once into a reference-counted shared-memory slab pool
-  (:mod:`repro.datacutter.net.shm`), the frame shrinks to a header plus
-  slab descriptor and consumers rebuild the arrays zero-copy.  Those
-  bytes are accounted as ``RunResult.shm_bytes``, and the pool's
-  occupancy/hit-rate snapshot lands in ``RunResult.metrics``.  A per-run
-  pool is created before forking and unconditionally destroyed (slabs
-  unlinked) when the run ends — normal completion, aborts, and silently
-  dead children alike — so ``/dev/shm`` never accumulates segments.
+* **Framing.**  Buffers are framed by the same wire codec the
+  distributed TCP runtime uses (:mod:`repro.datacutter.net.codec`), and
+  the copies being forks of one parent on one machine, a large payload
+  never enters a pipe: ndarray buffers of :data:`_POOL_THRESHOLD` bytes
+  or more are written once into a reference-counted pool of anonymous
+  shared-memory slabs (:mod:`repro.datacutter.net.shm`) that the parent
+  maps before forking, the pipe carries the pickled header plus a slab
+  descriptor, and the consumer rebuilds the arrays zero-copy.  Smaller
+  payloads — most buffers — travel whole in the frame, as do a payload
+  larger than a slab and any payload that finds the pool exhausted, so
+  a delivery never waits on the pool.  ``RunResult.wire_bytes`` counts
+  what crossed the pipes per stream and ``RunResult.shm_bytes`` what
+  crossed in slabs; the pool's occupancy/hit-rate snapshot lands in
+  ``RunResult.metrics``.  The pool lives for one ``run()`` and holds no
+  names: when the run ends — normal completion, aborts, and silently
+  dead children alike — the parent closes its mappings, and the kernel
+  frees a slab when the last process mapping it is gone.  If the pool
+  cannot be mapped at all the run proceeds with every payload in-band
+  and says so in one ``transport.fallback`` trace event.
 * **Silent death.**  A child can die without saying goodbye.  The
   parent blocks in ``multiprocessing.connection.wait`` on the results
   queue and every live child's sentinel at once, so both a control
@@ -52,17 +57,17 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import queue
+import time
 from multiprocessing import connection as mp_connection
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .faults import FaultPlan, RetryPolicy
 from .graph import FilterGraph
 from .net import shm
+from .obs import TraceEvent
 from .runtime_local import _EXIT_GRACE, _PeerRuntime  # noqa: F401 - tests
 
-__all__ = ["MPRuntime", "TRANSPORTS"]
-
-TRANSPORTS = ("pipe", "shm")
+__all__ = ["MPRuntime"]
 
 #: Default watchdog granularity of :class:`MPRuntime` (seconds).  Every
 #: transition a blocked peer waits on raises a wakeup event, so this
@@ -70,20 +75,28 @@ TRANSPORTS = ("pipe", "shm")
 _POLL = 0.02
 #: Exit status used for injected hard kills (mimics an uncaught signal).
 _HARD_EXIT = 19
+#: The slab pool of every run: slab count, bytes per slab, and the
+#: payload size below which a frame stays in-band.  Constants, not
+#: parameters — no measured workload asks for other values (untouched
+#: slabs cost address space only); tests patch them to force fallbacks.
+_POOL_SEGMENTS = 32
+_POOL_SEGMENT_BYTES = 32 << 20
+_POOL_THRESHOLD = 64 << 10
 
 
 class _ForkBackend:
     """Peer-engine primitives for copies that are forked processes.
 
-    ``pool`` is the shared-memory slab pool of ``transport="shm"`` or
-    ``None``; ``owned`` says whether :meth:`close` destroys it.
+    ``pool`` is the run's shared-memory slab pool, or ``None`` when it
+    could not be mapped (every payload then travels in-band);
+    ``events`` are the parent's own trace events for the run.
     """
 
     hard_exit = _HARD_EXIT
 
-    def __init__(self, ctx, pool: Optional[shm.ShmPool], owned: bool):
+    def __init__(self, ctx, pool: Optional[shm.ShmPool], events: List[TraceEvent]):
         self.pool = pool
-        self._owned = owned
+        self.events = events
         self.Lock = ctx.Lock
         self.Event = ctx.Event
         self.Queue = ctx.Queue
@@ -124,15 +137,13 @@ class _ForkBackend:
 
     def traffic(self, edges) -> Tuple[Dict[str, int], Dict[str, int]]:
         """``(wire_bytes, shm_bytes)`` per edge label."""
-        wire = {label: e.wire.value for label, e in edges.items()}
-        if self.pool is None:
-            return wire, {}
-        return wire, {label: e.shm.value for label, e in edges.items()}
+        return (
+            {label: e.wire.value for label, e in edges.items()},
+            {label: e.shm.value for label, e in edges.items()},
+        )
 
     def close(self) -> None:
-        # A pool handed in by the caller (warm reuse across jobs) is the
-        # caller's to destroy.
-        if self._owned:
+        if self.pool is not None:
             self.pool.destroy()
 
 
@@ -145,21 +156,6 @@ class MPRuntime(_PeerRuntime):
 
     Parameters
     ----------
-    transport:
-        ``"pipe"`` (default) frames every payload through the OS pipe;
-        ``"shm"`` hands large ndarray payloads over via a shared-memory
-        slab pool and pipes only descriptors (see
-        :mod:`repro.datacutter.net.shm`).
-    shm_segments / shm_segment_bytes / shm_threshold:
-        Pool geometry for ``transport="shm"`` — slab count, slab size,
-        and the payload size below which frames stay in-band.
-    shm_pool:
-        An externally owned :class:`~repro.datacutter.net.shm.ShmPool`
-        to use instead of creating (and destroying) one per run.  The
-        caller keeps ownership: the pool survives ``run()`` so warm
-        reuse across jobs skips the slab allocation, and the caller must
-        eventually destroy it (``close()`` on this runtime does *not*).
-        Only valid with ``transport="shm"``.
     poll_interval:
         Watchdog granularity in seconds (default 0.02).  The parent and
         every child block on event-driven wakeups raised at each queue
@@ -173,11 +169,6 @@ class MPRuntime(_PeerRuntime):
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
         trace: bool = False,
-        transport: str = "pipe",
-        shm_segments: int = 32,
-        shm_segment_bytes: int = 32 << 20,
-        shm_threshold: int = 64 << 10,
-        shm_pool: Optional[shm.ShmPool] = None,
         poll_interval: Optional[float] = None,
     ):
         # Only None means "use the default": an explicit 0 must reach
@@ -186,27 +177,21 @@ class MPRuntime(_PeerRuntime):
             graph, max_queue, retry, faults, trace,
             _POLL if poll_interval is None else poll_interval,
         )
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-            )
-        if shm_pool is not None and transport != "shm":
-            raise ValueError("shm_pool= requires transport='shm'")
-        self.transport = transport
-        self.shm_segments = int(shm_segments)
-        self.shm_segment_bytes = int(shm_segment_bytes)
-        self.shm_threshold = int(shm_threshold)
-        self.shm_pool = shm_pool
 
     def _open_backend(self) -> _ForkBackend:
         ctx = mp.get_context("fork")
-        pool = self.shm_pool
-        owned = pool is None and self.transport == "shm"
-        if owned:
+        pool, events = None, []
+        try:
             pool = shm.ShmPool(
-                ctx,
-                segments=self.shm_segments,
-                segment_bytes=self.shm_segment_bytes,
-                threshold=self.shm_threshold,
+                ctx, _POOL_SEGMENTS, _POOL_SEGMENT_BYTES, _POOL_THRESHOLD
             )
-        return _ForkBackend(ctx, pool, owned)
+        except (OSError, ValueError) as exc:
+            # No address space or commit for the slabs (strict
+            # overcommit, a tight rlimit): not a reason to fail the run.
+            events.append(
+                TraceEvent(
+                    ts=time.time(), kind="transport.fallback",
+                    attrs={"reason": f"{type(exc).__name__}: {exc}"},
+                )
+            )
+        return _ForkBackend(ctx, pool, events)

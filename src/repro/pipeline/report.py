@@ -99,18 +99,40 @@ def format_breakdown(run: RunResult, order: Tuple[str, ...] = ()) -> str:
 
 
 def format_metrics(run: RunResult) -> str:
-    """Flat, sorted dump of the run's metrics snapshot.
+    """Sorted dump of the run's metrics snapshot.
 
-    One ``name{labels} = value`` line per instrument — counters as
-    plain numbers, gauges as ``value (max ...)``, histograms as
-    ``count/sum/mean/max``.
+    First what each link moved — ``wire_bytes`` (through pipes or
+    sockets) and ``shm_bytes`` (through shared-memory slabs) side by
+    side, since either alone under-reports a link of the processes
+    runtime — and how the slab pool fared; then one ``name{labels} =
+    value`` line per remaining instrument: counters as plain numbers,
+    gauges as ``value (max ...)``, histograms as ``count/sum/mean/max``.
     """
     m = run.metrics or {}
+    counters = dict(m.get("counters", {}))
+    gauges = dict(m.get("gauges", {}))
     lines: List[str] = []
-    for key in sorted(m.get("counters", {})):
-        lines.append(f"{key} = {m['counters'][key]:g}")
-    for key in sorted(m.get("gauges", {})):
-        g = m["gauges"][key]
+    links: Dict[str, Dict[str, float]] = {}
+    for key in sorted(counters):
+        name, labels = parse_metric_key(key)
+        if name in ("wire_bytes", "shm_bytes") and "link" in labels:
+            links.setdefault(labels["link"], {})[name] = counters.pop(key)
+    for link, moved in sorted(links.items()):
+        lines.append(
+            f"link {link}: wire_bytes = {moved.get('wire_bytes', 0):.0f}, "
+            f"shm_bytes = {moved.get('shm_bytes', 0):.0f}"
+        )
+    if "shm_pool_hits" in counters:
+        lines.append(
+            f"shm_pool: hits = {counters.pop('shm_pool_hits'):.0f}, "
+            f"fallbacks = {counters.pop('shm_pool_fallbacks'):.0f}, "
+            f"peak_in_use = {gauges.pop('shm_pool_peak_in_use')['value']:.0f}"
+            f"/{gauges.pop('shm_pool_segments')['value']:.0f}"
+        )
+    for key in sorted(counters):
+        lines.append(f"{key} = {counters[key]:g}")
+    for key in sorted(gauges):
+        g = gauges[key]
         lines.append(f"{key} = {g['value']:g} (max {g['max']:g})")
     for key in sorted(m.get("histograms", {})):
         h = m["histograms"][key]

@@ -19,7 +19,7 @@ to the expensive middle state instead of rebuilding it per request:
   each ``run()`` is fully self-contained.
 * **teardown** — every runtime is a context manager; ``close()``
   aborts anything in flight and releases child processes, sockets and
-  shared-memory segments.  ``run_pipeline`` drives its runtime inside a
+  shared-memory slabs.  ``run_pipeline`` drives its runtime inside a
   ``with`` block, so no exception path can leak them.
 """
 
@@ -128,7 +128,7 @@ def prepare_pipeline(
 
 
 def _validate_backend_kwargs(
-    runtime, transport, hosts, elastic, schedule, heartbeat_timeout
+    runtime, hosts, elastic, schedule, heartbeat_timeout
 ) -> None:
     """Cross-argument rules shared by build_runtime and run_pipeline.
 
@@ -139,9 +139,6 @@ def _validate_backend_kwargs(
     if hosts is not None and runtime != "distributed":
         raise ValueError(f"hosts= only applies to runtime='distributed', "
                          f"not {runtime!r}")
-    if transport != "pipe" and runtime != "processes":
-        raise ValueError(f"transport={transport!r} only applies to "
-                         f"runtime='processes', not {runtime!r}")
     if runtime != "distributed":
         if elastic:
             raise ValueError("elastic= only applies to "
@@ -161,11 +158,6 @@ def build_runtime(
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultPlan] = None,
     trace: bool = False,
-    transport: str = "pipe",
-    shm_segments: Optional[int] = None,
-    shm_segment_bytes: Optional[int] = None,
-    shm_threshold: Optional[int] = None,
-    shm_pool=None,
     hosts: Optional[List[str]] = None,
     elastic: bool = False,
     schedule: Optional[list] = None,
@@ -174,9 +166,9 @@ def build_runtime(
 ):
     """Build phase: construct the execution backend for a wired graph.
 
-    Validates the cross-argument rules (``transport=`` only for the
-    processes runtime, ``hosts=``/``elastic=``/... only for the
-    distributed one) and returns a runtime object ready to ``run()``.
+    Validates the cross-argument rules (``hosts=``/``elastic=``/... only
+    for the distributed runtime) and returns a runtime object ready to
+    ``run()``.
     The returned runtime is a context manager; callers that do not hold
     it in a pool should drive it inside a ``with`` block.
 
@@ -184,7 +176,7 @@ def build_runtime(
     wait (all three backends).
     """
     _validate_backend_kwargs(
-        runtime, transport, hosts, elastic, schedule, heartbeat_timeout
+        runtime, hosts, elastic, schedule, heartbeat_timeout
     )
     if runtime == "threads":
         return LocalRuntime(
@@ -192,20 +184,9 @@ def build_runtime(
             trace=trace, poll_interval=poll_interval,
         )
     if runtime == "processes":
-        shm_kwargs = {
-            k: v
-            for k, v in (
-                ("shm_segments", shm_segments),
-                ("shm_segment_bytes", shm_segment_bytes),
-                ("shm_threshold", shm_threshold),
-                ("shm_pool", shm_pool),
-            )
-            if v is not None
-        }
         return MPRuntime(
             graph, max_queue=max_queue, retry=retry, faults=faults,
-            trace=trace, transport=transport, poll_interval=poll_interval,
-            **shm_kwargs,
+            trace=trace, poll_interval=poll_interval,
         )
     if runtime == "distributed":
         from ..datacutter.net import DistRuntime
@@ -294,10 +275,6 @@ def run_pipeline(
     hosts: Optional[List[str]] = None,
     trace: Union[bool, str, None] = None,
     trace_out: Optional[str] = None,
-    transport: str = "pipe",
-    shm_segments: Optional[int] = None,
-    shm_segment_bytes: Optional[int] = None,
-    shm_threshold: Optional[int] = None,
     elastic: bool = False,
     schedule: Optional[list] = None,
     heartbeat_timeout: Optional[float] = None,
@@ -325,7 +302,10 @@ def run_pipeline(
     runtime:
         ``"threads"`` (default, :class:`LocalRuntime`),
         ``"processes"`` (:class:`MPRuntime` — one OS process per filter
-        copy, buffers serialized between them), or ``"distributed"``
+        copy, buffers framed between them: large payloads cross in
+        shared-memory slabs, the rest through pipes; the run reports
+        ``RunResult.wire_bytes`` and ``RunResult.shm_bytes`` per
+        stream), or ``"distributed"``
         (:class:`~repro.datacutter.net.DistRuntime` — one worker agent
         per host, buffers framed over TCP by the zero-copy wire codec).
     retry:
@@ -348,15 +328,6 @@ def run_pipeline(
     trace_out:
         Output path for the ``"chrome"`` / ``"jsonl"`` modes (defaults
         to ``trace.json`` / ``trace.jsonl``).
-    transport:
-        ``runtime="processes"`` only: ``"pipe"`` (default) copies every
-        payload through OS pipes; ``"shm"`` hands large ndarray payloads
-        over via a shared-memory slab pool — the pipe then carries only
-        descriptors, and the run reports ``RunResult.shm_bytes``.
-    shm_segments / shm_segment_bytes / shm_threshold:
-        ``transport="shm"`` pool geometry overrides (slab count, slab
-        size, minimum payload size for the slab path); ``None`` keeps
-        the :class:`MPRuntime` defaults.
     elastic:
         Distributed runtime only: keep the head's listener open so
         agents can join the run live (``DistRuntime.add_agent`` / a
@@ -388,7 +359,7 @@ def run_pipeline(
     if trace_out is not None and mode not in ("chrome", "jsonl"):
         raise ValueError("trace_out= requires trace='chrome' or 'jsonl'")
     _validate_backend_kwargs(
-        runtime, transport, hosts, elastic, schedule, heartbeat_timeout
+        runtime, hosts, elastic, schedule, heartbeat_timeout
     )
     prepared = prepare_pipeline(dataset_root, config)
     retry = retry if retry is not None else prepared.config.retry
@@ -399,10 +370,6 @@ def run_pipeline(
         retry=retry,
         faults=faults,
         trace=mode is not None,
-        transport=transport,
-        shm_segments=shm_segments,
-        shm_segment_bytes=shm_segment_bytes,
-        shm_threshold=shm_threshold,
         hosts=hosts,
         elastic=elastic,
         schedule=schedule,

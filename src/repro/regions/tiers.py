@@ -5,10 +5,10 @@ demotion between tiers are the hierarchy's business
 (:class:`repro.regions.hierarchy.StorageHierarchy`).  Four tiers ship:
 
 * :class:`RamTier` — plain in-process arrays, the fastest tier.
-* :class:`ShmTier` — payloads parked in ``multiprocessing.shared_memory``
-  slabs via the transport's :class:`~repro.datacutter.net.shm.ShmPool`
-  (one slab per region), so staged regions survive outside the Python
-  heap and are visible to forked children of the staging process.
+* :class:`ShmTier` — payloads parked in anonymous shared-memory slabs
+  via the processes runtime's :class:`~repro.datacutter.net.shm.ShmPool`
+  (one slab per region), so staged regions live outside the Python heap
+  and are visible to children forked by the staging process.
 * :class:`DiskTier` — ``.npy`` spill files in a per-session directory,
   the out-of-core tier.  Cleanup is crash-safe twice over: the session
   directory is removed by ``close()`` and by an ``atexit`` hook, and
@@ -136,12 +136,11 @@ class RamTier(StorageTier):
 class ShmTier(StorageTier):
     """Regions parked in pooled shared-memory slabs.
 
-    Reuses the zero-copy transport's :class:`ShmPool` slab allocator
-    (one region per slab, so ``segment_bytes`` bounds the largest region
-    this tier takes).  The pool registers its segments with the
-    ``multiprocessing`` resource tracker, which unlinks them at process
-    exit even after a crash — the same guarantee the shm transport's
-    ``/dev/shm`` leak gate pins in CI.
+    Reuses the processes runtime's :class:`ShmPool` slab allocator (one
+    region per slab, so ``segment_bytes`` bounds the largest region this
+    tier takes).  The slabs are anonymous shared mappings: they have no
+    ``/dev/shm`` entry, and after a crash the kernel frees them with the
+    process, so there is nothing to clean up.
     """
 
     name = TIER_SHM

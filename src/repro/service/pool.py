@@ -3,12 +3,11 @@
 One pool entry holds the full build-phase product for one
 ``(dataset, analysis config, runtime profile)`` combination: the opened
 :class:`~repro.storage.dataset.DiskDataset4D`, the wired and validated
-:class:`~repro.datacutter.graph.FilterGraph`, the constructed runtime
-object, and — for the shared-memory transport — an externally owned
-:class:`~repro.datacutter.net.shm.ShmPool` whose slab allocation is the
-single most expensive piece of multiprocess-runtime setup.  Jobs lease
-an entry, run it, and hand it back; the build work is paid once per
-distinct configuration instead of once per job.
+:class:`~repro.datacutter.graph.FilterGraph` and the constructed
+runtime object.  Jobs lease an entry, run it, and hand it back; the
+build work is paid once per distinct configuration instead of once per
+job.  Workers, and the processes runtime's slab pool, still live for one
+``run()``; mapping the pool is 32 anonymous ``mmap`` calls (0.16 ms).
 
 When the entry's config enables region staging (``config.staging``),
 the prepared pipeline also carries a
@@ -22,23 +21,21 @@ themselves enforce this with their run guards), so a lease blocks until
 the entry is free.  Distinct entries run concurrently.
 
 A job that fails while holding a lease **poisons** the entry: the pool
-discards it (tearing the runtime down, destroying the warm shm pool)
-rather than leasing possibly wedged state to the next tenant.  Eviction
-is LRU over idle entries when the pool exceeds ``max_entries``; a leased
-entry is never evicted under a running job.
+discards it (tearing the runtime down) rather than leasing possibly
+wedged state to the next tenant.  Eviction is LRU over idle entries when
+the pool exceeds ``max_entries``; a leased entry is never evicted under
+a running job.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing as mp
 import os
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..datacutter.faults import FaultPlan, RetryPolicy
-from ..datacutter.net import shm
 from ..pipeline.config import AnalysisConfig
 from ..pipeline.run import PreparedPipeline, build_runtime, prepare_pipeline
 
@@ -57,10 +54,6 @@ class RuntimeProfile:
 
     runtime: str = "threads"
     max_queue: int = 64
-    transport: str = "pipe"
-    shm_segments: Optional[int] = None
-    shm_segment_bytes: Optional[int] = None
-    shm_threshold: Optional[int] = None
     hosts: Optional[Tuple[str, ...]] = None
     elastic: bool = False
     heartbeat_timeout: Optional[float] = None
@@ -75,23 +68,17 @@ class RuntimeProfile:
         if self.hosts is not None and not isinstance(self.hosts, tuple):
             object.__setattr__(self, "hosts", tuple(self.hosts))
 
-    @property
-    def warm_shm(self) -> bool:
-        """True when entries of this profile carry a reusable ShmPool."""
-        return self.runtime == "processes" and self.transport == "shm"
-
 
 class _PoolEntry:
     __slots__ = (
-        "key", "prepared", "runtime", "shm_pool", "mutex",
+        "key", "prepared", "runtime", "mutex",
         "uses", "last_used", "poisoned",
     )
 
-    def __init__(self, key, prepared, runtime, shm_pool):
+    def __init__(self, key, prepared, runtime):
         self.key = key
         self.prepared: PreparedPipeline = prepared
         self.runtime = runtime
-        self.shm_pool: Optional[shm.ShmPool] = shm_pool
         self.mutex = threading.Lock()
         self.uses = 0
         self.last_used = 0
@@ -102,11 +89,8 @@ class _PoolEntry:
             self.runtime.close()
         finally:
             # Releases the entry's region store (staged chunks, spill
-            # files, shm slabs) along with the warm transport pool.
+            # files, shm slabs).
             self.prepared.close()
-            if self.shm_pool is not None:
-                self.shm_pool.destroy()
-                self.shm_pool = None
 
 
 class PoolLease:
@@ -233,37 +217,18 @@ class RuntimePool:
         self, key, dataset_root, config, profile, trace, retry, faults
     ) -> _PoolEntry:
         prepared = prepare_pipeline(dataset_root, config)
-        shm_pool = None
-        if profile.warm_shm:
-            geometry = {
-                k: v
-                for k, v in (
-                    ("segments", profile.shm_segments),
-                    ("segment_bytes", profile.shm_segment_bytes),
-                    ("threshold", profile.shm_threshold),
-                )
-                if v is not None
-            }
-            shm_pool = shm.ShmPool(mp.get_context("fork"), **geometry)
-        try:
-            runtime = build_runtime(
-                prepared.graph,
-                runtime=profile.runtime,
-                max_queue=profile.max_queue,
-                retry=retry if retry is not None else config.retry,
-                faults=faults,
-                trace=trace,
-                transport=profile.transport,
-                shm_pool=shm_pool,
-                hosts=list(profile.hosts) if profile.hosts else None,
-                elastic=profile.elastic,
-                heartbeat_timeout=profile.heartbeat_timeout,
-            )
-        except BaseException:
-            if shm_pool is not None:
-                shm_pool.destroy()
-            raise
-        return _PoolEntry(key, prepared, runtime, shm_pool)
+        runtime = build_runtime(
+            prepared.graph,
+            runtime=profile.runtime,
+            max_queue=profile.max_queue,
+            retry=retry if retry is not None else config.retry,
+            faults=faults,
+            trace=trace,
+            hosts=list(profile.hosts) if profile.hosts else None,
+            elastic=profile.elastic,
+            heartbeat_timeout=profile.heartbeat_timeout,
+        )
+        return _PoolEntry(key, prepared, runtime)
 
     def _release(self, entry: _PoolEntry) -> None:
         if entry.poisoned:

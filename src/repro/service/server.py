@@ -37,8 +37,8 @@ def request_from_payload(payload: Dict[str, Any]) -> AnalysisRequest:
     """Build an :class:`AnalysisRequest` from a wire payload dict."""
     known = {
         "dataset", "tenant", "features", "levels", "roi", "distance",
-        "intensity_range", "variant", "copies", "runtime", "transport",
-        "max_queue", "trace", "use_cache", "batchable", "run_timeout",
+        "intensity_range", "variant", "copies", "runtime", "max_queue",
+        "trace", "use_cache", "batchable", "run_timeout",
     }
     unknown = set(payload) - known
     if unknown:
@@ -65,8 +65,6 @@ def request_from_payload(payload: Dict[str, Any]) -> AnalysisRequest:
     profile_kwargs: Dict[str, Any] = {}
     if "runtime" in payload:
         profile_kwargs["runtime"] = payload["runtime"]
-    if "transport" in payload:
-        profile_kwargs["transport"] = payload["transport"]
     if "max_queue" in payload:
         profile_kwargs["max_queue"] = int(payload["max_queue"])
     return AnalysisRequest(

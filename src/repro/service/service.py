@@ -11,8 +11,8 @@ this module wires together:
   (reject with a reason, never block the submitter) and weighted fair
   ordering across tenants;
 * a :class:`~repro.service.pool.RuntimePool` of warm runtimes — the
-  dataset open, graph build/validation and (for the shm transport) slab
-  allocation are paid once per distinct configuration;
+  dataset open and graph build/validation are paid once per distinct
+  configuration;
 * a :class:`~repro.service.cache.ResultCache` — content-addressed
   per-feature volumes, so duplicate work is served in microseconds and
   overlapping feature sets only compute the difference.

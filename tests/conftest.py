@@ -2,23 +2,25 @@
 of the rolling kernel's plane histograms.
 
 A run that returns (or raises) must leave nothing behind: no filter-copy
-thread still alive, no child process, no shared-memory segment.  The
-middleware suites are checked after every test, so the test that leaks
-is the test that fails; ``/dev/shm`` is checked once, when the session
-ends.
+thread still alive, no child process.  The middleware suites are checked
+after every test, so the test that leaks is the test that fails.  (The
+processes runtime's shared-memory slabs are anonymous mappings: they
+have no name that could be left behind.)
 """
 
 import contextlib
+import errno
 import functools
-import glob
 import multiprocessing
 import threading
 import time
+import types
 
 import pytest
 
 from repro.core import native
-from repro.datacutter.net.shm import NAME_PREFIX
+from repro.datacutter import runtime_mp
+from repro.datacutter.net import shm
 from repro.datacutter.runtime_local import _CopyThread
 
 #: Suites that drive the runtimes (checked after every test).
@@ -51,11 +53,40 @@ def no_leaked_copies(request):
     assert not children, f"child processes still alive: {children}"
 
 
-@pytest.fixture(scope="session", autouse=True)
-def no_leaked_shm_segments():
-    yield
-    leaked = glob.glob(f"/dev/shm/{NAME_PREFIX}*")
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
+def slab_mappings():
+    """Shared anonymous mappings of this process, which is what a slab of
+    the processes runtime's pool is (the kernel lists one as a deleted
+    ``/dev/zero``): a run that ended must have left none behind."""
+    with open("/proc/self/maps") as fh:
+        return sum("/dev/zero (deleted)" in line for line in fh)
+
+
+@pytest.fixture
+def pool_geometry(monkeypatch):
+    """Shrink the slab pool every ``MPRuntime`` run maps, to put toy
+    payloads on the slab path or to force its fallbacks.  The geometry
+    is deliberately not a parameter of anything."""
+
+    def patch(segments, segment_bytes=1 << 20, threshold=1 << 10):
+        monkeypatch.setattr(runtime_mp, "_POOL_SEGMENTS", segments)
+        monkeypatch.setattr(runtime_mp, "_POOL_SEGMENT_BYTES", segment_bytes)
+        monkeypatch.setattr(runtime_mp, "_POOL_THRESHOLD", threshold)
+
+    return patch
+
+
+@contextlib.contextmanager
+def slabs_unmappable():
+    """What strict overcommit or a tight address-space limit does to the
+    processes runtime: ``mmap`` refuses its slab pool.  Only the name in
+    ``shm.py`` is patched; multiprocessing's own arenas still map."""
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shm, "mmap", types.SimpleNamespace(mmap=refuse))
+        yield
 
 
 @contextlib.contextmanager

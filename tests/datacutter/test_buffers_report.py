@@ -3,8 +3,13 @@
 import pytest
 
 from repro.datacutter.buffers import DataBuffer, EndOfStream
+from repro.datacutter.obs import snapshot_run
 from repro.datacutter.runtime_local import RunResult
-from repro.pipeline.report import filter_breakdown, format_breakdown
+from repro.pipeline.report import (
+    filter_breakdown,
+    format_breakdown,
+    format_metrics,
+)
 
 
 class TestDataBuffer:
@@ -67,3 +72,39 @@ class TestReport:
         assert r.filter_busy_time("missing") == 0.0
         assert r.deposits("out") == [1, 2]
         assert r.deposits("nope") == []
+
+
+class TestFormatMetrics:
+    @staticmethod
+    def run_with(wire, shm_bytes=None, shm_pool=None):
+        metrics = snapshot_run(
+            {("HCC", 0): 1.0}, {"HCC:hcc2hpc": 128}, 0, 0, [], wire, 2.5,
+            shm_bytes=shm_bytes, shm_pool=shm_pool,
+        )
+        return RunResult(
+            results={}, elapsed=2.5, busy_time={}, buffers_sent={},
+            metrics=metrics,
+        )
+
+    def test_link_traffic_side_by_side_and_pool_line(self):
+        text = format_metrics(self.run_with(
+            {"IIC:iic2tex": 400_000, "HCC:hcc2hpc": 1_250_000},
+            shm_bytes={"IIC:iic2tex": 0, "HCC:hcc2hpc": 169_900_000},
+            shm_pool={"segments": 32, "hits": 128, "fallbacks": 0,
+                      "peak_in_use": 3, "in_use": 0, "hit_rate": 1.0},
+        ))
+        lines = text.splitlines()
+        assert lines[:3] == [
+            "link HCC:hcc2hpc: wire_bytes = 1250000, shm_bytes = 169900000",
+            "link IIC:iic2tex: wire_bytes = 400000, shm_bytes = 0",
+            "shm_pool: hits = 128, fallbacks = 0, peak_in_use = 3/32",
+        ]
+        # Shown once: the per-link lines replace the two flat counters.
+        assert not [ln for ln in lines[3:] if "_bytes{link" in ln]
+        assert "buffers_sent{stream=HCC:hcc2hpc} = 128" in lines
+        assert "shm_pool_hit_rate = 1 (max 1)" in lines
+
+    def test_runtime_without_a_pool(self):
+        lines = format_metrics(self.run_with({"a/b": 10})).splitlines()
+        assert lines[0] == "link a/b: wire_bytes = 10, shm_bytes = 0"
+        assert not [ln for ln in lines if ln.startswith("shm_pool")]

@@ -1,10 +1,9 @@
-"""One semantics, three runtimes (four execution configurations).
+"""One semantics, three runtimes.
 
 Every test here runs against the threaded runtime, the multiprocessing
-runtime on both of its transports (pipe and shared-memory), and the
-distributed TCP runtime (three loopback agents), so the newest backend
-is held to the exact stream-policy / end-of-stream / retry-dedup /
-deposit semantics of the ones that predate it.
+runtime, and the distributed TCP runtime (three loopback agents), so
+the newest backend is held to the exact stream-policy / end-of-stream /
+retry-dedup / deposit semantics of the ones that predate it.
 
 Filter classes live at module level so forked children can run them.
 """
@@ -30,7 +29,7 @@ pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="fork start method required"
 )
 
-RUNTIMES = ("threads", "processes", "processes-shm", "distributed")
+RUNTIMES = ("threads", "processes", "distributed")
 COUNT = 20
 
 
@@ -38,13 +37,8 @@ def execute(kind, graph, *, retry=None, faults=None, max_queue=64):
     if kind == "threads":
         rt = LocalRuntime(graph, max_queue=max_queue, retry=retry, faults=faults)
         return rt.run(timeout=60)
-    if kind in ("processes", "processes-shm"):
-        rt = MPRuntime(
-            graph, max_queue=max_queue, retry=retry, faults=faults,
-            transport="shm" if kind == "processes-shm" else "pipe",
-            # Exercise the slab path even for these small payloads.
-            shm_threshold=1 if kind == "processes-shm" else 64 << 10,
-        )
+    if kind == "processes":
+        rt = MPRuntime(graph, max_queue=max_queue, retry=retry, faults=faults)
         return rt.run(timeout=60)
     rt = DistRuntime(
         graph, hosts=["127.0.0.1"] * 3, max_queue=max_queue,
@@ -225,10 +219,10 @@ class TestConformance:
         else:
             assert result.wire_bytes["P:out"] > 0
             assert result.wire_bytes["D:out"] > 0
-        if runtime == "processes-shm":
-            # shm_threshold=1 in execute(): even these int payloads have
-            # no ndarray buffers, so everything stays in-band and the
-            # per-link accounting must still exist (all zeros).
-            assert set(result.shm_bytes) == {"P:out", "D:out"}
+        if runtime == "processes":
+            # These int payloads have no ndarray buffers, so everything
+            # stays in-band; the per-link slab accounting must still
+            # exist (all zeros).
+            assert result.shm_bytes == {"P:out": 0, "D:out": 0}
         else:
             assert result.shm_bytes == {}

@@ -2,7 +2,7 @@
 protocol, idempotent close(), rerunnability, and the same-instance
 concurrent-run guard on every runtime."""
 
-import glob
+import os
 import threading
 import time
 
@@ -124,36 +124,7 @@ class TestMPTeardown:
         assert len(mp.active_children()) <= before
 
     def test_shm_transport_leaves_no_segments(self):
-        with MPRuntime(simple_graph(), transport="shm") as rt:
+        before = set(os.listdir("/dev/shm"))
+        with MPRuntime(simple_graph()) as rt:
             rt.run()
-        assert glob.glob("/dev/shm/reproshm*") == []
-
-    def test_external_pool_survives_close(self):
-        import multiprocessing as mp
-
-        from repro.datacutter.net import shm
-
-        pool = shm.ShmPool(mp.get_context("fork"), segments=2,
-                           segment_bytes=1 << 20)
-        try:
-            with MPRuntime(simple_graph(), transport="shm",
-                           shm_pool=pool) as rt:
-                rt.run()
-            # close() must not destroy a pool it does not own.
-            assert pool.stats() is not None
-        finally:
-            pool.destroy()
-        assert glob.glob("/dev/shm/reproshm*") == []
-
-    def test_external_pool_requires_shm_transport(self):
-        import multiprocessing as mp
-
-        from repro.datacutter.net import shm
-
-        pool = shm.ShmPool(mp.get_context("fork"), segments=2,
-                           segment_bytes=1 << 20)
-        try:
-            with pytest.raises(ValueError, match="shm"):
-                MPRuntime(simple_graph(), transport="pipe", shm_pool=pool)
-        finally:
-            pool.destroy()
+        assert set(os.listdir("/dev/shm")) == before

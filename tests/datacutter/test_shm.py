@@ -1,11 +1,13 @@
-"""The shared-memory transport: pool, framing, runtime, crash cleanup.
+"""The shared-memory data plane: pool, framing, runtime, crash cleanup.
 
 Covers the slab pool's allocation/refcount/fallback behavior in one
-process, the dumps/loads framing (zero-copy receive, in-band fallback),
-and the MPRuntime adoption: byte accounting, pool metrics, and — the
-part that matters in production — that ``/dev/shm`` holds no leftover
-``reproshm`` segments after normal runs, ``PipelineError`` aborts, and
-hard-killed children caught only by the exitcode watcher.
+process, the dumps/loads framing (zero-copy receive, in-band fallback,
+corrupt descriptors), and the MPRuntime adoption: byte accounting, pool
+metrics, and — the part that matters in production — that a run leaves
+nothing behind: no ``/dev/shm`` entry, no process besides its filter
+copies and no slab mapping in the parent, after normal runs,
+``PipelineError`` aborts, and hard-killed children caught only by the
+exitcode watcher.
 
 Filter classes live at module level so forked children can run them.
 """
@@ -14,6 +16,7 @@ import gc
 import multiprocessing as mp
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -22,25 +25,67 @@ from repro.datacutter.faults import NO_RETRY, FaultPlan, PipelineError
 from repro.datacutter.filter import Filter
 from repro.datacutter.graph import FilterGraph
 from repro.datacutter.net import codec, shm
+from repro.datacutter.obs import validate_events
 from repro.datacutter.runtime_mp import MPRuntime
+
+from ..conftest import slab_mappings, slabs_unmappable
 
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="fork start method required"
 )
 
 
-def leaked_segments():
-    """reproshm_* entries currently present in /dev/shm."""
-    return [f for f in os.listdir("/dev/shm") if f.startswith(shm.NAME_PREFIX)]
+def shm_entries():
+    return set(os.listdir("/dev/shm"))
+
+
+def children_of(pid):
+    """Pids whose parent is ``pid``, zombies included, from ``/proc``
+    (the ledger's leak check; ``active_children`` only knows Process
+    objects, not a helper something spawned behind our back)."""
+    out = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == pid:
+            out.add(int(entry))
+    return out
 
 
 @pytest.fixture
-def pool():
+def nothing_left_behind():
+    """The test body may run anything; afterwards this process has no
+    ``/dev/shm`` entry, child or slab mapping it did not start with."""
+    gc.collect()
+    before = shm_entries(), children_of(os.getpid()), slab_mappings()
+
+    def left():
+        gc.collect()
+        return (
+            shm_entries() - before[0],
+            children_of(os.getpid()) - before[1],
+            slab_mappings() - before[2],
+        )
+
+    yield
+    deadline = time.monotonic() + 2.0
+    while left()[1] and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert left() == (set(), set(), 0)
+
+
+@pytest.fixture
+def pool(nothing_left_behind):
     ctx = mp.get_context("fork")
     p = shm.ShmPool(ctx, segments=4, segment_bytes=1 << 20, threshold=1 << 10)
+    assert slab_mappings() >= 4
     yield p
     p.destroy()
-    assert leaked_segments() == []
 
 
 class TestPool:
@@ -100,12 +145,36 @@ class TestPool:
             shm.ShmPool(ctx, segments=1, segment_bytes=512, threshold=1024)
 
     def test_destroy_is_idempotent_and_unlinks(self):
+        # "Unlinks" from this process, that is: the slabs never had a
+        # name, so closing the mappings is all there is to undo.
         ctx = mp.get_context("fork")
+        before = shm_entries(), slab_mappings()
         p = shm.ShmPool(ctx, segments=2, segment_bytes=1 << 16, threshold=8)
-        assert len(leaked_segments()) == 2
+        assert (shm_entries(), slab_mappings()) == (before[0], before[1] + 2)
         p.destroy()
         p.destroy()
-        assert leaked_segments() == []
+        assert (shm_entries(), slab_mappings()) == before
+
+    def test_destroy_tolerates_a_live_view(self):
+        ctx = mp.get_context("fork")
+        before = slab_mappings()
+        p = shm.ShmPool(ctx, segments=2, segment_bytes=1 << 16, threshold=8)
+        held = p.carrier(p.acquire(4096), 0, 4096)
+        held[:4] = (1, 2, 3, 4)
+        p.destroy()  # the view pins its slab's mapping; the other goes
+        assert slab_mappings() == before + 1
+        assert held[:4].tolist() == [1, 2, 3, 4]
+        del held, p
+        gc.collect()
+        assert slab_mappings() == before
+
+    def test_release_of_an_unleased_slab_rejected(self, pool):
+        slot = pool.acquire(4096)
+        pool.release(slot)
+        with pytest.raises(ValueError, match="not leased"):
+            pool.release(slot)  # would put the slab on the free list twice
+        assert pool.stats()["in_use"] == 0
+        assert sorted(pool.acquire(4096) for _ in range(4)) == [0, 1, 2, 3]
 
 
 class TestFraming:
@@ -173,6 +242,44 @@ class TestFraming:
         with pytest.raises(codec.CodecError):
             codec.loads(data)  # plain decoder must refuse, not misparse
 
+    # -- corrupt descriptors: CodecError, and the slab comes back ----------
+
+    def shm_frame(self, pool):
+        data, _, shm_n = shm.dumps(("s", np.arange(10_000)), pool)
+        assert shm_n > 0 and pool.stats()["in_use"] == 1
+        return bytearray(data)
+
+    def test_slot_out_of_range_rejected(self, pool):
+        data = self.shm_frame(pool)
+        shm._SLOT.pack_into(data, len(data) - shm._SLOT.size, pool.num_segments)
+        with pytest.raises(codec.CodecError, match="slab"):
+            shm.loads(data, pool)
+
+    def test_lengths_past_the_slab_rejected_and_released(self, pool):
+        data = self.shm_frame(pool)
+        codec._BUFLEN.pack_into(data, codec._PREFIX.size, pool.segment_bytes + 1)
+        with pytest.raises(codec.CodecError, match="slab"):
+            shm.loads(data, pool)
+        assert pool.stats()["in_use"] == 0
+
+    def test_shm_flag_without_buffers_rejected_and_released(self, pool):
+        data = self.shm_frame(pool)
+        _, _, nbufs, header_len = codec._PREFIX.unpack_from(data, 0)
+        assert nbufs == 1
+        # The same frame, declaring no buffers: prefix, header, slot.
+        forged = bytearray(
+            codec._PREFIX.pack(codec._MAGIC, shm.FLAG_SHM, 0, header_len)
+        ) + data[codec._PREFIX.size + codec._BUFLEN.size :]
+        with pytest.raises(codec.CodecError, match="0 buffers"):
+            shm.loads(forged, pool)
+        assert pool.stats()["in_use"] == 0
+
+    @pytest.mark.parametrize("cut", [1, 4, 5, 40])
+    def test_truncated_shm_frame_rejected(self, pool, cut):
+        data = self.shm_frame(pool)
+        with pytest.raises(codec.CodecError, match="truncated"):
+            shm.loads(data[:-cut], pool)
+
 
 # ---------------------------------------------------------------------------
 # Runtime adoption
@@ -238,9 +345,32 @@ def expected_sums(count=12, cells=20_000):
     return [float(i) * cells for i in range(count)]
 
 
+class PidProducer(ArrayProducer):
+    def generate(self, ctx):
+        super().generate(ctx)
+        ctx.deposit("pids", os.getpid())
+
+
+class Prober(Filter):
+    """Looks around from inside a running copy: what is in ``/dev/shm``,
+    and which processes does the parent have besides us copies?"""
+
+    def initialize(self, ctx):
+        self.shm, self.siblings = set(), set()
+
+    def process(self, stream, buffer, ctx):
+        self.shm |= shm_entries()
+        self.siblings |= children_of(os.getppid())
+
+    def finalize(self, ctx):
+        ctx.deposit("pids", os.getpid())
+        ctx.deposit("seen", (self.shm, self.siblings))
+
+
+@pytest.mark.usefixtures("nothing_left_behind")
 class TestRuntimeShm:
     def test_accounting_splits_wire_and_shm(self):
-        res = MPRuntime(array_graph(), transport="shm").run(timeout=60)
+        res = MPRuntime(array_graph()).run(timeout=60)
         assert sorted(sum(res.deposits("sums"), [])) == expected_sums()
         assert res.shm_bytes["P:out"] == 12 * 20_000 * 8
         assert res.wire_bytes["P:out"] < 12 * 4096
@@ -248,69 +378,111 @@ class TestRuntimeShm:
         assert counters["shm_pool_hits"] == 12
         assert counters["shm_pool_fallbacks"] == 0
         assert res.metrics["gauges"]["shm_pool_in_use"]["value"] == 0
-        assert leaked_segments() == []
+
+    def test_run_makes_no_shm_entry_and_no_process_but_its_copies(self):
+        # The ledger's leak gate as a test.  Named segments fail it:
+        # multiprocessing.shared_memory starts a resource-tracker child.
+        g = FilterGraph()
+        g.add_filter("P", PidProducer)
+        g.add_filter("C", Prober, copies=2)
+        g.connect("P", "out", "C", policy="round_robin")
+        shm_before, kids_before = shm_entries(), children_of(os.getpid())
+        res = MPRuntime(g).run(timeout=60)
+        assert res.shm_bytes["P:out"] == 12 * 20_000 * 8  # slabs were in use
+        pids = set(res.deposits("pids"))
+        assert len(pids) == 3
+        for seen_shm, seen_kids in res.deposits("seen"):
+            assert seen_shm - shm_before == set()
+            new = seen_kids - kids_before
+            assert new and new <= pids
 
     def test_pipe_transport_reports_no_shm_bytes(self):
-        res = MPRuntime(array_graph(), transport="pipe").run(timeout=60)
-        assert res.shm_bytes == {}
+        # The pool cannot be mapped: the run goes through the pipes
+        # alone and says why.
+        with slabs_unmappable():
+            res = MPRuntime(array_graph(), trace=True).run(timeout=60)
+        assert sorted(sum(res.deposits("sums"), [])) == expected_sums()
+        assert res.shm_bytes == {"P:out": 0}
         assert res.wire_bytes["P:out"] > 12 * 20_000 * 8
+        assert "shm_pool_hits" not in res.metrics["counters"]
+        validate_events(res.trace.events)
+        (fallback,) = [
+            e for e in res.trace.events if e.kind == "transport.fallback"
+        ]
+        assert "Cannot allocate memory" in fallback.attrs["reason"]
 
-    def test_retaining_consumer_sees_uncorrupted_data(self):
+    def test_no_fallback_event_when_the_pool_maps(self):
+        res = MPRuntime(array_graph(), trace=True).run(timeout=60)
+        assert not [e for e in res.trace.events if e.kind == "transport.fallback"]
+        assert len([e for e in res.trace.events if e.kind == "shm.frame"]) == 12
+
+    def test_retaining_consumer_sees_uncorrupted_data(self, pool_geometry):
         # More deliveries than slabs: recycling must wait for the
         # consumer's references, or the retained arrays get overwritten.
+        pool_geometry(segments=4)
         res = MPRuntime(
-            array_graph(consumer=Retainer, copies=1, count=16),
-            transport="shm", shm_segments=4, shm_segment_bytes=1 << 20,
-            shm_threshold=1 << 10,
+            array_graph(consumer=Retainer, copies=1, count=16)
         ).run(timeout=60)
         assert sum(res.deposits("sums"), []) == expected_sums(16)
-        assert leaked_segments() == []
+        counters = res.metrics["counters"]
+        assert counters["shm_pool_hits"] == 4
+        assert counters["shm_pool_fallbacks"] == 12
 
-    def test_tiny_pool_falls_back_and_completes(self):
-        res = MPRuntime(
-            array_graph(), transport="shm",
-            shm_segments=1, shm_segment_bytes=1 << 20, shm_threshold=1 << 10,
-        ).run(timeout=60)
+    def test_tiny_pool_falls_back_and_completes(self, pool_geometry):
+        pool_geometry(segments=1)
+        res = MPRuntime(array_graph()).run(timeout=60)
         assert sorted(sum(res.deposits("sums"), [])) == expected_sums()
-        assert leaked_segments() == []
+        counters = res.metrics["counters"]
+        assert counters["shm_pool_hits"] + counters["shm_pool_fallbacks"] == 12
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError):
-            MPRuntime(array_graph(), transport="carrier-pigeon")
+    def test_oversize_payloads_fall_back_and_complete(self, pool_geometry):
+        # Slabs smaller than one payload: every delivery goes in-band.
+        pool_geometry(segments=4, segment_bytes=1 << 12)
+        res = MPRuntime(array_graph()).run(timeout=60)
+        assert sorted(sum(res.deposits("sums"), [])) == expected_sums()
+        assert res.shm_bytes == {"P:out": 0}
+        counters = res.metrics["counters"]
+        assert counters["shm_pool_fallbacks"] == 12
+        assert counters["shm_pool_fallback_bytes"] == 12 * 20_000 * 8
 
     def test_bad_poll_interval_rejected(self):
         with pytest.raises(ValueError):
             MPRuntime(array_graph(), poll_interval=-1.0)
 
     def test_custom_poll_interval_runs(self):
-        res = MPRuntime(
-            array_graph(), transport="shm", poll_interval=0.005
-        ).run(timeout=60)
+        res = MPRuntime(array_graph(), poll_interval=0.005).run(timeout=60)
         assert sorted(sum(res.deposits("sums"), [])) == expected_sums()
 
 
+@pytest.mark.usefixtures("nothing_left_behind")
 class TestCrashCleanup:
     def test_no_leak_after_hard_child_kill(self):
-        # The child dies via os._exit: only the parent's exitcode
-        # watcher notices, and the pool must still be torn down.
-        plan = FaultPlan().crash_copy("C", copy_index=0, after_buffers=0,
+        # The child dies via os._exit with two slabs in its hands: only
+        # the parent's exitcode watcher notices.  The run must fail in
+        # bounded time and the slabs must go with it (the fixture checks
+        # the parent holds no mapping) without anything to clean up.
+        plan = FaultPlan().crash_copy("C", copy_index=0, after_buffers=1,
                                       hard=True)
+        start = time.monotonic()
         with pytest.raises(PipelineError) as exc:
             MPRuntime(
-                array_graph(consumer=CrashingConsumer, copies=1),
-                transport="shm", faults=plan, retry=NO_RETRY,
+                array_graph(consumer=Retainer, copies=1),
+                faults=plan, retry=NO_RETRY,
             ).run(timeout=60)
+        assert time.monotonic() - start < 15
         assert any(f.kind == "exitcode" for f in exc.value.failures)
-        assert leaked_segments() == []
+        # Nothing was wedged for the next run, on a fresh runtime.
+        res = MPRuntime(array_graph()).run(timeout=60)
+        assert sorted(sum(res.deposits("sums"), [])) == expected_sums()
+        assert res.metrics["counters"]["shm_pool_hits"] == 12
 
     def test_no_leak_after_abort(self):
         plan = FaultPlan().crash_copy("C", copy_index=0, after_buffers=2)
         with pytest.raises(PipelineError):
             MPRuntime(
                 array_graph(consumer=CrashingConsumer, copies=1),
-                transport="shm", faults=plan, retry=NO_RETRY,
+                faults=plan, retry=NO_RETRY,
             ).run(timeout=60)
-        assert leaked_segments() == []
 
     def test_no_leak_after_recovered_crash(self):
         # Crash a mid-pipeline copy: its in-flight slab-backed buffer is
@@ -322,10 +494,9 @@ class TestCrashCleanup:
         g.connect("P", "out", "D", policy="demand_driven")
         g.connect("D", "out", "C")
         plan = FaultPlan().crash_copy("D", copy_index=0, after_buffers=2)
-        res = MPRuntime(g, transport="shm", faults=plan).run(timeout=60)
+        res = MPRuntime(g, faults=plan).run(timeout=60)
         assert sum(res.deposits("sums"), []) == [
             2.0 * s for s in expected_sums()
         ]
         (failure,) = res.failed_copies
         assert failure.recovered
-        assert leaked_segments() == []

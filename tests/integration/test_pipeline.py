@@ -5,6 +5,7 @@ to the sequential reference (``haralick_transform``) on the same data.
 """
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from repro.filters.messages import TextureParams
 from repro.pipeline.config import AnalysisConfig
 from repro.pipeline.run import run_pipeline
 from repro.storage.dataset import write_dataset
+
+from ..conftest import slabs_unmappable
 
 ROI = (3, 3, 3, 2)
 LEVELS = 8
@@ -128,27 +131,28 @@ class TestSplitVariant:
         assert_matches(result.volumes, expected)
 
 
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="fork start method required"
+)
 class TestTransports:
-    def test_pipe_and_shm_outputs_bit_identical(self, dataset_root, expected):
-        import sys
+    """The processes runtime's slab pool and its in-band fallbacks."""
 
-        if not sys.platform.startswith("linux"):
-            pytest.skip("fork start method required")
+    def test_pipe_and_shm_outputs_bit_identical(
+        self, dataset_root, expected, pool_geometry
+    ):
         cfg = AnalysisConfig(
             texture=texture_params(),
             variant="hmp",
             texture_chunk_shape=(8, 8, 6, 4),
             num_texture_copies=2,
         )
-        results = {
-            t: run_pipeline(
-                dataset_root, cfg, runtime="processes", transport=t,
-                # The toy dataset's chunks are tiny; lower the slab
-                # threshold so they take the shared-memory path.
-                **({"shm_threshold": 1024} if t == "shm" else {}),
-            )
-            for t in ("pipe", "shm")
-        }
+        # The toy dataset's chunks are tiny: lower the slab threshold so
+        # they take the shared-memory path.
+        pool_geometry(segments=32)
+        results = {"shm": run_pipeline(dataset_root, cfg, runtime="processes")}
+        # Pipes alone are what a run has when the pool cannot be mapped.
+        with slabs_unmappable():
+            results["pipe"] = run_pipeline(dataset_root, cfg, runtime="processes")
         for result in results.values():
             assert_matches(result.volumes, expected)
         for name in FEATURES:
@@ -160,13 +164,40 @@ class TestTransports:
         # The volumetric chunks crossed via slabs, not pipes.
         shm_run = results["shm"].run
         assert sum(shm_run.shm_bytes.values()) > 0
+        assert sum(results["pipe"].run.shm_bytes.values()) == 0
         assert sum(shm_run.wire_bytes.values()) < sum(
             results["pipe"].run.wire_bytes.values()
         )
 
-    def test_transport_requires_processes_runtime(self, dataset_root):
-        with pytest.raises(ValueError, match="transport"):
-            run_pipeline(dataset_root, runtime="threads", transport="shm")
+    @pytest.mark.parametrize(
+        "segments, segment_bytes",
+        [(1, 1 << 20), (4, 2048)],
+        ids=["exhausted", "oversize"],
+    )
+    def test_split_outputs_identical_under_pool_fallbacks(
+        self, dataset_root, pool_geometry, segments, segment_bytes
+    ):
+        # One slab for the whole graph, or slabs smaller than a packet
+        # of matrices: deliveries that find no slab travel in-band, and
+        # the volumes are those of the threads runtime to the last bit.
+        cfg = AnalysisConfig(
+            texture=texture_params(),
+            variant="split",
+            texture_chunk_shape=(8, 8, 6, 4),
+            num_hcc_copies=2,
+            num_hpc_copies=1,
+        )
+        want = run_pipeline(dataset_root, cfg, runtime="threads")
+        pool_geometry(segments, segment_bytes)
+        got = run_pipeline(dataset_root, cfg, runtime="processes")
+        for name in FEATURES:
+            assert got.volumes[name].tobytes() == want.volumes[name].tobytes()
+        counters = got.metrics["counters"]
+        assert counters["shm_pool_fallbacks"] > 0
+        in_band = counters["shm_pool_fallback_bytes"]
+        assert sum(got.run.wire_bytes.values()) > in_band > 0
+        if segment_bytes == 2048:
+            assert got.run.shm_bytes["HCC:hcc2hpc"] == 0  # no packet fits
 
 
 class TestOutputModes:

@@ -7,6 +7,7 @@ import pytest
 from repro.pipeline.run import execute_pipeline
 from repro.service.pool import RuntimePool, RuntimeProfile
 
+from ..conftest import slab_mappings
 from .conftest import make_config
 
 
@@ -19,11 +20,6 @@ class TestRuntimeProfile:
         prof = RuntimeProfile(runtime="distributed", hosts=["h1", "h2"])
         assert prof.hosts == ("h1", "h2")
         assert hash(prof)  # stays usable as (part of) a pool key
-
-    def test_warm_shm_detection(self):
-        assert RuntimeProfile(runtime="processes", transport="shm").warm_shm
-        assert not RuntimeProfile(runtime="processes").warm_shm
-        assert not RuntimeProfile().warm_shm
 
 
 class TestLeasing:
@@ -120,21 +116,20 @@ class TestEvictionAndLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             pool.lease(dataset_root, config)
 
-    def test_shm_profile_owns_a_warm_pool(self, dataset_root, config):
-        import glob
-
-        prof = RuntimeProfile(
-            runtime="processes", transport="shm", max_queue=16,
-            shm_segments=4, shm_segment_bytes=1 << 20,
-        )
+    def test_processes_entry_holds_no_slabs_between_runs(
+        self, dataset_root, config
+    ):
+        prof = RuntimeProfile(runtime="processes", max_queue=16)
+        idle = slab_mappings()
+        volumes = []
         with RuntimePool() as pool:
-            with pool.lease(dataset_root, config, profile=prof) as lease:
-                assert lease.runtime.shm_pool is not None
-                execute_pipeline(lease.prepared, lease.runtime)
-            # Warm: the same ShmPool object survives between leases.
-            with pool.lease(dataset_root, config, profile=prof) as lease:
-                pool_obj = lease.runtime.shm_pool
-                execute_pipeline(lease.prepared, lease.runtime)
+            for _ in range(2):
+                with pool.lease(dataset_root, config, profile=prof) as lease:
+                    result = execute_pipeline(lease.prepared, lease.runtime)
+                    assert set(result.run.shm_bytes) == set(result.run.wire_bytes)
+                    volumes.append(result.volumes)
+                # The slab pool lives for one run, not with the entry.
+                assert slab_mappings() == idle
             assert pool.stats()["builds"] == 1
-        assert glob.glob("/dev/shm/reproshm*") == []
-        assert pool_obj is not None
+        for name, vol in volumes[0].items():
+            assert vol.tobytes() == volumes[1][name].tobytes()

@@ -138,15 +138,17 @@ class TestPayloadParsing:
             "distance": 2,
             "intensity_range": [0, 4095],
             "runtime": "processes",
-            "transport": "shm",
             "use_cache": False,
         })
         assert req.tenant == "alice"
         assert req.config.texture.levels == 16
         assert req.config.texture.distance == 2
         assert req.profile.runtime == "processes"
-        assert req.profile.transport == "shm"
         assert not req.use_cache
+
+    def test_transport_is_no_longer_a_request_field(self, dataset_root):
+        with pytest.raises(ValueError, match=r"unknown request fields: \['transport'\]"):
+            request_from_payload({"dataset": dataset_root, "transport": "shm"})
 
     def test_dataset_required(self):
         with pytest.raises(ValueError, match="dataset"):
