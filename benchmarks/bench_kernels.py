@@ -6,7 +6,7 @@ scan, feature kernels, quantization) on this machine, and feed the
 
 ``test_kernel_backend_comparison``, ``test_feature_kernel_rows`` and the
 peak-memory tests need only numpy and stdlib, so they double as the CI
-kernel-benchmark smoke job::
+kernel-benchmark smoke (a step of the `bench-gate` job)::
 
     pytest benchmarks/bench_kernels.py \
         -k "backend_comparison or feature_kernel or peak_memory"

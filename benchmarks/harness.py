@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Sequence
+import statistics
+import time
+from typing import Callable, Dict, List, Sequence
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,24 +44,49 @@ def record_repo_json(filename: str, payload: Dict) -> str:
     return path
 
 
-def metrics_summary(metrics: Dict) -> Dict[str, float]:
-    """Compact one-level summary of a run's obs metrics snapshot.
+def measure(
+    sides: Dict[str, Callable[[], object]], pairs: int
+) -> Dict[str, object]:
+    """Time two alternatives as alternating pairs, the pipeline ledger's way.
 
-    Flattens the pieces worth keeping next to a benchmark number —
-    per-filter busy totals, buffers per stream, fault counters — into a
-    flat ``{key: number}`` dict that fits in ``benchmark.extra_info``.
+    ``sides`` maps two names to zero-argument callables.  Each pair runs
+    both once, back to back, and the side that goes first alternates
+    from pair to pair (this box drifts by tens of percent over minutes,
+    so only neighbours compare).  Returns, per side, the median and the
+    quartiles of its wall seconds with every sample, how many pairs each
+    side won (a tie counts for neither) and the ledger's machine
+    fingerprint.  A difference means something only when one side wins
+    nearly every pair *and* the medians differ by more than the other
+    side's quartile distance.
     """
-    out: Dict[str, float] = {}
-    for key, value in (metrics.get("counters") or {}).items():
-        if key.startswith(("buffers_sent", "retries", "reroutes",
-                           "failed_copies", "wire_frames")):
-            out[key] = value
-    for key, h in (metrics.get("histograms") or {}).items():
-        if key.startswith("busy_seconds"):
-            out[key + ".sum"] = h["sum"]
-    gauges = metrics.get("gauges") or {}
-    if "elapsed_seconds" in gauges:
-        out["elapsed_seconds"] = gauges["elapsed_seconds"]["value"]
+    from ledger.run import fingerprint  # benchmarks/ is on the path
+
+    (name_a, run_a), (name_b, run_b) = sides.items()
+    samples: Dict[str, List[float]] = {name_a: [], name_b: []}
+    for pair in range(pairs):
+        order = [(name_a, run_a), (name_b, run_b)]
+        for name, run in order if pair % 2 == 0 else reversed(order):
+            t0 = time.perf_counter()
+            run()
+            samples[name].append(time.perf_counter() - t0)
+    out: Dict[str, object] = {"pairs": pairs}
+    for name, walls in samples.items():
+        q1, median, q3 = statistics.quantiles(walls, n=4, method="inclusive")
+        out[name] = {
+            "median_s": round(median, 4),
+            "q1_s": round(q1, 4),
+            "q3_s": round(q3, 4),
+            "samples_s": [round(w, 4) for w in walls],
+        }
+    out["pairs_won"] = {
+        name_a: sum(a < b for a, b in zip(samples[name_a], samples[name_b])),
+        name_b: sum(b < a for a, b in zip(samples[name_a], samples[name_b])),
+    }
+    fp = fingerprint()
+    # The ledger pins BLAS to one thread before it imports numpy; a
+    # bench run under pytest cannot, so record what was actually set.
+    fp["blas_threads"] = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    out["fingerprint"] = fp
     return out
 
 

@@ -87,12 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "before it is declared dead (default: the "
                         "REPRO_DIST_HEARTBEAT_TIMEOUT environment "
                         "variable, else 5)")
-    p.add_argument("--staging", metavar="SPEC",
-                   help="region-staging policy: comma-separated key=value "
-                        "pairs, e.g. ram=64M,shm=32M,disk=1G,dir=/tmp/x,"
-                        "evict=lru,promote=on.  Assembled chunks stage "
-                        "through the RAM>shm>disk hierarchy and overlap "
-                        "regions are served from it (see docs/data-layer.md)")
     p.add_argument("--trace", choices=("chrome", "jsonl", "live"),
                    help="collect per-chunk trace events: chrome "
                         "(Perfetto/chrome://tracing JSON), jsonl (flat "
@@ -138,10 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-spill-dir", metavar="DIR",
                    help="spill directory (default $TMPDIR/repro-regions); "
                         "setting only this enables unbounded spill")
-    p.add_argument("--staging", metavar="SPEC",
-                   help="default region-staging policy applied to jobs "
-                        "(same SPEC syntax as `repro analyze --staging`); "
-                        "warm pool entries then cache chunks across jobs")
     p.add_argument("--pool-entries", type=int, default=4,
                    help="warm runtime entries kept across jobs")
     p.add_argument("--no-batching", action="store_true",
@@ -233,14 +223,6 @@ def _cmd_analyze(args) -> int:
     if args.images_out:
         kwargs["output"] = "images"
         kwargs["output_dir"] = args.images_out
-    if args.staging:
-        from .regions import parse_staging
-
-        try:
-            kwargs["staging"] = parse_staging(args.staging)
-        except ValueError as exc:
-            print(f"bad --staging spec: {exc}", file=sys.stderr)
-            return 2
     config = AnalysisConfig(**kwargs)
     if (args.hosts or args.agents) and args.runtime != "distributed":
         print("--hosts/--agents require --runtime distributed", file=sys.stderr)
@@ -356,15 +338,6 @@ def _cmd_serve(args) -> int:
                   file=sys.stderr)
             return 2
         weights[tenant] = float(w)
-    staging = None
-    if args.staging:
-        from .regions import parse_staging
-
-        try:
-            staging = parse_staging(args.staging)
-        except ValueError as exc:
-            print(f"bad --staging spec: {exc}", file=sys.stderr)
-            return 2
     config = ServiceConfig(
         workers=args.workers,
         max_queued=args.max_queued,
@@ -375,7 +348,6 @@ def _cmd_serve(args) -> int:
             args.cache_spill_mb << 20 if args.cache_spill_mb is not None else None
         ),
         cache_spill_dir=args.cache_spill_dir,
-        staging=staging,
         pool_entries=args.pool_entries,
     )
     stop = threading.Event()

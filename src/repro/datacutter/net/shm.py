@@ -70,7 +70,8 @@ class ShmPool:
     Created by the parent *before* it forks filter-copy processes; all
     bookkeeping (free stack, refcounts, counters) lives in inherited
     shared state, so producers allocate and consumers release without
-    any extra IPC.
+    any extra IPC.  Its one caller is the processes runtime
+    (``runtime_mp``), which maps a pool per run.
 
     Parameters
     ----------

@@ -10,13 +10,9 @@ copy (paper Section 5.2), so producers address copies by
 ``iic_copy_for_chunk``.  Each copy therefore only tracks the chunks
 assigned to it.
 
-When a :class:`~repro.regions.RegionStore` is attached, every assembled
-chunk is staged into the region hierarchy and every new assembly starts
-by *resolving* the chunk's extent against it: planes fully covered by
-previously staged regions (the ghost/overlap planes shared with
-IIC-to-TEXTURE neighbours, and — across warm-pool runs — whole chunks)
-are prefilled instead of waiting for RFR traffic, whose re-deliveries
-for those planes are then dropped by the dedup path.
+The filter holds no cache of assembled chunks: RFR reads every slice
+whole and once (paper Section 5.1), so there is no read a staged copy
+could spare here (docs/data-layer.md has the measurement).
 """
 
 from __future__ import annotations
@@ -42,13 +38,9 @@ class InputImageConstructor(Filter):
         self,
         chunks: Sequence[ChunkSpec],
         out_stream: str = "iic2tex",
-        region_store=None,
     ):
         self.all_chunks = list(chunks)
         self.out_stream = out_stream
-        #: Optional :class:`repro.regions.RegionStore` for staging
-        #: assembled chunks and serving overlap regions (see module doc).
-        self._region_store = region_store
         self._assemblers: Dict[int, ChunkAssembler] = {}
         self._pending_planes: Dict[int, Dict[Tuple[int, int], "object"]] = {}
         self._my_chunks: Dict[int, ChunkSpec] = {}
@@ -67,55 +59,11 @@ class InputImageConstructor(Filter):
             if iic_copy_for_chunk(li, ctx.num_copies) == ctx.copy_index:
                 self._my_chunks[li] = chunk
 
-    def _assembler(self, li: int, ctx: FilterContext) -> ChunkAssembler:
+    def _assembler(self, li: int) -> ChunkAssembler:
         if li not in self._assemblers:
-            asm = self._assemblers[li] = ChunkAssembler(self._my_chunks[li])
+            self._assemblers[li] = ChunkAssembler(self._my_chunks[li])
             self._t_first[li] = time.perf_counter()
-            self._prefill(li, asm, ctx)
         return self._assemblers[li]
-
-    def _prefill(self, li: int, asm: ChunkAssembler, ctx: FilterContext) -> None:
-        """Serve fully-covered planes of a new assembly from the store.
-
-        Resolves the chunk's extent against the region hierarchy; every
-        ``(t, z)`` plane whose in-plane region is completely covered by
-        staged neighbours is added to the assembler up front and marked
-        seen, so the RFR deliveries for it are dropped as duplicates.
-        """
-        store = self._region_store
-        if store is None:
-            return
-        from ..regions import CHUNK_TEMPLATE, chunk_extent
-
-        if store.template(CHUNK_TEMPLATE) is None:
-            return  # nothing staged yet under the chunk template
-        import numpy as np
-
-        chunk = self._my_chunks[li]
-        extent = chunk_extent(chunk)
-        hits = store.resolve(CHUNK_TEMPLATE, extent)
-        if not hits:
-            return
-        buf = np.zeros(extent.shape, dtype=hits[0].data.dtype)
-        covered = np.zeros(extent.shape, dtype=bool)
-        for hit in hits:
-            sel = hit.overlap.slices_in(extent)
-            buf[sel] = hit.overlap_data
-            covered[sel] = True
-            if ctx.tracing:
-                ctx.event(
-                    "region.hit",
-                    chunk=chunk.index,
-                    tier=hit.tier,
-                    bytes=int(hit.overlap.num_voxels * buf.itemsize),
-                )
-        seen = self._seen_planes.setdefault(li, set())
-        for tt in range(extent.shape[3]):
-            for zz in range(extent.shape[2]):
-                if covered[:, :, zz, tt].all():
-                    t_g, z_g = chunk.lo[3] + tt, chunk.lo[2] + zz
-                    asm.add_plane(t_g, z_g, buf[:, :, zz, tt])
-                    seen.add((t_g, z_g))
 
     def process(self, stream: str, buffer: DataBuffer, ctx: FilterContext) -> None:
         portion = buffer.payload
@@ -129,6 +77,8 @@ class InputImageConstructor(Filter):
                 continue
             if li in self._emitted_chunks:
                 continue  # duplicate delivery for an already-emitted chunk
+            if (portion.t, portion.z) in self._seen_planes.get(li, ()):
+                continue  # this plane already reached the assembler
             # Require the portion to cover the chunk's in-plane region
             # fully (whole-slice reads always do; in-plane blocks that
             # only partially cover are accumulated per plane).
@@ -138,15 +88,7 @@ class InputImageConstructor(Filter):
                 continue
             if portion.y0 >= cy1 or portion.y1 <= cy0:
                 continue
-            # Creating the assembler may prefill planes (or the whole
-            # chunk) from the region store, so emit-readiness must be
-            # checked before and after merging this portion.
-            asm = self._assembler(li, ctx)
-            if asm.is_complete:
-                self._emit(li, ctx)
-                continue
-            if (portion.t, portion.z) in self._seen_planes.get(li, ()):
-                continue  # this plane already reached the assembler
+            asm = self._assembler(li)
             if portion.x0 <= cx0 and portion.x1 >= cx1 and portion.y0 <= cy0 and portion.y1 >= cy1:
                 plane = portion.data[
                     cx0 - portion.x0 : cx1 - portion.x0,
@@ -190,29 +132,9 @@ class InputImageConstructor(Filter):
             self._seen_planes.setdefault(li, set()).add(key)
             del store[key]
 
-    def _stage(self, chunk: ChunkSpec, data, ctx: FilterContext) -> None:
-        """Stage one assembled chunk so neighbours/reruns can resolve it."""
-        from ..regions import CHUNK_TEMPLATE, chunk_extent, ensure_chunk_template
-
-        store = self._region_store
-        ensure_chunk_template(store, data.dtype)
-        report = store.stage(CHUNK_TEMPLATE, chunk_extent(chunk), data, copy=True)
-        if ctx.tracing:
-            ctx.event(
-                "region.stage",
-                chunk=chunk.index,
-                tier=report.tier or "dropped",
-                bytes=report.nbytes,
-                tier_bytes=report.tier_bytes,
-            )
-            for ev in report.evictions:
-                ctx.event("region.evict", chunk=chunk.index, src=ev.src, dst=ev.dst)
-
     def _emit(self, li: int, ctx: FilterContext) -> None:
         chunk = self._my_chunks[li]
         data = self._assemblers.pop(li).result()
-        if self._region_store is not None:
-            self._stage(chunk, data, ctx)
         tc = TextureChunk(chunk=chunk, data=data)
         if ctx.tracing:
             t0 = self._t_first.pop(li, None)

@@ -43,19 +43,8 @@ def plan_chunks(
     return partition(dataset_shape, roi, chunk_shape)
 
 
-def build_graph(
-    dataset: DiskDataset4D,
-    config: AnalysisConfig,
-    region_store=None,
-) -> FilterGraph:
-    """Build the filter network for one run over an opened dataset.
-
-    ``region_store`` (a :class:`repro.regions.RegionStore`) is captured
-    by the IIC filter factory: every run built from this graph stages
-    its assembled chunks there and resolves ghost/overlap regions from
-    it.  Passing a store shared across runs (as the service's warm
-    pools do) makes re-assembly of unchanged chunks a pure region hit.
-    """
+def build_graph(dataset: DiskDataset4D, config: AnalysisConfig) -> FilterGraph:
+    """Build the filter network for one run over an opened dataset."""
     chunks = plan_chunks(dataset.shape, config)
     params = config.texture
     graph = FilterGraph()
@@ -74,7 +63,7 @@ def build_graph(
     )
     graph.add_filter(
         "IIC",
-        lambda: InputImageConstructor(chunks=chunks, region_store=region_store),
+        lambda: InputImageConstructor(chunks=chunks),
         copies=n_iic,
     )
     graph.connect("RFR", "rfr2iic", "IIC", policy="explicit")

@@ -13,7 +13,6 @@ from typing import Optional, Tuple
 
 from ..datacutter.faults import RetryPolicy
 from ..filters.messages import TextureParams
-from ..regions.hierarchy import StagingPolicy
 
 __all__ = ["AnalysisConfig", "clip_chunk_shape"]
 
@@ -66,13 +65,6 @@ class AnalysisConfig:
         Fault-tolerance policy for failed ``process()`` calls
         (:class:`~repro.datacutter.faults.RetryPolicy`); ``None`` uses
         the runtime default (3 attempts with backoff, reroute enabled).
-    staging:
-        Region-staging policy (:class:`~repro.regions.StagingPolicy`).
-        When set, assembled IIC-to-TEXTURE chunks are staged through a
-        :class:`~repro.regions.RegionStore` whose hierarchy this policy
-        configures, and overlapping ghost regions are resolved from it
-        instead of recomputed.  ``None`` (default) disables the region
-        data layer entirely.
     """
 
     texture: TextureParams = field(default_factory=TextureParams)
@@ -88,7 +80,6 @@ class AnalysisConfig:
     output: str = "volumes"
     output_dir: Optional[str] = None
     retry: Optional[RetryPolicy] = None
-    staging: Optional[StagingPolicy] = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:

@@ -40,7 +40,6 @@ from ..datacutter.obs import Trace, format_summary, resolve_trace_mode
 from ..datacutter.runtime_local import LocalRuntime, RunResult
 from ..datacutter.runtime_mp import MPRuntime
 from ..filters.uso import combine_uso_outputs
-from ..regions import RegionStore
 from ..storage.dataset import DiskDataset4D
 from .builder import build_graph
 from .config import AnalysisConfig
@@ -86,45 +85,29 @@ class PreparedPipeline:
 
     Immutable across executions — the same prepared pipeline can back
     any number of runs (the graph's filter factories construct fresh
-    filter instances per run).  The one piece of mutable state is the
-    optional ``region_store``: filter factories capture it, so chunks
-    staged by one execution are resolvable by the next — that is what
-    makes warm-pool reruns region hits.  Call :meth:`close` (or close
-    the store) when the pipeline is retired.
+    filter instances per run).
     """
 
     dataset: DiskDataset4D
     graph: FilterGraph
     config: AnalysisConfig
-    region_store: Optional["RegionStore"] = None
 
     def close(self) -> None:
-        if self.region_store is not None:
-            self.region_store.close()
+        """Retire the pipeline.  There is nothing to release; the method
+        stays because the service pool and the ledger's phase spans call it."""
 
 
 def prepare_pipeline(
-    dataset_root: str,
-    config: Optional[AnalysisConfig] = None,
-    region_store: Optional["RegionStore"] = None,
+    dataset_root: str, config: Optional[AnalysisConfig] = None
 ) -> PreparedPipeline:
-    """Build phase: open the dataset and wire the validated filter graph.
-
-    When ``config.staging`` is set and no explicit ``region_store`` is
-    given, a store is created from that policy and owned by the returned
-    pipeline (closed by :meth:`PreparedPipeline.close`).
-    """
+    """Build phase: open the dataset and wire the validated filter graph."""
     config = config or AnalysisConfig()
     # Build/load the compiled scan pass here, in the driver, so that
     # every forked filter copy and loopback agent inherits the mapping.
     resolve_scan_kernel(config.texture.kernel)
     dataset = DiskDataset4D.open(dataset_root)
-    if region_store is None and config.staging is not None:
-        region_store = RegionStore.from_policy(config.staging)
-    graph = build_graph(dataset, config, region_store=region_store)
-    return PreparedPipeline(
-        dataset=dataset, graph=graph, config=config, region_store=region_store
-    )
+    graph = build_graph(dataset, config)
+    return PreparedPipeline(dataset=dataset, graph=graph, config=config)
 
 
 def _validate_backend_kwargs(
@@ -376,13 +359,8 @@ def run_pipeline(
         heartbeat_timeout=heartbeat_timeout,
         poll_interval=poll_interval,
     )
-    try:
-        with rt:
-            return execute_pipeline(
-                prepared, rt, run_timeout=run_timeout, trace=trace,
-                trace_out=trace_out,
-            )
-    finally:
-        # One-shot runs own their region store (if config.staging asked
-        # for one); long-lived callers manage PreparedPipeline.close().
-        prepared.close()
+    with rt:
+        return execute_pipeline(
+            prepared, rt, run_timeout=run_timeout, trace=trace,
+            trace_out=trace_out,
+        )

@@ -64,11 +64,13 @@ def iter_chunk_features(
     already-staged neighbour chunks are served from the store's tier
     hierarchy and only the uncovered remainder touches disk — in
     raster order every chunk after the first resolves its overlap, so
-    disk bytes drop below a plain chunk-by-chunk sweep.
+    disk bytes drop below a plain chunk-by-chunk sweep.  No other driver
+    takes a store: no other driver re-reads the overlap
+    (docs/data-layer.md).
     """
     params = config.texture
 
-    def emit(kind: str, chunk: ChunkSpec, dur: float, **attrs) -> None:
+    def emit(kind: str, chunk: ChunkSpec, dur: float = 0.0, **attrs) -> None:
         if tracer is not None:
             tracer.emit(
                 kind, filter=SEQ_FILTER, copy=0, dur=dur,
@@ -79,18 +81,12 @@ def iter_chunk_features(
         t0 = time.perf_counter()
         if region_store is not None:
             data, staged = read_chunk_staged(dataset, chunk, region_store)
-            if tracer is not None:
-                for tier, nbytes in staged.hit_bytes_by_tier.items():
-                    tracer.emit(
-                        "region.hit", filter=SEQ_FILTER, copy=0,
-                        chunk=chunk.index, tier=tier, bytes=int(nbytes),
-                    )
-                tracer.emit(
-                    "region.stage", filter=SEQ_FILTER, copy=0,
-                    chunk=chunk.index, tier=staged.staged_tier or "dropped",
-                    bytes=int(data.nbytes),
-                    tier_bytes=region_store.occupancy(),
-                )
+            for tier, nbytes in staged.hit_bytes_by_tier.items():
+                emit("region.hit", chunk, tier=tier, bytes=int(nbytes))
+            emit("region.stage", chunk, tier=staged.staged_tier or "dropped",
+                 bytes=int(data.nbytes), tier_bytes=region_store.occupancy())
+            for ev in staged.evictions:
+                emit("region.evict", chunk, src=ev.src, dst=ev.dst)
         else:
             data = _read_chunk(dataset, chunk)
         emit("chunk.read", chunk, time.perf_counter() - t0,
@@ -132,28 +128,11 @@ def transform_disk_dataset(
 ) -> Dict[str, np.ndarray]:
     """Full sequential out-of-core run; returns stitched feature volumes.
 
-    ``config.staging`` (or an explicit ``region_store``) routes chunk
-    reads through the region data layer; a store created here from the
-    config is closed before returning.
+    A ``region_store`` routes chunk reads through the region data layer
+    (see :func:`iter_chunk_features`); the caller owns and closes it.
     """
     config = config or AnalysisConfig()
     dataset = DiskDataset4D.open(dataset_root)
-    owned_store = None
-    if region_store is None and config.staging is not None:
-        region_store = owned_store = RegionStore.from_policy(config.staging)
-    try:
-        return _transform(dataset, config, tracer, region_store)
-    finally:
-        if owned_store is not None:
-            owned_store.close()
-
-
-def _transform(
-    dataset: DiskDataset4D,
-    config: AnalysisConfig,
-    tracer: Optional[Tracer],
-    region_store: Optional[RegionStore],
-) -> Dict[str, np.ndarray]:
     stitcher = OutputStitcher(
         dataset.shape, config.texture.roi, config.texture.features
     )

@@ -2,10 +2,10 @@
 
 The package follows the Region Templates design (Teodoro et al., same
 Saltz/Kurc lineage as the source paper): callers address data by
-*(template name, extent)* instead of by buffer, and an explicit storage
-hierarchy — RAM → shared-memory slabs → disk spill → remote stub —
-decides where the bytes live under pluggable staging/eviction policies.
-See ``docs/data-layer.md`` for the guided tour.
+*(template name, extent)* instead of by buffer, and a two-level storage
+hierarchy — RAM over a disk spill, LRU, promote on hit — decides where
+the bytes live.  See ``docs/data-layer.md`` for what it saves and where
+it cannot.
 """
 
 from .hierarchy import (
@@ -14,31 +14,11 @@ from .hierarchy import (
     StageReport,
     StagingPolicy,
     StorageHierarchy,
-    format_staging,
-    parse_staging,
 )
-from .staging import (
-    CHUNK_TEMPLATE,
-    StagedRead,
-    chunk_extent,
-    ensure_chunk_template,
-    read_chunk_staged,
-)
+from .staging import CHUNK_TEMPLATE, StagedRead, chunk_extent, read_chunk_staged
 from .store import RegionStore, ResolveHit, StoreStats
 from .template import RegionExtent, RegionTemplate, region_key
-from .tiers import (
-    TIER_DISK,
-    TIER_RAM,
-    TIER_REMOTE,
-    TIER_SHM,
-    DiskTier,
-    InMemoryRemoteClient,
-    RamTier,
-    RemoteStorageClient,
-    RemoteTier,
-    ShmTier,
-    StorageTier,
-)
+from .tiers import TIER_DISK, TIER_RAM, DiskTier, RamTier, StorageTier
 
 __all__ = [
     "RegionExtent",
@@ -46,18 +26,10 @@ __all__ = [
     "region_key",
     "StorageTier",
     "RamTier",
-    "ShmTier",
     "DiskTier",
-    "RemoteTier",
-    "RemoteStorageClient",
-    "InMemoryRemoteClient",
     "TIER_RAM",
-    "TIER_SHM",
     "TIER_DISK",
-    "TIER_REMOTE",
     "StagingPolicy",
-    "parse_staging",
-    "format_staging",
     "StorageHierarchy",
     "StageReport",
     "Eviction",
@@ -67,7 +39,6 @@ __all__ = [
     "StoreStats",
     "StagedRead",
     "chunk_extent",
-    "ensure_chunk_template",
     "read_chunk_staged",
     "CHUNK_TEMPLATE",
 ]

@@ -1,28 +1,26 @@
-"""The multi-level storage hierarchy and its staging/eviction policy.
+"""The two-level storage hierarchy: RAM over a disk spill.
 
-A :class:`StorageHierarchy` stacks tiers fastest-first (RAM → shm →
-disk → remote) and moves payloads between them under an explicit
-policy:
+A :class:`StorageHierarchy` stacks tiers fastest-first and moves
+payloads between them by one fixed rule set:
 
-* **stage** — a region is placed in the highest tier that takes it; a
-  full tier makes room by evicting its least-recently-used region and
-  *demoting* it one level down (spill), cascading until a tier has room
-  or the last tier drops the victim.
-* **fetch** — tiers are probed top-down; a hit below the top can be
-  *promoted* back up (``promote_on_hit``), paying one copy now to make
-  the next fetch a RAM hit.
+* **stage** — a region is placed in the highest tier whose budget can
+  hold it; a full tier makes room by evicting its least-recently-used
+  region and *demoting* it one level down (spill), cascading until a
+  tier has room or the last tier drops the victim.
+* **fetch** — tiers are probed top-down; a hit below the top is
+  *promoted* to the highest tier that can hold it, paying one copy now
+  to make the next fetch a RAM hit.  A hit no higher tier can ever hold
+  is served in place (no rewrite of its spill file).
 * **evict** — explicit removal, used when a caller knows a region is
   dead.
 
-The policy is a small frozen dataclass (:class:`StagingPolicy`) so it
-can ride inside :class:`repro.pipeline.AnalysisConfig` and hash into
-the service's pool keys; :func:`parse_staging` turns the CLI's
-``--staging ram=64M,disk=1G`` spec into one.
+Every stage and every fetch reports what it displaced, so callers that
+keep their own index over the keys (:class:`~repro.regions.RegionStore`,
+:class:`repro.service.ResultCache`) can count and prune from the report.
 """
 
 from __future__ import annotations
 
-import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -30,19 +28,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .tiers import (
-    DiskTier,
-    RamTier,
-    RemoteStorageClient,
-    RemoteTier,
-    ShmTier,
-    StorageTier,
-)
+from .tiers import DiskTier, RamTier, StorageTier
 
 __all__ = [
     "StagingPolicy",
-    "parse_staging",
-    "format_staging",
     "StorageHierarchy",
     "StageReport",
     "Eviction",
@@ -52,104 +41,31 @@ __all__ = [
 #: Destination label of an eviction that fell off the last tier.
 DROPPED = "dropped"
 
-_UNITS = {"": 1, "k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
-
-
-def _parse_bytes(text: str) -> int:
-    m = re.fullmatch(r"(\d+(?:\.\d+)?)\s*([kKmMgGtT]?)[bB]?", text.strip())
-    if not m:
-        raise ValueError(f"cannot parse byte size {text!r}")
-    return int(float(m.group(1)) * _UNITS[m.group(2).lower()])
-
 
 @dataclass(frozen=True)
 class StagingPolicy:
-    """Tier budgets and movement rules of one hierarchy.
+    """Tier budgets of one hierarchy.
 
     ``ram_bytes`` is the top-tier budget (the out-of-core knob: cap it
     below the dataset size and staging spills instead of growing).
-    ``shm_bytes``/``disk_bytes`` of 0 disable that tier; ``disk_bytes``
-    ``None`` means unbounded spill.  ``spill_dir`` overrides the disk
-    tier's root directory.  ``promote_on_hit`` copies lower-tier hits
-    back into RAM; ``eviction`` picks the victim order (``lru`` or
-    ``fifo``).
+    ``disk_bytes`` of 0 disables the spill tier, ``None`` leaves it
+    unbounded.  ``spill_dir`` overrides the disk tier's root directory.
     """
 
     ram_bytes: int = 256 << 20
-    shm_bytes: int = 0
     disk_bytes: Optional[int] = None
     spill_dir: Optional[str] = None
-    shm_segment_bytes: int = 32 << 20
-    promote_on_hit: bool = True
-    eviction: str = "lru"
 
     def __post_init__(self) -> None:
-        if self.ram_bytes < 0 or self.shm_bytes < 0:
-            raise ValueError("tier budgets must be >= 0")
+        if self.ram_bytes < 0:
+            raise ValueError("ram_bytes must be >= 0")
         if self.disk_bytes is not None and self.disk_bytes < 0:
             raise ValueError("disk_bytes must be >= 0 or None")
-        if self.eviction not in ("lru", "fifo"):
-            raise ValueError(f"unknown eviction policy {self.eviction!r}")
-
-
-def parse_staging(spec: str) -> StagingPolicy:
-    """Parse a CLI staging spec: ``ram=64M,shm=off,disk=1G,dir=/x,...``.
-
-    Keys: ``ram``/``shm``/``disk`` (byte sizes; ``off``/``0`` disables,
-    ``disk=unbounded`` removes the disk cap), ``dir`` (spill directory),
-    ``evict`` (``lru``/``fifo``), ``promote`` (``on``/``off``).
-    """
-    kwargs: Dict[str, Any] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"bad --staging entry {part!r} (want key=value)")
-        key, value = key.strip().lower(), value.strip()
-        if key == "ram":
-            kwargs["ram_bytes"] = _parse_bytes(value)
-        elif key == "shm":
-            kwargs["shm_bytes"] = 0 if value.lower() == "off" else _parse_bytes(value)
-        elif key == "disk":
-            if value.lower() in ("off",):
-                kwargs["disk_bytes"] = 0
-            elif value.lower() in ("unbounded", "auto"):
-                kwargs["disk_bytes"] = None
-            else:
-                kwargs["disk_bytes"] = _parse_bytes(value)
-        elif key == "dir":
-            kwargs["spill_dir"] = value
-        elif key == "evict":
-            kwargs["eviction"] = value.lower()
-        elif key == "promote":
-            kwargs["promote_on_hit"] = value.lower() not in ("off", "false", "0")
-        else:
-            raise ValueError(f"unknown --staging key {key!r}")
-    return StagingPolicy(**kwargs)
-
-
-def format_staging(policy: StagingPolicy) -> str:
-    """Inverse of :func:`parse_staging` (canonical, not round-trip exact)."""
-    parts = [f"ram={policy.ram_bytes}"]
-    parts.append(f"shm={policy.shm_bytes if policy.shm_bytes else 'off'}")
-    if policy.disk_bytes is None:
-        parts.append("disk=unbounded")
-    else:
-        parts.append(f"disk={policy.disk_bytes if policy.disk_bytes else 'off'}")
-    if policy.spill_dir:
-        parts.append(f"dir={policy.spill_dir}")
-    if policy.eviction != "lru":
-        parts.append(f"evict={policy.eviction}")
-    if not policy.promote_on_hit:
-        parts.append("promote=off")
-    return ",".join(parts)
 
 
 @dataclass(frozen=True)
 class Eviction:
-    """One region displaced during a stage: demoted or dropped."""
+    """One region displaced by a stage or a promotion: demoted or dropped."""
 
     key: str
     src: str
@@ -177,83 +93,55 @@ class StorageHierarchy:
     pass explicit tiers for tests.
     """
 
-    def __init__(
-        self,
-        tiers: List[StorageTier],
-        promote_on_hit: bool = True,
-        eviction: str = "lru",
-    ):
+    def __init__(self, tiers: List[StorageTier]):
         if not tiers:
             raise ValueError("hierarchy needs at least one tier")
         names = [t.name for t in tiers]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tier names: {names}")
         self.tiers = list(tiers)
-        self.promote_on_hit = promote_on_hit
-        if eviction not in ("lru", "fifo"):
-            raise ValueError(f"unknown eviction policy {eviction!r}")
-        self.eviction = eviction
         self._lock = threading.RLock()
         # Per-tier placement index in recency order (oldest first);
-        # key -> nbytes.  FIFO simply never refreshes recency.
+        # key -> nbytes.
         self._index: List["OrderedDict[str, int]"] = [OrderedDict() for _ in tiers]
         self._closed = False
 
     @classmethod
-    def from_policy(
-        cls,
-        policy: StagingPolicy,
-        remote: Optional[RemoteStorageClient] = None,
-    ) -> "StorageHierarchy":
+    def from_policy(cls, policy: StagingPolicy) -> "StorageHierarchy":
         tiers: List[StorageTier] = [RamTier(policy.ram_bytes)]
-        if policy.shm_bytes:
-            tiers.append(
-                ShmTier(
-                    policy.shm_bytes,
-                    segment_bytes=min(policy.shm_segment_bytes, policy.shm_bytes),
-                )
-            )
         if policy.disk_bytes is None or policy.disk_bytes:
             tiers.append(DiskTier(policy.disk_bytes, root=policy.spill_dir))
-        if remote is not None:
-            tiers.append(RemoteTier(remote))
-        return cls(
-            tiers,
-            promote_on_hit=policy.promote_on_hit,
-            eviction=policy.eviction,
-        )
+        return cls(tiers)
 
     # -- placement ---------------------------------------------------------
 
-    def _victim(self, level: int) -> Optional[str]:
-        index = self._index[level]
-        return next(iter(index)) if index else None
+    def _holds(self, level: int, nbytes: int) -> bool:
+        """Whether ``level``'s whole budget could hold ``nbytes``."""
+        cap = self.tiers[level].capacity_bytes
+        return cap is None or nbytes <= cap
 
     def _place(
         self, key: str, arr: np.ndarray, level: int, evictions: List[Eviction]
     ) -> Optional[str]:
         """Place into ``level`` or below, evicting/demoting as needed."""
-        if level >= len(self.tiers):
-            return None
-        tier = self.tiers[level]
-        while not tier.put(key, arr):
-            victim = self._victim(level)
-            if victim is None:
-                # Empty and still refusing: the payload exceeds the
-                # tier's whole budget — try one level down directly.
-                return self._place(key, arr, level + 1, evictions)
-            self._demote(victim, level, evictions)
-        self._index[level][key] = arr.nbytes
-        return tier.name
+        for lvl in range(level, len(self.tiers)):
+            # A payload beyond the tier's whole budget goes straight
+            # down; emptying the tier for it would evict for nothing.
+            if not self._holds(lvl, arr.nbytes):
+                continue
+            tier, index = self.tiers[lvl], self._index[lvl]
+            while not tier.put(key, arr):
+                self._demote(next(iter(index)), lvl, evictions)
+            index[key] = arr.nbytes
+            return tier.name
+        return None
 
     def _demote(self, key: str, level: int, evictions: List[Eviction]) -> None:
         tier = self.tiers[level]
         nbytes = self._index[level].pop(key)
         data = tier.get(key)
         tier.remove(key)
-        dst = None
-        if data is not None:
-            dst = self._place(key, data, level + 1, evictions)
+        dst = self._place(key, data, level + 1, evictions)
         evictions.append(
             Eviction(key=key, src=tier.name, dst=dst or DROPPED, nbytes=nbytes)
         )
@@ -262,6 +150,8 @@ class StorageHierarchy:
         """Stage one region into the highest tier that takes it."""
         arr = np.ascontiguousarray(arr)
         with self._lock:
+            if self._closed:  # e.g. a worker outliving its service
+                return StageReport(key, None, arr.nbytes, [], {})
             self.remove(key)
             evictions: List[Eviction] = []
             tier = self._place(key, arr, 0, evictions)
@@ -273,25 +163,28 @@ class StorageHierarchy:
                 tier_bytes=self.occupancy(),
             )
 
-    def get(self, key: str) -> Tuple[Optional[np.ndarray], Optional[str]]:
-        """Fetch one region: ``(array, tier name)`` or ``(None, None)``."""
+    def get(
+        self, key: str
+    ) -> Tuple[Optional[np.ndarray], Optional[str], List[Eviction]]:
+        """Fetch one region: ``(array, serving tier, displaced)``.
+
+        ``displaced`` lists what promoting the hit pushed down or off
+        the hierarchy; a miss is ``(None, None, [])``.
+        """
         with self._lock:
             for level, tier in enumerate(self.tiers):
-                if key not in self._index[level]:
+                index = self._index[level]
+                if key not in index:
                     continue
                 data = tier.get(key)
-                if data is None:  # pragma: no cover - index out of sync
-                    del self._index[level][key]
-                    continue
-                if self.eviction == "lru":
-                    self._index[level].move_to_end(key)
-                if level > 0 and self.promote_on_hit:
-                    del self._index[level][key]
+                index.move_to_end(key)
+                evictions: List[Eviction] = []
+                if any(self._holds(up, data.nbytes) for up in range(level)):
+                    del index[key]
                     tier.remove(key)
-                    promoted = self._place(key, data, 0, [])
-                    return data, promoted or tier.name
-                return data, tier.name
-            return None, None
+                    self._place(key, data, 0, evictions)
+                return data, tier.name, evictions
+            return None, None, []
 
     def remove(self, key: str) -> bool:
         with self._lock:
@@ -301,6 +194,14 @@ class StorageHierarchy:
                     tier.remove(key)
                     return True
             return False
+
+    def clear(self) -> None:
+        """Drop every region from every tier."""
+        with self._lock:
+            for tier, index in zip(self.tiers, self._index):
+                for key in index:
+                    tier.remove(key)
+                index.clear()
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -331,8 +232,6 @@ class StorageHierarchy:
                     }
                     for t, idx in zip(self.tiers, self._index)
                 ],
-                "promote_on_hit": self.promote_on_hit,
-                "eviction": self.eviction,
             }
 
     def close(self) -> None:

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .hierarchy import Eviction
 from .store import RegionStore
 from .template import RegionExtent, RegionTemplate
 
@@ -44,17 +45,13 @@ class StagedRead:
     planes_read: int = 0
     planes_skipped: int = 0
     staged_tier: Optional[str] = None
+    #: Regions the resolve's promotions and the final stage displaced.
+    evictions: List[Eviction] = field(default_factory=list)
 
     @property
     def hit_fraction(self) -> float:
         """Fraction of the chunk's voxels served from the store."""
         return self.hit_voxels / max(1, self.extent.num_voxels)
-
-
-def ensure_chunk_template(
-    store: RegionStore, dtype: np.dtype, name: str = CHUNK_TEMPLATE
-) -> RegionTemplate:
-    return store.register(RegionTemplate(name=name, ndim=4, dtype=str(np.dtype(dtype))))
 
 
 def _uncovered_bbox(mask2d: np.ndarray) -> Optional[Tuple[int, int, int, int]]:
@@ -72,7 +69,6 @@ def read_chunk_staged(
     chunk,
     store: RegionStore,
     template: str = CHUNK_TEMPLATE,
-    stage_result: bool = True,
 ) -> Tuple[np.ndarray, StagedRead]:
     """Read one chunk through the region store.
 
@@ -83,7 +79,7 @@ def read_chunk_staged(
     """
     extent = chunk_extent(chunk)
     dtype = np.dtype({1: np.uint8, 2: np.uint16, 4: np.uint32}[dataset.bytes_per_pixel])
-    ensure_chunk_template(store, dtype, template)
+    store.register(RegionTemplate(name=template, ndim=4, dtype=str(dtype)))
     report = StagedRead(extent=extent)
 
     buf = np.zeros(extent.shape, dtype=dtype)
@@ -94,6 +90,7 @@ def read_chunk_staged(
         covered[sel] = True
         report.hits += 1
         report.hit_voxels += hit.overlap.num_voxels
+        report.evictions.extend(hit.evictions)
         report.hit_bytes_by_tier[hit.tier] = (
             report.hit_bytes_by_tier.get(hit.tier, 0)
             + hit.overlap.num_voxels * dtype.itemsize
@@ -117,7 +114,7 @@ def read_chunk_staged(
             report.planes_read += 1
     report.read_bytes = dataset.stats.bytes_read - before
 
-    if stage_result:
-        stage = store.stage(template, extent, buf, copy=True)
-        report.staged_tier = stage.tier
+    stage = store.stage(template, extent, buf, copy=True)
+    report.staged_tier = stage.tier
+    report.evictions.extend(stage.evictions)
     return buf, report

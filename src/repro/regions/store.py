@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hierarchy import StageReport, StorageHierarchy, StagingPolicy
+from .hierarchy import DROPPED, Eviction, StageReport, StorageHierarchy, StagingPolicy
 from .template import RegionExtent, RegionTemplate, region_key
 
 __all__ = ["RegionStore", "ResolveHit", "StoreStats"]
@@ -41,6 +41,7 @@ class ResolveHit:
     overlap: RegionExtent  # intersection with the target
     data: np.ndarray  # the staged region's full payload (read-only)
     tier: str  # tier the payload was served from
+    evictions: Tuple[Eviction, ...] = ()  # what promoting it displaced
 
     @property
     def overlap_data(self) -> np.ndarray:
@@ -86,8 +87,8 @@ class RegionStore:
         self.stats = StoreStats()
 
     @classmethod
-    def from_policy(cls, policy: StagingPolicy, remote=None) -> "RegionStore":
-        return cls(StorageHierarchy.from_policy(policy, remote=remote))
+    def from_policy(cls, policy: StagingPolicy) -> "RegionStore":
+        return cls(StorageHierarchy.from_policy(policy))
 
     # -- templates ---------------------------------------------------------
 
@@ -156,18 +157,17 @@ class RegionStore:
                 )
             else:
                 self._extents[name].pop(key, None)
-            for ev in report.evictions:
-                self.stats.evictions += 1
-                if ev.dst == "dropped":
-                    self.stats.drops += 1
-                    self._forget_key(ev.key)
+            self._account(report.evictions)
             return report
 
-    def _forget_key(self, key: str) -> None:
-        tname = key.split("|", 1)[0]
-        index = self._extents.get(tname)
-        if index is not None:
-            index.pop(key, None)
+    def _account(self, evictions: Sequence[Eviction]) -> None:
+        """Count what a stage or a fetch displaced; forget what it dropped."""
+        for ev in evictions:
+            self.stats.evictions += 1
+            if ev.dst == DROPPED:
+                self.stats.drops += 1
+                template = ev.key.split("|", 1)[0]
+                self._extents.get(template, {}).pop(ev.key, None)
 
     # -- queries -----------------------------------------------------------
 
@@ -179,21 +179,17 @@ class RegionStore:
             if key not in self._extents[name]:
                 self.stats.misses += 1
                 return None
-            data, tier = self.hierarchy.get(key)
-            if data is None:  # dropped under us
-                self._extents[name].pop(key, None)
-                self.stats.misses += 1
-                return None
+            data, tier, evictions = self.hierarchy.get(key)
+            self._account(evictions)
             self._record_hit(tier, data.nbytes)
-            return ResolveHit(extent=extent, overlap=extent, data=data, tier=tier)
+            return ResolveHit(extent, extent, data, tier, tuple(evictions))
 
     def resolve(self, name: str, target: RegionExtent) -> List[ResolveHit]:
         """Every staged region of ``name`` overlapping ``target``.
 
         This is the ghost-region query: the caller copies each hit's
         ``overlap_data`` into its buffer and only reads/computes what is
-        left uncovered.  Index entries whose payload was silently
-        dropped from the hierarchy are pruned as they are discovered.
+        left uncovered.
         """
         with self._lock:
             self._require(name, target)
@@ -201,22 +197,21 @@ class RegionStore:
             index = self._extents[name]
             for key, extent in list(index.items()):
                 overlap = extent.intersect(target)
-                if overlap is None:
+                # A promotion earlier in this loop may have pushed a
+                # later candidate off the hierarchy (and the index).
+                if overlap is None or key not in index:
                     continue
-                data, tier = self.hierarchy.get(key)
-                if data is None:
-                    index.pop(key, None)
-                    continue
+                data, tier, evictions = self.hierarchy.get(key)
+                self._account(evictions)
                 self._record_hit(tier, overlap.num_voxels * data.itemsize)
                 hits.append(
-                    ResolveHit(extent=extent, overlap=overlap, data=data, tier=tier)
+                    ResolveHit(extent, overlap, data, tier, tuple(evictions))
                 )
             if not hits:
                 self.stats.misses += 1
             return hits
 
-    def _record_hit(self, tier: Optional[str], nbytes: int) -> None:
-        tier = tier or "ram"
+    def _record_hit(self, tier: str, nbytes: int) -> None:
         self.stats.hits += 1
         self.stats.hit_bytes += int(nbytes)
         self.stats.hits_by_tier[tier] = self.stats.hits_by_tier.get(tier, 0) + 1

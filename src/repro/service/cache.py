@@ -36,12 +36,18 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from ..filters.messages import TextureParams
+from ..regions import (
+    TIER_DISK,
+    TIER_RAM,
+    Eviction,
+    StagingPolicy,
+    StorageHierarchy,
+)
 
 __all__ = ["volume_fingerprint", "result_key", "ResultCache"]
 
@@ -115,14 +121,18 @@ class ResultCache:
     the read-only flag turns an accidental in-place edit into an error
     instead of silent cross-tenant corruption.
 
-    With spill enabled (``spill_bytes`` and/or ``spill_dir``), entries
-    displaced from the in-RAM bound are demoted to a
-    :class:`~repro.regions.DiskTier` instead of dropped, and a RAM miss
-    that finds the entry on disk promotes it back (counted in both
-    ``hits`` and ``disk_hits``).  Entries larger than ``max_bytes`` —
-    refused outright without spill — go straight to disk.  The disk tier
-    inherits the region layer's crash-safe cleanup (per-session spill
-    directory, stale-session sweep, ``atexit`` hook).
+    The entries live in the region layer's
+    :class:`~repro.regions.StorageHierarchy` (the repo's one
+    LRU-with-spill); the cache adds keys, counters and nothing else.
+    Without spill that is a RAM tier alone: entries past ``max_bytes``
+    are dropped and one larger than ``max_bytes`` is refused.  With
+    spill enabled (``spill_bytes`` and/or ``spill_dir``) a disk tier
+    sits below: displaced entries demote to it instead of dropping, a
+    hit there promotes the entry back (counted in both ``hits`` and
+    ``disk_hits``), and entries larger than ``max_bytes`` go straight to
+    disk and are served from there.  The disk tier brings crash-safe
+    cleanup (per-session spill directory, stale-session sweep,
+    ``atexit`` hook).
     """
 
     def __init__(
@@ -135,16 +145,17 @@ class ResultCache:
             raise ValueError("max_bytes must be >= 0")
         if spill_bytes is not None and spill_bytes < 0:
             raise ValueError("spill_bytes must be >= 0 or None")
+        spill = spill_dir is not None or bool(spill_bytes)
         self.max_bytes = max_bytes
-        self._lock = threading.RLock()
-        self._entries: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        self._bytes = 0
-        self._disk = None
-        self._disk_keys: "OrderedDict[str, int]" = OrderedDict()
-        if spill_dir is not None or (spill_bytes is not None and spill_bytes > 0):
-            from ..regions.tiers import DiskTier
-
-            self._disk = DiskTier(spill_bytes, root=spill_dir)
+        self._store = StorageHierarchy.from_policy(
+            StagingPolicy(
+                ram_bytes=max_bytes,
+                disk_bytes=spill_bytes if spill else 0,
+                spill_dir=spill_dir,
+            )
+        )
+        # Guards the counters; the hierarchy has its own lock.
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -152,124 +163,70 @@ class ResultCache:
         self.spills = 0
         self.disk_hits = 0
 
+    def _count(self, evictions: Iterable[Eviction]) -> None:
+        """``evictions``: entries that left RAM; ``spills``: that reached disk."""
+        for ev in evictions:
+            self.evictions += ev.src == TIER_RAM
+            self.spills += ev.dst == TIER_DISK
+
     def get(self, key: str) -> Optional[np.ndarray]:
         with self._lock:
-            vol = self._entries.get(key)
-            if vol is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return vol
-            if self._disk is not None and key in self._disk_keys:
-                vol = self._disk.get(key)
-                if vol is not None:
-                    self.hits += 1
-                    self.disk_hits += 1
-                    # Promote: hot again, so buy it a RAM slot (which may
-                    # in turn spill the coldest RAM entry back down).
-                    self._disk.remove(key)
-                    self._disk_keys.pop(key, None)
-                    self._admit(key, vol)
-                    return vol
-                self._disk_keys.pop(key, None)
-            self.misses += 1
-            return None
-
-    def _spill(self, key: str, vol: np.ndarray) -> None:
-        """Demote one entry to the disk tier, making room if bounded."""
-        assert self._disk is not None
-        self._disk_keys.pop(key, None)
-        while not self._disk.put(key, vol):
-            if not self._disk_keys:
-                return  # larger than the whole spill budget: drop
-            victim, _ = self._disk_keys.popitem(last=False)
-            self._disk.remove(victim)
-        self._disk_keys[key] = vol.nbytes
-        self.spills += 1
-
-    def _admit(self, key: str, vol: np.ndarray) -> None:
-        """Insert into RAM, displacing LRU entries to disk (or dropping)."""
-        if vol.nbytes > self.max_bytes:
-            # Larger than the whole RAM bound: not worth thrashing.
-            # Without spill this refuses the entry (legacy semantics).
-            if self._disk is not None:
-                self._spill(key, vol)
-                self.puts += 1
-            return
-        self._entries[key] = vol
-        self._bytes += vol.nbytes
-        self.puts += 1
-        while self._bytes > self.max_bytes and self._entries:
-            evicted_key, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.nbytes
-            self.evictions += 1
-            if self._disk is not None:
-                self._spill(evicted_key, evicted)
+            vol, tier, evictions = self._store.get(key)
+            self._count(evictions)
+            if vol is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            self.disk_hits += tier == TIER_DISK
+            return vol
 
     def put(self, key: str, volume: np.ndarray) -> None:
         vol = np.ascontiguousarray(volume)
         vol.flags.writeable = False
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old.nbytes
-            if self._disk is not None and key in self._disk_keys:
-                self._disk.remove(key)
-                self._disk_keys.pop(key, None)
-            self._admit(key, vol)
+            report = self._store.put(key, vol)
+            self._count(report.evictions)
+            self.puts += report.tier is not None
+            self.spills += report.tier == TIER_DISK
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries or key in self._disk_keys
+        return key in self._store
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries) + len(self._disk_keys)
+        return sum(self._store.entries().values())
 
     @property
     def bytes_used(self) -> int:
         """In-RAM payload bytes (spilled entries are not RAM)."""
-        with self._lock:
-            return self._bytes
+        return self._store.occupancy()[TIER_RAM]
 
     @property
     def disk_bytes_used(self) -> int:
-        with self._lock:
-            return self._disk.bytes_used if self._disk is not None else 0
+        return self._store.occupancy().get(TIER_DISK, 0)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-            if self._disk is not None:
-                for key in list(self._disk_keys):
-                    self._disk.remove(key)
-                self._disk_keys.clear()
+        self._store.clear()
 
     def close(self) -> None:
-        """Release the spill directory (idempotent; RAM entries survive)."""
-        with self._lock:
-            if self._disk is not None:
-                self._disk.close()
-                self._disk = None
-                self._disk_keys.clear()
+        """Release every entry and the spill directory (idempotent)."""
+        self._store.close()
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             total = self.hits + self.misses
+            entries = self._store.entries()
             return {
-                "entries": len(self._entries),
-                "bytes": self._bytes,
+                "entries": entries[TIER_RAM],
+                "bytes": self.bytes_used,
                 "max_bytes": self.max_bytes,
                 "hits": self.hits,
                 "misses": self.misses,
                 "hit_rate": (self.hits / total) if total else 0.0,
                 "puts": self.puts,
                 "evictions": self.evictions,
-                "spill_enabled": self._disk is not None,
+                "spill_enabled": TIER_DISK in entries,
                 "spills": self.spills,
                 "disk_hits": self.disk_hits,
-                "disk_entries": len(self._disk_keys),
-                "disk_bytes": (
-                    self._disk.bytes_used if self._disk is not None else 0
-                ),
+                "disk_entries": entries.get(TIER_DISK, 0),
+                "disk_bytes": self.disk_bytes_used,
             }

@@ -8,13 +8,10 @@ runtime object.  Jobs lease an entry, run it, and hand it back; the
 build work is paid once per distinct configuration instead of once per
 job.  Workers, and the processes runtime's slab pool, still live for one
 ``run()``; mapping the pool is 32 anonymous ``mmap`` calls (0.16 ms).
-
-When the entry's config enables region staging (``config.staging``),
-the prepared pipeline also carries a
-:class:`~repro.regions.RegionStore` shared across every run on the
-entry — chunk-granular caching: the second job on a warm entry finds
-all of its IIC-to-TEXTURE chunks already staged and assembles them as
-pure region hits instead of re-reading the dataset.
+A warm entry saves the build, never the I/O: every job on it reads the
+whole dataset again (RFR reads each slice once per run as it is, so a
+chunk cache could only add a copy; what spares a repeat job its run is
+the service's result cache).
 
 Leases serialize: one runtime executes one run at a time (the runtimes
 themselves enforce this with their run guards), so a lease blocks until
@@ -88,8 +85,6 @@ class _PoolEntry:
         try:
             self.runtime.close()
         finally:
-            # Releases the entry's region store (staged chunks, spill
-            # files, shm slabs).
             self.prepared.close()
 
 

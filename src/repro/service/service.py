@@ -42,7 +42,6 @@ import numpy as np
 from ..datacutter.obs import MetricsRegistry
 from ..pipeline.config import AnalysisConfig
 from ..pipeline.run import execute_pipeline
-from ..regions import StagingPolicy
 from .cache import ResultCache, result_key, volume_fingerprint
 from .fair_queue import AdmissionError, FairQueue
 from .jobs import AnalysisRequest, JobHandle, JobResult, JobStatus
@@ -74,11 +73,6 @@ class ServiceConfig:
     #: Spill directory override (default: $TMPDIR/repro-regions).
     #: Setting only this enables unbounded spill.
     cache_spill_dir: Optional[str] = None
-    #: Default region-staging policy applied to jobs whose config does
-    #: not set one: warm pool entries then share a chunk-granular
-    #: :class:`~repro.regions.RegionStore` across jobs.  ``None`` leaves
-    #: request configs untouched.
-    staging: Optional[StagingPolicy] = None
     #: Warm runtime entries kept alive across jobs.
     pool_entries: int = 4
     #: Worker poll interval while the queue is empty, seconds.
@@ -288,12 +282,6 @@ class AnalysisService:
         exec_config = replace(
             req.config, texture=replace(req.config.texture, features=tuple(union))
         )
-        if exec_config.staging is None and self.config.staging is not None:
-            # Service-wide default: pool entries built from this config
-            # share a chunk-granular region store across jobs.  Staging
-            # never changes the numbers, so the result-cache key is
-            # untouched.
-            exec_config = replace(exec_config, staging=self.config.staging)
         started = time.time()
         try:
             with self.pool.lease(

@@ -142,6 +142,30 @@ class TestEvictionVisibility:
             assert [h.extent for h in hits] == [e2]
             assert store.stats.drops == 1
 
+    def test_region_dropped_by_a_promotion_leaves_the_index(self, tmp_path):
+        # RAM holds one region, the disk half of one.  Fetching the
+        # small spilled region promotes it; the full-size region it
+        # displaces fits nowhere and drops, and the store must say so at
+        # once, not when a later resolve trips over a stale index entry.
+        e1 = RegionExtent((0, 0, 0, 0), (4, 4, 2, 2))
+        e2 = RegionExtent((3, 3, 0, 0), (7, 7, 2, 2))
+        e3 = RegionExtent((0, 0, 0, 0), (2, 4, 2, 2))  # half the size
+        nbytes = np.zeros(e1.shape, dtype=np.uint16).nbytes
+        policy = StagingPolicy(
+            ram_bytes=nbytes, disk_bytes=nbytes // 2, spill_dir=str(tmp_path)
+        )
+        with RegionStore.from_policy(policy) as store:
+            store.register(RegionTemplate("t", ndim=4, dtype="uint16"))
+            store.stage("t", e3, np.ones(e3.shape, dtype=np.uint16))
+            store.stage("t", e1, np.ones(e1.shape, dtype=np.uint16))  # e3 -> disk
+            assert store.stats.evictions == 1 and store.stats.drops == 0
+            hit = store.get("t", e3)  # e3 up, e1 down: too big for the disk
+            assert hit.tier == "disk"
+            assert [(e.src, e.dst) for e in hit.evictions] == [("ram", "dropped")]
+            assert store.stats.evictions == 2 and store.stats.drops == 1
+            assert ("t", e1) not in store and store.get("t", e1) is None
+            assert store.snapshot()["regions"] == {"t": 1}
+
     def test_spilled_regions_stay_resolvable(self, tmp_path):
         # With a disk tier below, eviction is demotion, not loss.
         e1 = RegionExtent((0, 0, 0, 0), (4, 4, 2, 2))

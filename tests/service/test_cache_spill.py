@@ -103,8 +103,8 @@ class TestSpill:
         cache.close()
         assert not os.path.exists(os.path.join(str(tmp_path), sessions[0]))
         cache.close()  # idempotent
-        # RAM entries survive close; only the spill tier is gone.
-        assert cache.get("b") is not None
+        # close() releases the whole hierarchy, RAM entries included.
+        assert cache.get("b") is None
         assert "a" not in cache
 
 

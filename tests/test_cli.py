@@ -100,6 +100,16 @@ class TestAnalyzeRuntimes:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", "dir", "--runtime", "magic"])
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "dir", "--staging", "ram=64M"],
+        ["serve", "--staging", "ram=64M"],
+    ])
+    def test_filter_network_has_no_staging_flag(self, argv):
+        # The region store is reached through the sequential driver's
+        # region_store= argument only (docs/data-layer.md).
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestSimulate:
     @pytest.mark.parametrize("figure", ["7a", "7b", "8", "9", "10", "11"])
