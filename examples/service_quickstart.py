@@ -5,11 +5,11 @@ Generates a small synthetic DCE-MRI study on disk, starts an in-process
 mix of texture-analysis jobs from two tenants.  The run demonstrates
 the three things the service adds over one-shot ``run_pipeline`` calls:
 
-* **warm runtime pools** — the pipeline is prepared and the runtime
-  built once per distinct configuration, then reused across jobs;
 * **content-addressed result cache** — re-submitting an analysis the
   service has already produced is served from the cache without a
   pipeline pass;
+* **request batching** — duplicates queued at the same time share one
+  pipeline pass (a pass that does run is one ``run_pipeline`` call);
 * **weighted fair scheduling** — the ``clinical`` tenant (weight 2)
   gets twice the share of the queue that ``batch`` (weight 1) does.
 
@@ -54,11 +54,11 @@ def run_service_demo(dataset_root):
     )
     with AnalysisService(config) as service:
         # Two distinct configurations, submitted repeatedly by two
-        # tenants in three rounds.  Round 1 builds the warm runtimes
-        # and fills the cache; later rounds ride on both — waiting
+        # tenants in three rounds.  Round 1 runs the pipeline and
+        # fills the cache; later rounds are served from it — waiting
         # between rounds models tenants re-requesting analyses the
-        # service has already produced (simultaneous duplicates would
-        # instead be packed into one batched pipeline pass).
+        # service has already produced (simultaneous duplicates are
+        # instead packed into one batched pipeline pass).
         jobs, results = [], []
         for round_no in range(3):
             batch = [
@@ -81,10 +81,7 @@ def run_service_demo(dataset_root):
                   f"asm mean={asm.mean():.4f}")
 
         stats = service.stats()
-        print(f"\npool:  {stats['pool']['builds']} builds, "
-              f"{stats['pool']['reuses']} reuses "
-              f"(one build per distinct configuration)")
-        print(f"cache: {stats['cache']['hits']} hits, "
+        print(f"\ncache: {stats['cache']['hits']} hits, "
               f"{stats['cache']['misses']} misses "
               f"({stats['cache']['hit_rate']:.0%} hit rate)")
         counters = stats["metrics"]["counters"]

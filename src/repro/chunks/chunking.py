@@ -94,25 +94,6 @@ class ChunkSpec:
             n *= s
         return n
 
-    @property
-    def extent(self):
-        """Input region as a :class:`~repro.regions.RegionExtent`.
-
-        The bridge into the region-template data layer: a chunk staged
-        under this extent is resolvable by any neighbour whose extent
-        overlaps it (the ghost regions of Eqs. 1-2).
-        """
-        from ..regions.template import RegionExtent
-
-        return RegionExtent(self.lo, self.hi)
-
-    @property
-    def own_extent(self):
-        """Owned (output) region as a :class:`~repro.regions.RegionExtent`."""
-        from ..regions.template import RegionExtent
-
-        return RegionExtent(self.own_lo, self.own_hi)
-
     def slices(self) -> Tuple[slice, ...]:
         """Slicing tuple selecting this chunk's input region."""
         return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))

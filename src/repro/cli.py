@@ -132,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-spill-dir", metavar="DIR",
                    help="spill directory (default $TMPDIR/repro-regions); "
                         "setting only this enables unbounded spill")
-    p.add_argument("--pool-entries", type=int, default=4,
-                   help="warm runtime entries kept across jobs")
     p.add_argument("--no-batching", action="store_true",
                    help="disable packing co-batchable jobs into one pass")
 
@@ -348,7 +346,6 @@ def _cmd_serve(args) -> int:
             args.cache_spill_mb << 20 if args.cache_spill_mb is not None else None
         ),
         cache_spill_dir=args.cache_spill_dir,
-        pool_entries=args.pool_entries,
     )
     stop = threading.Event()
     with AnalysisService(config) as service:

@@ -19,6 +19,8 @@ Two strategies are provided:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["quantize_linear", "quantize_equalized", "num_levels_ok"]
@@ -51,7 +53,9 @@ def quantize_linear(
         ``[0, G-1]``.
     lo, hi:
         Intensity range to map onto the levels.  Defaults to the data
-        min/max.  Values outside ``[lo, hi]`` are clipped.
+        min/max.  Values outside ``[lo, hi]`` are clipped (``-inf`` to
+        level 0, ``+inf`` to level ``G-1``); NaN in ``data`` and a range
+        that is inverted or not finite raise ``ValueError``.
 
     Returns
     -------
@@ -61,17 +65,29 @@ def quantize_linear(
     data = np.asarray(data)
     if data.size == 0:
         return np.zeros(data.shape, dtype=np.int32)
+    if data.dtype.kind == "f" and np.isnan(data.min()):
+        raise ValueError("data contains NaN, which has no grey level")
     lo = float(data.min()) if lo is None else float(lo)
     hi = float(data.max()) if hi is None else float(hi)
+    span = hi - lo
+    if not math.isfinite(span):
+        raise ValueError(f"intensity range [{lo}, {hi}] is not finite")
     if hi < lo:
         raise ValueError(f"hi={hi} < lo={lo}")
     if hi == lo:
         # Constant image: everything maps to level 0.
         return np.zeros(data.shape, dtype=np.int32)
-    scaled = (np.asarray(data, dtype=np.float64) - lo) * (levels / (hi - lo))
-    out = np.floor(scaled).astype(np.int32)
-    np.clip(out, 0, levels - 1, out=out)
-    return out
+    scaled = np.asarray(data, dtype=np.float64) - lo
+    scale = levels / span
+    if math.isfinite(scale):
+        scaled *= scale
+    else:
+        # Denormal span: 0 * inf would be NaN; the ratio first is not.
+        scaled /= span
+        scaled *= levels
+    # Clip before the cast: a float past 2**31 (or +-inf) has no int32.
+    np.clip(scaled, 0, levels - 1, out=scaled)
+    return np.floor(scaled).astype(np.int32)
 
 
 def quantize_equalized(data: np.ndarray, levels: int) -> np.ndarray:

@@ -683,9 +683,9 @@ class _PeerRuntime:
 
     def run(self, timeout: Optional[float] = None) -> RunResult:
         # One run at a time per instance: concurrent jobs must use
-        # separate runtime instances (the service's warm pool leases
-        # guarantee this).  Raising beats silently interleaving two
-        # jobs' deposits and trace events into one result.
+        # separate runtime instances (each service job builds its own).
+        # Raising beats silently interleaving two jobs' deposits and
+        # trace events into one result.
         if not self._run_lock.acquire(blocking=False):
             raise RuntimeError(
                 f"{type(self).__name__}.run() is already executing; "

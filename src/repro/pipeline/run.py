@@ -7,9 +7,9 @@ volumes plus execution statistics.  It is the parallel counterpart of
 volumes identical to rounding, bit-identical at equal packet size (the
 BLAS batch length is the only thing that moves the last digits).
 
-The driver is factored into three phases so long-lived callers — most
-importantly the warm runtime pools of :mod:`repro.service` — can hold on
-to the expensive middle state instead of rebuilding it per request:
+The driver is factored into three phases that callers can time or drive
+one by one (the benchmark ledger does; :mod:`repro.service` and the CLI
+call ``run_pipeline``, the build phases cost under a millisecond):
 
 * **build** — :func:`prepare_pipeline` opens the dataset and wires the
   validated filter graph; :func:`build_runtime` constructs (and
@@ -94,7 +94,7 @@ class PreparedPipeline:
 
     def close(self) -> None:
         """Retire the pipeline.  There is nothing to release; the method
-        stays because the service pool and the ledger's phase spans call it."""
+        stays because the ledger's phase spans call it."""
 
 
 def prepare_pipeline(
@@ -152,8 +152,8 @@ def build_runtime(
     Validates the cross-argument rules (``hosts=``/``elastic=``/... only
     for the distributed runtime) and returns a runtime object ready to
     ``run()``.
-    The returned runtime is a context manager; callers that do not hold
-    it in a pool should drive it inside a ``with`` block.
+    The returned runtime is a context manager; drive it inside a
+    ``with`` block.
 
     ``poll_interval`` sets the watchdog granularity of every blocking
     wait (all three backends).
@@ -269,9 +269,8 @@ def run_pipeline(
     One-shot composition of the three phases: prepare the dataset and
     graph, build the runtime, execute it once inside a ``with`` block
     (so the runtime is torn down on every exception path), and stitch
-    the outputs.  Long-lived callers that want to reuse the build
-    products across many executions use the phase functions directly —
-    see :class:`repro.service.AnalysisService`.
+    the outputs.  :class:`repro.service.AnalysisService` runs every job
+    through this function.
 
     Parameters
     ----------

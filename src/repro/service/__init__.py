@@ -2,12 +2,11 @@
 
 Turns the one-shot :func:`repro.pipeline.run_pipeline` driver into a
 long-lived service: an async job API with admission control and
-weighted per-tenant fairness, warm runtime pools that amortize dataset
-opens, graph builds and shared-memory slab allocation across jobs, a
-content-addressed per-feature result cache, and request batching that
-packs overlapping submissions into one pipeline pass.  A JSON-lines TCP
-server/client pair (``repro serve`` / ``repro submit``) fronts the same
-API over the network.
+weighted per-tenant fairness, a content-addressed per-feature result
+cache, and request batching that packs overlapping submissions into one
+pipeline pass; a pass that does run is one ``run_pipeline`` call.  A
+JSON-lines TCP server/client pair (``repro serve`` / ``repro submit``)
+fronts the same API over the network.
 
 Quick start::
 
@@ -21,8 +20,14 @@ Quick start::
 from .cache import ResultCache, result_key, volume_fingerprint
 from .client import ServiceClient, ServiceClientError, decode_volume
 from .fair_queue import AdmissionError, FairQueue
-from .jobs import AnalysisRequest, JobError, JobHandle, JobResult, JobStatus
-from .pool import PoolLease, RuntimePool, RuntimeProfile
+from .jobs import (
+    AnalysisRequest,
+    JobError,
+    JobHandle,
+    JobResult,
+    JobStatus,
+    RuntimeProfile,
+)
 from .server import ServiceServer, request_from_payload
 from .service import AnalysisService, ServiceConfig
 
@@ -35,9 +40,7 @@ __all__ = [
     "JobHandle",
     "JobResult",
     "JobStatus",
-    "PoolLease",
     "ResultCache",
-    "RuntimePool",
     "RuntimeProfile",
     "ServiceClient",
     "ServiceClientError",

@@ -19,9 +19,12 @@ import numpy as np
 from ..datacutter.faults import FaultPlan, RetryPolicy
 from ..datacutter.obs import Trace
 from ..pipeline.config import AnalysisConfig
-from .pool import RuntimeProfile
+from ..pipeline.run import RUNTIMES
 
-__all__ = ["JobStatus", "AnalysisRequest", "JobResult", "JobHandle", "JobError"]
+__all__ = [
+    "JobStatus", "RuntimeProfile", "AnalysisRequest", "JobResult",
+    "JobHandle", "JobError",
+]
 
 
 class JobStatus:
@@ -40,6 +43,31 @@ class JobStatus:
 
 class JobError(RuntimeError):
     """Raised by :meth:`JobHandle.result` for failed or cancelled jobs."""
+
+
+@dataclass(frozen=True)
+class RuntimeProfile:
+    """Hashable description of how to build an execution backend.
+
+    Mirrors the backend-selection arguments of
+    :func:`repro.pipeline.run_pipeline`; being frozen and hashable it is
+    the backend part of the service's batch key, so only jobs asking for
+    the same backend shape share a pipeline pass.
+    """
+
+    runtime: str = "threads"
+    max_queue: int = 64
+    hosts: Optional[Tuple[str, ...]] = None
+    elastic: bool = False
+    heartbeat_timeout: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.runtime not in RUNTIMES:
+            raise ValueError(
+                f"runtime must be one of {RUNTIMES}, got {self.runtime!r}"
+            )
+        if self.hosts is not None and not isinstance(self.hosts, tuple):
+            object.__setattr__(self, "hosts", tuple(self.hosts))
 
 
 @dataclass

@@ -26,8 +26,7 @@ import numpy as np
 from ..filters.messages import TextureParams
 from ..pipeline.config import AnalysisConfig
 from .fair_queue import AdmissionError
-from .jobs import AnalysisRequest, JobStatus
-from .pool import RuntimeProfile
+from .jobs import AnalysisRequest, JobStatus, RuntimeProfile
 from .service import AnalysisService
 
 __all__ = ["ServiceServer", "request_from_payload", "encode_volume"]

@@ -10,12 +10,12 @@ this module wires together:
 * a :class:`~repro.service.fair_queue.FairQueue` — bounded admission
   (reject with a reason, never block the submitter) and weighted fair
   ordering across tenants;
-* a :class:`~repro.service.pool.RuntimePool` of warm runtimes — the
-  dataset open and graph build/validation are paid once per distinct
-  configuration;
 * a :class:`~repro.service.cache.ResultCache` — content-addressed
   per-feature volumes, so duplicate work is served in microseconds and
-  overlapping feature sets only compute the difference.
+  overlapping feature sets only compute the difference;
+* the pipeline itself — every pass that does run is one
+  :func:`repro.pipeline.run_pipeline` call, built and torn down by that
+  call; nothing of a run outlives it.
 
 Workers additionally **batch**: when a popped job's dataset and
 parameters match other queued jobs (any tenant), the worker pulls them
@@ -40,12 +40,10 @@ from typing import Any, Dict, List, Mapping, Optional
 import numpy as np
 
 from ..datacutter.obs import MetricsRegistry
-from ..pipeline.config import AnalysisConfig
-from ..pipeline.run import execute_pipeline
+from ..pipeline.run import run_pipeline
 from .cache import ResultCache, result_key, volume_fingerprint
 from .fair_queue import AdmissionError, FairQueue
 from .jobs import AnalysisRequest, JobHandle, JobResult, JobStatus
-from .pool import RuntimePool, RuntimeProfile
 
 __all__ = ["ServiceConfig", "AnalysisService"]
 
@@ -73,10 +71,6 @@ class ServiceConfig:
     #: Spill directory override (default: $TMPDIR/repro-regions).
     #: Setting only this enables unbounded spill.
     cache_spill_dir: Optional[str] = None
-    #: Warm runtime entries kept alive across jobs.
-    pool_entries: int = 4
-    #: Worker poll interval while the queue is empty, seconds.
-    poll: float = 0.05
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -96,7 +90,6 @@ class AnalysisService:
             spill_dir=self.config.cache_spill_dir,
             spill_bytes=self.config.cache_spill_bytes,
         )
-        self.pool = RuntimePool(max_entries=self.config.pool_entries)
         self.queue = FairQueue(
             max_queued=self.config.max_queued,
             weights=self.config.tenant_weights,
@@ -191,11 +184,9 @@ class AnalysisService:
 
     def _worker_loop(self) -> None:
         while True:
-            job = self.queue.pop(timeout=self.config.poll)
+            job = self.queue.pop()
             if job is None:
-                if self._closed:
-                    return
-                continue
+                return  # the queue was closed: shutdown
             try:
                 self._process(job)
             except BaseException as exc:  # never kill the worker thread
@@ -224,8 +215,8 @@ class AnalysisService:
         """Jobs with equal batch keys can share one pipeline pass.
 
         Everything about the run except the feature set must match —
-        including the runtime profile (they run on one pooled runtime)
-        and the trace flag (trace events are stamped per batch).
+        including the runtime profile (they share one ``run_pipeline``
+        call) and the trace flag (trace events are stamped per batch).
         """
         req = job.request
         texture = replace(req.config.texture, features=("asm",))
@@ -284,21 +275,21 @@ class AnalysisService:
         )
         started = time.time()
         try:
-            with self.pool.lease(
+            profile = req.profile
+            # bool(): the service collects events, it never exports files.
+            result = run_pipeline(
                 req.dataset_root,
                 exec_config,
-                profile=req.profile,
-                trace=req.trace,
+                runtime=profile.runtime,
+                max_queue=profile.max_queue,
+                hosts=list(profile.hosts) if profile.hosts else None,
+                elastic=profile.elastic,
+                heartbeat_timeout=profile.heartbeat_timeout,
                 retry=req.retry,
                 faults=req.faults,
-            ) as lease:
-                self.metrics.counter(
-                    "service_pool_reuses" if lease.reused
-                    else "service_pool_builds"
-                ).inc()
-                result = execute_pipeline(
-                    lease.prepared, lease.runtime, run_timeout=req.run_timeout
-                )
+                trace=bool(req.trace),
+                run_timeout=req.run_timeout,
+            )
         except BaseException as exc:
             for job, _, _ in batch:
                 job._fail(exc)
@@ -377,7 +368,6 @@ class AnalysisService:
         return {
             "queue": self.queue.stats(),
             "cache": self.cache.stats(),
-            "pool": self.pool.stats(),
             "jobs": {
                 status: sum(1 for j in self.jobs() if j.status == status)
                 for status in JobStatus.ALL
@@ -386,10 +376,10 @@ class AnalysisService:
         }
 
     def shutdown(self, wait: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop accepting work, drain workers, tear the pool down.
+        """Stop accepting work, drain the workers, close the cache.
 
         Jobs still queued are cancelled; jobs already running finish
-        (``wait=True``) before the warm pool is closed.
+        (``wait=True``) before the cache is closed.
         """
         if self._closed:
             return
@@ -403,7 +393,6 @@ class AnalysisService:
             for t in self._workers:
                 left = None if deadline is None else max(0.0, deadline - time.time())
                 t.join(left)
-        self.pool.close()
         self.cache.close()
 
     def __enter__(self) -> "AnalysisService":

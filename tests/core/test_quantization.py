@@ -55,6 +55,36 @@ class TestQuantizeLinear:
         with pytest.raises(ValueError):
             quantize_linear(np.zeros(4), 8, lo=10, hi=0)
 
+    def test_far_above_range_clips_to_top_level(self):
+        # Scaled values past 2**31 used to wrap in the int32 cast.
+        q = quantize_linear(np.array([0.5, 2.0, 1e9, 1e12]), 32, lo=0, hi=1)
+        assert list(q) == [16, 31, 31, 31]
+
+    def test_infinities_are_out_of_range(self):
+        q = quantize_linear(np.array([np.inf, -np.inf, 0.5]), 32, lo=0, hi=1)
+        assert list(q) == [31, 0, 16]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_rejected(self, dtype):
+        data = np.array([0.0, np.nan, 1.0], dtype=dtype)
+        with pytest.raises(ValueError, match="NaN"):
+            quantize_linear(data, 32, lo=0, hi=1)
+        with pytest.raises(ValueError, match="NaN"):
+            quantize_linear(data, 32)
+
+    def test_infinite_range_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            quantize_linear(np.array([0.0, np.inf]), 8)
+        with pytest.raises(ValueError, match="not finite"):
+            quantize_linear(np.zeros(4), 8, lo=0, hi=np.inf)
+
+    def test_denormal_range_is_monotone(self):
+        # levels / (hi - lo) overflows to inf here; 0 * inf was NaN.
+        data = np.array([0.0, 5e-324, 1e-323, 1.5e-323])
+        q = quantize_linear(data, 4)
+        assert np.all(np.diff(q) >= 0)
+        assert (q[0], q[-1]) == (0, 3)
+
 
 class TestQuantizeEqualized:
     def test_balanced_mass_per_level(self):

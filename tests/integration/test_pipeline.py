@@ -14,10 +14,15 @@ from repro.core.analysis import HaralickConfig, haralick_transform
 from repro.data.synthetic import PhantomConfig, generate_phantom
 from repro.filters.messages import TextureParams
 from repro.pipeline.config import AnalysisConfig
-from repro.pipeline.run import run_pipeline
+from repro.pipeline.run import (
+    build_runtime,
+    execute_pipeline,
+    prepare_pipeline,
+    run_pipeline,
+)
 from repro.storage.dataset import write_dataset
 
-from ..conftest import slabs_unmappable
+from ..conftest import slab_mappings, slabs_unmappable
 
 ROI = (3, 3, 3, 2)
 LEVELS = 8
@@ -198,6 +203,46 @@ class TestTransports:
         assert sum(got.run.wire_bytes.values()) > in_band > 0
         if segment_bytes == 2048:
             assert got.run.shm_bytes["HCC:hcc2hpc"] == 0  # no packet fits
+
+
+class TestRerun:
+    """One ``build_runtime`` product executed twice (the phase functions
+    allow it; ``run_pipeline`` builds a fresh one per call)."""
+
+    def hmp_config(self):
+        return AnalysisConfig(
+            texture=texture_params(),
+            variant="hmp",
+            texture_chunk_shape=(8, 8, 6, 4),
+            num_texture_copies=2,
+        )
+
+    def test_reused_runtime_stays_bit_identical(self, dataset_root):
+        prepared = prepare_pipeline(dataset_root, self.hmp_config())
+        with build_runtime(prepared.graph) as rt:
+            first = execute_pipeline(prepared, rt)
+            second = execute_pipeline(prepared, rt)
+        for name in FEATURES:
+            assert first.volumes[name].tobytes() == second.volumes[name].tobytes()
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="fork start method required"
+    )
+    def test_processes_runtime_holds_no_slabs_between_runs(self, dataset_root):
+        prepared = prepare_pipeline(dataset_root, self.hmp_config())
+        idle = slab_mappings()
+        volumes = []
+        with build_runtime(
+            prepared.graph, runtime="processes", max_queue=16
+        ) as rt:
+            for _ in range(2):
+                result = execute_pipeline(prepared, rt)
+                assert set(result.run.shm_bytes) == set(result.run.wire_bytes)
+                volumes.append(result.volumes)
+                # The slab pool lives for one run, not with the runtime.
+                assert slab_mappings() == idle
+        for name, vol in volumes[0].items():
+            assert vol.tobytes() == volumes[1][name].tobytes()
 
 
 class TestOutputModes:

@@ -173,6 +173,31 @@ class TestQuantizationProperties:
         hnp.arrays(
             dtype=np.float64,
             shape=st.integers(1, 100),
+            elements=st.floats(-1e6, 1e6, allow_nan=False),
+        )
+        | hnp.arrays(dtype=np.uint16, shape=st.integers(1, 100)),
+        st.integers(2, 64),
+        st.floats(-1e3, 1e3),
+        st.floats(1e-3, 1e5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ordinary_input_matches_the_cast_then_clip_form(
+        self, data, levels, lo, width
+    ):
+        """Clipping before the cast changes nothing where the cast was
+        defined: finite data, scaled value below 2**31, normal range."""
+        hi = lo + width
+        scaled = (np.asarray(data, dtype=np.float64) - lo) * (levels / (hi - lo))
+        assume(np.abs(scaled).max() < 2.0**31)
+        want = np.floor(scaled).astype(np.int32)
+        np.clip(want, 0, levels - 1, out=want)
+        got = quantize_linear(data, levels, lo=lo, hi=hi)
+        assert got.tobytes() == want.tobytes()
+
+    @given(
+        hnp.arrays(
+            dtype=np.float64,
+            shape=st.integers(1, 100),
             elements=st.floats(-1e3, 1e3, allow_nan=False),
         ),
         st.integers(2, 32),

@@ -1,14 +1,18 @@
-"""Satellite 3: N parallel service jobs over one shared warm pool are
-bit-identical to N sequential one-shot ``run_pipeline`` calls — with and
-without fault injection, across runtimes."""
+"""N parallel service jobs are bit-identical to N sequential one-shot
+``run_pipeline`` calls — with and without fault injection, across
+runtimes."""
 
 import numpy as np
 import pytest
 
 from repro.datacutter.faults import FaultPlan
 from repro.pipeline.run import run_pipeline
-from repro.service import AnalysisRequest, AnalysisService, ServiceConfig
-from repro.service.pool import RuntimeProfile
+from repro.service import (
+    AnalysisRequest,
+    AnalysisService,
+    RuntimeProfile,
+    ServiceConfig,
+)
 
 from .conftest import assert_volumes_equal, make_config
 
@@ -44,8 +48,8 @@ class TestParallelIdentity:
         for seq in sequential[1:]:
             assert_volumes_equal(seq, sequential[0])
 
-    def test_mixed_configs_share_the_pool(self, dataset_root,
-                                          second_dataset_root):
+    def test_mixed_configs_and_datasets_in_parallel(self, dataset_root,
+                                                    second_dataset_root):
         config_a = make_config(("asm",))
         config_b = make_config(("idm",), distance=2)
         base_a = run_pipeline(dataset_root, config_a).volumes
@@ -59,16 +63,12 @@ class TestParallelIdentity:
                 assert_volumes_equal(j.result(timeout=300).volumes, base_a)
             for j in jobs_b:
                 assert_volumes_equal(j.result(timeout=300).volumes, base_b)
-            assert svc.pool.stats()["builds"] == 2
-            assert svc.pool.stats()["reuses"] == 2
 
     @pytest.mark.parametrize("runtime", ["threads", "processes"])
     def test_faulted_jobs_recover_bit_identical(self, dataset_root, runtime):
         config = split_config()
         clean = run_pipeline(dataset_root, config).volumes
-        # One plan object per job: plans are keyed by identity in the
-        # pool, so each faulted job builds (and poisons nothing of) its
-        # own entry while clean jobs share the warm one.
+        # One plan object per job: plans are mutable builder objects.
         profile = RuntimeProfile(runtime=runtime, max_queue=16)
         with AnalysisService(ServiceConfig(workers=2)) as svc:
             faulted = [
@@ -118,6 +118,7 @@ class TestParallelIdentity:
             ))
             with pytest.raises(JobError):
                 doomed.result(timeout=600)
+            # Nothing of the doomed run outlives it: the next job on the
+            # same dataset and config gets a fresh run (and the suite's
+            # leak gate sees no child or thread of the doomed one).
             assert_volumes_equal(follower.result(timeout=600).volumes, clean)
-            # The poisoned entry was discarded, not reused.
-            assert svc.pool.stats()["discards"] == 1

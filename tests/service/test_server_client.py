@@ -75,7 +75,8 @@ class TestProtocol:
         assert resp["cached"] == ["asm", "idm"]
         stats = client.stats()
         assert stats["cache"]["hits"] >= 2
-        assert stats["pool"]["builds"] == 1
+        assert set(stats) == {"queue", "cache", "jobs", "metrics"}
+        assert stats["metrics"]["counters"]["service_runs"] == 1
 
     def test_cancel_over_wire(self, served, dataset_root):
         _, _, client = served

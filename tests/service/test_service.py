@@ -1,8 +1,12 @@
 """AnalysisService end-to-end: caching, batching, fairness, admission."""
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
+from repro.data.synthetic import PhantomConfig, generate_phantom
 from repro.pipeline.run import run_pipeline
 from repro.service import (
     AdmissionError,
@@ -10,8 +14,10 @@ from repro.service import (
     AnalysisService,
     JobError,
     JobStatus,
+    RuntimeProfile,
     ServiceConfig,
 )
+from repro.storage.dataset import write_dataset
 
 from .conftest import assert_volumes_equal, make_config
 
@@ -184,6 +190,42 @@ class TestBatching:
             assert "service_batches" not in counters
 
 
+class TestConcurrency:
+    def test_same_config_jobs_overlap_on_two_workers(self, tmp_path):
+        # Worker concurrency is ServiceConfig.workers and nothing else:
+        # two cache-off jobs on one dataset and config run side by side.
+        # The windows are those of the runs' own trace events, because
+        # a job's [start, start + elapsed] also covers whatever it waited
+        # for after a worker picked it up.
+        volume = generate_phantom(PhantomConfig(shape=(40, 40, 8, 6), seed=3))
+        root = str(tmp_path / "data")
+        write_dataset(volume, root, num_nodes=2)
+        config = make_config(
+            ("asm", "idm"), levels=32, intensity_range=(0.0, 4095.0),
+            texture_chunk_shape=(20, 20, 8, 6), num_texture_copies=1,
+        )
+        want = run_pipeline(root, config, runtime="processes").volumes
+        with make_service(workers=2) as svc:
+            jobs = [
+                svc.submit(AnalysisRequest(
+                    root, config, profile=RuntimeProfile(runtime="processes"),
+                    use_cache=False, batchable=False, trace=True,
+                ))
+                for _ in range(2)
+            ]
+            results = [j.result(timeout=300) for j in jobs]
+        windows = []
+        for res in results:
+            assert_volumes_equal(res.volumes, want)
+            assert res.elapsed >= 0.3, "study too small to show an overlap"
+            events = res.trace.events
+            windows.append(
+                (min(ev.start for ev in events), max(ev.ts for ev in events))
+            )
+        (a0, a1), (b0, b1) = windows
+        assert max(a0, b0) < min(a1, b1), windows
+
+
 class TestAdmissionAndFairness:
     def test_saturated_queue_rejects_with_reason(self, dataset_root):
         with make_service(workers=1, max_queued=2) as svc:
@@ -274,12 +316,34 @@ class TestCancelAndShutdown:
         with pytest.raises(AdmissionError, match="shut down"):
             svc.submit(AnalysisRequest(dataset_root, make_config()))
 
+    def test_idle_workers_block_and_leave_on_close(self):
+        # No poll tick: idle workers wait on the queue's condition and
+        # close() wakes them, so an idle service stops at once.  Best of
+        # three, so a descheduled test process does not read as a tick.
+        took = []
+        for _ in range(3):
+            svc = make_service(workers=2)
+            time.sleep(0.1)  # let both workers reach the wait
+            t0 = time.perf_counter()
+            svc.shutdown(wait=True, timeout=10)
+            took.append(time.perf_counter() - t0)
+            assert not any(t.is_alive() for t in svc._workers)
+        assert min(took) < 0.02, took
+
+    def test_config_fields_are_the_nine_that_do_something(self):
+        # Concurrency is `workers` alone: no pool size, no poll tick.
+        assert {f.name for f in dataclasses.fields(ServiceConfig)} == {
+            "workers", "max_queued", "tenant_weights", "default_weight",
+            "batching", "batch_max", "cache_bytes", "cache_spill_bytes",
+            "cache_spill_dir",
+        }
+
     def test_stats_shape(self, dataset_root):
         with make_service(workers=1) as svc:
             svc.submit(AnalysisRequest(dataset_root, make_config())).result(
                 timeout=120
             )
             stats = svc.stats()
-            assert set(stats) == {"queue", "cache", "pool", "jobs", "metrics"}
+            assert set(stats) == {"queue", "cache", "jobs", "metrics"}
             assert stats["jobs"][JobStatus.DONE] == 1
-            assert stats["pool"]["builds"] == 1
+            assert stats["metrics"]["counters"]["service_runs"] == 1

@@ -110,6 +110,11 @@ class TestAnalyzeRuntimes:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
+    def test_serve_has_no_pool_flag(self):
+        # A service job is one run_pipeline call; there is no pool to size.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--pool-entries", "3"])
+
 
 class TestSimulate:
     @pytest.mark.parametrize("figure", ["7a", "7b", "8", "9", "10", "11"])
