@@ -43,10 +43,8 @@ from repro.core.cooccurrence import (
     resolve_directions,
 )
 from repro.core.features import HARALICK_FEATURES, PAPER_FEATURES, haralick_features
-from repro.core.features_sparse import features_from_sparse
 from repro.core.quantization import quantize_linear
 from repro.core.roi import ROISpec, valid_positions_shape
-from repro.core.sparse import batch_sparse_from_dense, sparse_from_dense
 from repro.core.workspace import WORKSPACE_BYTES
 from repro.data import PhantomConfig, generate_phantom
 
@@ -113,15 +111,6 @@ def test_paper_features_batch(benchmark, matrices):
 
 def test_all_fourteen_features_batch(benchmark, matrices):
     benchmark(lambda: haralick_features(matrices, HARALICK_FEATURES))
-
-
-def test_sparse_conversion(benchmark, matrices):
-    benchmark(lambda: batch_sparse_from_dense(matrices[:256]))
-
-
-def test_sparse_features(benchmark, matrices):
-    sparse = batch_sparse_from_dense(matrices[:256])
-    benchmark(lambda: [features_from_sparse(sp, PAPER_FEATURES) for sp in sparse])
 
 
 def test_quantization(benchmark):

@@ -1,5 +1,14 @@
-"""Section 4.4.1 sparsity claim: typical G=32 MRI co-occurrence matrices
-average ~10.7 non-zero (non-duplicated) entries — about 1% of the matrix.
+"""Section 4.4.1 sparsity claims, counted on the dense matrix stack.
+
+* Typical G=32 MRI co-occurrence matrices average ~10.7 non-zero
+  (non-duplicated) entries — about 1% of the matrix.  A symmetric
+  matrix's distinct entries are its upper triangle, so the count is
+  ``np.count_nonzero(np.triu(mats), axis=(1, 2))``.
+* Zero-skip: testing each entry for zero before adding it to the running
+  sums "allowed us to process a typical MRI dataset in one-fourth the
+  time".  The dense feature kernel visits only the non-zero cells for
+  its entropy sums; the share of cells it visits is
+  ``np.count_nonzero(mats)`` over ``B * G * G``.
 
 Measured here on the synthetic DCE-MRI phantom with the paper's ROI
 (5x5x5x3) and grey-level count (32), over a sample of raster-scan
@@ -12,7 +21,6 @@ from harness import print_table, record
 from repro.core.cooccurrence import cooccurrence_scan
 from repro.core.quantization import quantize_linear
 from repro.core.roi import ROISpec
-from repro.core.sparse import batch_sparse_from_dense
 from repro.data.synthetic import paper_dataset_config, generate_phantom
 
 LEVELS = 32
@@ -22,26 +30,32 @@ ROI = ROISpec((5, 5, 5, 3))
 def measure(n_sample=4096):
     vol = generate_phantom(paper_dataset_config(scale=0.25, seed=3))
     q = quantize_linear(vol.data, LEVELS, lo=0, hi=4095)
-    nnzs = []
+    nnzs, visited = [], 0
     for start, mats in cooccurrence_scan(q, ROI, LEVELS, batch=512):
-        nnzs.extend(sp.nnz for sp in batch_sparse_from_dense(mats))
+        mats = mats[: n_sample - len(nnzs)]
+        nnzs.extend(np.count_nonzero(np.triu(mats), axis=(1, 2)))
+        visited += int(np.count_nonzero(mats))
         if len(nnzs) >= n_sample:
             break
-    nnzs = np.asarray(nnzs[:n_sample])
+    nnzs = np.asarray(nnzs)
     unique_cells = LEVELS * (LEVELS + 1) // 2
+    entries_full = nnzs.size * LEVELS * LEVELS
     return {
         "matrices_sampled": int(nnzs.size),
         "mean_nnz": float(nnzs.mean()),
         "median_nnz": float(np.median(nnzs)),
         "max_nnz": int(nnzs.max()),
         "mean_density_pct": float(100 * nnzs.mean() / unique_cells),
+        "entries_full": entries_full,
+        "entries_visited_zero_skip": visited,
+        "work_reduction_x": entries_full / max(visited, 1),
     }
 
 
 def test_sparsity(benchmark):
     stats = benchmark.pedantic(measure, rounds=1, iterations=1)
     print_table(
-        "Section 4.4.1: sparse-matrix statistics (G=32, ROI 5x5x5x3)",
+        "Section 4.4.1: co-occurrence sparsity (G=32, ROI 5x5x5x3)",
         ["metric", "value"],
         [(k, v) for k, v in stats.items()],
     )
@@ -50,4 +64,7 @@ def test_sparsity(benchmark):
     # ~1-2% of the 528 unique cells): strongly sparse matrices.
     assert stats["mean_nnz"] < 0.15 * (LEVELS * (LEVELS + 1) // 2)
     assert stats["mean_density_pct"] < 15.0
+    # The paper's 4x dataset-level speedup rests on skipping >= 3/4 of
+    # the entries; the phantom's matrices skip far more than that.
+    assert stats["work_reduction_x"] > 4
     benchmark.extra_info["stats"] = stats

@@ -4,10 +4,10 @@ The motivating application of the paper (Section 1): a dynamic
 contrast-enhanced MRI study is acquired over many time steps, written as
 per-slice raw files distributed round-robin over storage nodes, and
 analyzed by the parallel filter pipeline — the split HCC+HPC variant.
-(The paper's best cluster configuration also enables the sparse matrix
-representation; on a single machine the streams are pointer copies, so
-there is no communication to save and the dense vectorized kernels are
-the right choice — exactly the trade-off behind the paper's Fig. 7a.)
+(The paper's best cluster configuration also enables a sparse matrix
+representation; its conversion costs more CPU than any link on one
+machine saves, so the co-occurrence matrices travel dense — the
+trade-off behind the paper's Fig. 7.)
 
 The output parameter volumes are rendered as normalized PGM image
 series via the HIC -> JIW path.
@@ -48,12 +48,11 @@ def main(workdir: str) -> None:
     print(f"dataset on disk: {dataset.num_nodes} storage nodes, "
           f"{dataset.num_slices * dataset.num_timesteps} slice files")
 
-    # --- parallel analysis: split pipeline, sparse matrices ------------
+    # --- parallel analysis: split pipeline, dense matrices -------------
     params = TextureParams(
         roi_shape=(5, 5, 5, 3),
         levels=32,
         intensity_range=(0.0, 4095.0),
-        sparse=False,
     )
     config = AnalysisConfig(
         texture=params,

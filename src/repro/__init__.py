@@ -7,8 +7,8 @@ Disk-resident Image Datasets" (SC 2004).
 Layers
 ------
 ``repro.core``
-    Sequential 4D Haralick kernels: quantization, co-occurrence matrices
-    (dense + sparse), the fourteen textural features, raster scanning.
+    Sequential 4D Haralick kernels: quantization, co-occurrence matrices,
+    the fourteen textural features, raster scanning.
 ``repro.data``
     In-memory 4D volumes, the synthetic DCE-MRI phantom, raw/PGM formats.
 ``repro.storage``
@@ -41,13 +41,11 @@ from .core import (
     PAPER_FEATURES,
     HaralickConfig,
     ROISpec,
-    SparseCooc,
     cooccurrence_matrix,
     haralick_features,
     haralick_transform,
     quantize_linear,
     raster_scan,
-    sparse_from_dense,
     unique_directions,
 )
 
@@ -58,13 +56,11 @@ __all__ = [
     "PAPER_FEATURES",
     "HaralickConfig",
     "ROISpec",
-    "SparseCooc",
     "cooccurrence_matrix",
     "haralick_features",
     "haralick_transform",
     "quantize_linear",
     "raster_scan",
-    "sparse_from_dense",
     "unique_directions",
     "__version__",
 ]

@@ -27,6 +27,13 @@ from typing import List, Optional
 __all__ = ["main", "build_parser"]
 
 
+def _scale(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"{text} is not in (0, 1]")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .core.backends import DEFAULT_KERNEL, KERNELS
 
@@ -58,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("RX", "RY", "RZ", "RT"))
     p.add_argument("--features", nargs="+",
                    default=["asm", "correlation", "sum_of_squares", "idm"])
-    p.add_argument("--sparse", action="store_true",
-                   help="use the sparse co-occurrence representation")
     p.add_argument("--kernel", choices=KERNELS, default=DEFAULT_KERNEL,
                    help="co-occurrence scan backend (all are bit-identical; "
                         "incremental is the fast rolling kernel)")
@@ -110,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="regenerate a paper figure series")
     p.add_argument("--figure", choices=("7a", "7b", "8", "9", "10", "11"),
                    default="8")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="workload scale (1.0 = paper's dataset)")
+    p.add_argument("--scale", type=_scale, default=1.0,
+                   help="workload scale in (0, 1] (1.0 = paper's dataset)")
 
     p = sub.add_parser("serve", help="host the always-on analysis service")
     p.add_argument("--host", default="127.0.0.1")
@@ -203,7 +208,6 @@ def _cmd_analyze(args) -> int:
         levels=args.levels,
         features=tuple(args.features),
         intensity_range=(0.0, args.intensity_max),
-        sparse=args.sparse,
         kernel=args.kernel,
     )
     kwargs = dict(

@@ -21,12 +21,8 @@ native
 workspace
     Shared cached scan workspaces (pair-shift arrays, in-place
     symmetrization).
-sparse
-    Sparse (upper-triangle triplet) co-occurrence representation.
 features
     The fourteen Haralick features, vectorized over matrix batches.
-features_sparse
-    Zero-skip and sparse-form feature computation.
 raster
     Sequential raster scan (reference and production paths).
 analysis
@@ -54,11 +50,9 @@ from .features import (
     haralick_feature_vector,
     haralick_features,
 )
-from .features_sparse import features_from_sparse, features_nonzero
 from .quantization import quantize_equalized, quantize_linear
 from .raster import raster_scan, raster_scan_batches, raster_scan_reference
 from .roi import ROISpec, iter_roi_origins, valid_positions_shape
-from .sparse import SparseCooc, batch_sparse_from_dense, sparse_from_dense
 
 __all__ = [
     "HaralickConfig",
@@ -88,8 +82,6 @@ __all__ = [
     "PAPER_FEATURES",
     "haralick_features",
     "haralick_feature_vector",
-    "features_from_sparse",
-    "features_nonzero",
     "quantize_linear",
     "quantize_equalized",
     "raster_scan",
@@ -98,7 +90,4 @@ __all__ = [
     "ROISpec",
     "iter_roi_origins",
     "valid_positions_shape",
-    "SparseCooc",
-    "sparse_from_dense",
-    "batch_sparse_from_dense",
 ]

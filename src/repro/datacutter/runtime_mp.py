@@ -3,9 +3,8 @@
 The closest local analog of DataCutter's deployment model: filter copies
 are separate processes (as the paper's filters are separate executables
 on cluster nodes) and every buffer crossing a stream is genuinely
-serialized — so, unlike the threaded runtime, the sparse co-occurrence
-representation actually shrinks inter-filter traffic here, and
-replicated texture filters scale past the GIL.
+serialized or placed in shared memory, and replicated texture filters
+scale past the GIL.
 
 :class:`MPRuntime` is the peer engine of
 :mod:`repro.datacutter.runtime_local` on ``fork``-context primitives

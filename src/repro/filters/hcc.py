@@ -6,9 +6,12 @@ filter whenever a fraction of the chunk (default 1/8 — Section 5.1) has
 been processed, so parameter computation pipelines behind matrix
 computation.
 
-With ``params.sparse`` the matrices travel in the sparse triplet form,
-which "can greatly reduce the data traffic leaving the HCC filter"
-(Section 4.4.1) — the mechanism behind Fig. 7(b).
+Matrices travel as the dense ``(B, G, G)`` int64 stack the scan yields
+(8 KB per ROI at G = 32).  The paper's sparse triplet form, which "can
+greatly reduce the data traffic leaving the HCC filter" (Section 4.4.1,
+Fig. 7(b)), costs more CPU per matrix than any link of this
+implementation saves; the 100 Mbit trade-off is reproduced in
+:mod:`repro.sim`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import time
 
 from ..core.backends import resolve_scan_kernel
 from ..core.cooccurrence import check_levels
-from ..core.sparse import batch_sparse_from_dense
 from ..datacutter.buffers import DataBuffer
 from ..datacutter.filter import Filter, FilterContext
 from .messages import MatrixPacket, TextureChunk, TextureParams, trace_headers
@@ -55,21 +57,15 @@ class HaralickCoMatrixCalculator(Filter):
         for start, mats in scan(
             q, p.roi, p.levels, distance=p.distance, batch=batch, validate=False
         ):
-            if p.sparse:
-                packet = MatrixPacket(
-                    chunk=tc.chunk, start=start, sparse=batch_sparse_from_dense(mats)
-                )
-            else:
-                packet = MatrixPacket(chunk=tc.chunk, start=start, dense=mats)
+            packet = MatrixPacket(chunk=tc.chunk, start=start, dense=mats)
             if tracing:
-                # Matrix production time: the scan plus any sparse
-                # conversion, excluding downstream send.
+                # Matrix production time, excluding downstream send.
                 now = time.perf_counter()
                 t_cooc += now - t_mark
             ctx.send(
                 self.out_stream,
                 packet,
-                size_bytes=packet.wire_bytes(p.levels),
+                size_bytes=packet.nbytes,
                 metadata=trace_headers(
                     tc.chunk, kind="matrices", count=packet.count
                 ),

@@ -5,10 +5,9 @@ computes the co-occurrence matrix *and* the selected Haralick parameters
 in one place, with no inter-filter communication between the two
 operations.  Output is a stream of feature portions.
 
-``use_sparse=True`` routes the per-matrix feature computation through the
-sparse representation, reproducing the paper's Fig. 7(a) configuration
-where the sparse form only adds conversion overhead (there is no
-communication between matrix and parameter computation to save).
+The matrices stay in the dense ``(B, G, G)`` form the scan yields: with
+no communication between matrix and parameter computation, a sparse
+form could only add conversion work (the paper's Fig. 7(a)).
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ import time
 from ..core.backends import resolve_scan_kernel
 from ..core.cooccurrence import check_levels
 from ..core.features import haralick_features
-from ..core.features_sparse import batch_features_from_sparse
-from ..core.sparse import batch_sparse_from_dense
 from ..datacutter.buffers import DataBuffer
 from ..datacutter.filter import Filter, FilterContext
 from .messages import FeaturePortion, TextureChunk, TextureParams, trace_headers
@@ -68,13 +65,7 @@ class HaralickMatrixProducer(Filter):
                 now = time.perf_counter()
                 t_cooc += now - t_mark
                 t_mark = now
-            if p.sparse:
-                # Sparse path inside one filter: pay the conversion, then
-                # compute parameters for the whole packet in one batch.
-                sparse_mats = batch_sparse_from_dense(mats)
-                vals = batch_features_from_sparse(sparse_mats, p.features)
-            else:
-                vals = haralick_features(mats, p.features)
+            vals = haralick_features(mats, p.features)
             if tracing:
                 now = time.perf_counter()
                 t_feat += now - t_mark

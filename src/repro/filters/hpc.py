@@ -1,10 +1,8 @@
 """HPC — HaralickParameterCalculator (paper Section 4.3.2).
 
-Computes the user-selected Haralick parameters from the co-occurrence
-matrices received from HCC filters.  Dense packets go through the
-vectorized batch kernel; sparse packets are "processed directly from the
-sparse form, and no conversion back to a co-occurrence array is needed"
-(Section 4.4.1).
+Computes the user-selected Haralick parameters from the dense
+co-occurrence matrices received from HCC filters, one vectorized batch
+per packet.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import time
 
 from ..core.features import haralick_features
-from ..core.features_sparse import batch_features_from_sparse
 from ..datacutter.buffers import DataBuffer
 from ..datacutter.filter import Filter, FilterContext
 from .messages import FeaturePortion, MatrixPacket, TextureParams, trace_headers
@@ -35,10 +32,7 @@ class HaralickParameterCalculator(Filter):
             raise TypeError(f"HPC expected MatrixPacket, got {type(packet).__name__}")
         p = self.params
         t0 = time.perf_counter() if ctx.tracing else 0.0
-        if packet.sparse is not None:
-            vals = batch_features_from_sparse(packet.sparse, p.features)
-        else:
-            vals = haralick_features(packet.dense, p.features)
+        vals = haralick_features(packet.dense, p.features)
         if ctx.tracing:
             # One span per packet: HPC never sees whole chunks.
             ctx.event(

@@ -8,8 +8,8 @@ dataclass defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from ..chunks.chunking import ChunkSpec
 from ..core.backends import DEFAULT_KERNEL, get_kernel
 from ..core.features import PAPER_FEATURES, feature_index
 from ..core.roi import ROISpec
-from ..core.sparse import SparseCooc
 
 __all__ = [
     "TextureParams",
@@ -27,7 +26,6 @@ __all__ = [
     "FeaturePortion",
     "ParameterVolume",
     "iic_copy_for_chunk",
-    "texture_wire_bytes",
     "trace_headers",
 ]
 
@@ -66,7 +64,6 @@ class TextureParams:
     distance: int = 1
     intensity_range: Tuple[float, float] = (0.0, 65535.0)
     packet_fraction: float = 1.0 / 8.0
-    sparse: bool = False
     kernel: str = DEFAULT_KERNEL
 
     def __post_init__(self) -> None:
@@ -138,32 +135,27 @@ class TextureChunk:
 class MatrixPacket:
     """A batch of co-occurrence matrices (HCC -> HPC traffic).
 
-    Exactly one of ``dense`` / ``sparse`` is set, matching the full or
-    sparse matrix representation under evaluation (paper Section 4.4.1).
-    ``start`` is the flat index of the first ROI position in the chunk's
-    local raster-scan order.
+    ``dense`` is the ``(B, G, G)`` stack of count matrices the scan
+    kernel yields; ``start`` is the flat index of the first ROI position
+    in the chunk's local raster-scan order.
     """
 
     chunk: ChunkSpec
     start: int
-    dense: Optional[np.ndarray] = None
-    sparse: Optional[List[SparseCooc]] = None
+    dense: np.ndarray
 
     def __post_init__(self) -> None:
-        if (self.dense is None) == (self.sparse is None):
-            raise ValueError("exactly one of dense/sparse must be set")
+        shape = self.dense.shape
+        if len(shape) != 3 or shape[1] != shape[2]:
+            raise ValueError(f"expected (B, G, G) matrices, got shape {shape}")
 
     @property
     def count(self) -> int:
-        return len(self.sparse) if self.sparse is not None else self.dense.shape[0]
+        return self.dense.shape[0]
 
-    def wire_bytes(self, levels: int) -> int:
-        """Serialized size for the network cost model."""
-        if self.sparse is not None:
-            return sum(sp.wire_bytes() for sp in self.sparse)
-        # Full form: G*G 2-byte counts per matrix (ROI pair counts fit
-        # comfortably in 16 bits for the paper's ROI sizes).
-        return self.count * levels * levels * 2
+    @property
+    def nbytes(self) -> int:
+        return int(self.dense.nbytes)
 
 
 @dataclass
@@ -199,11 +191,6 @@ def iic_copy_for_chunk(chunk_linear_index: int, num_iic_copies: int) -> int:
     if num_iic_copies < 1:
         raise ValueError("need at least one IIC copy")
     return chunk_linear_index % num_iic_copies
-
-
-def texture_wire_bytes(portion_nbytes: int) -> int:
-    """Wire size of a feature portion (float64 values + positions)."""
-    return portion_nbytes
 
 
 @dataclass

@@ -39,7 +39,7 @@ class AnalysisConfig:
     Attributes
     ----------
     texture:
-        Kernel parameters (ROI, grey levels, features, sparse mode...).
+        Kernel parameters (ROI, grey levels, features, kernel...).
     variant:
         ``"hmp"`` for the combined filter, ``"split"`` for HCC + HPC
         (paper Figs. 4 and 5).

@@ -22,7 +22,7 @@ volume::
 
 Everything that changes the numbers is in the key; everything that is
 guaranteed bit-identical across choices stays out of it.  Variant
-(hmp/split), kernel backend, sparse mode, chunk shape, copy counts,
+(hmp/split), kernel backend, chunk shape, copy counts,
 scheduling policy and runtime are all excluded **deliberately**: the
 repo's conformance and property suites pin all of them to bit-identical
 outputs, so including them would only fragment the cache.  The

@@ -16,9 +16,11 @@ match the paper's observations:
   typical MRI data — Section 4.4.1).
 
 ``measure_costs`` recalibrates the per-ROI constants by timing the real
-NumPy kernels of :mod:`repro.core` on sample data, preserving the
-measured full/sparse and matrix/parameter ratios while anchoring the
-absolute scale to the 2004 reference machine.
+kernels of :mod:`repro.core` on sample data, preserving the measured
+matrix/parameter ratio while anchoring the absolute scale to the 2004
+reference machine.  The library has one (dense) matrix representation,
+so the sparse-path constants keep the paper's ratios to the dense
+parameter cost.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class CostModel:
     def matrix_wire_bytes(self, n_matrices: int, levels: int, sparse: bool) -> int:
         if sparse:
             # 8 B header + 4 B per entry (2 B packed linear position for
-            # G <= 256, 2 B count) — see SparseCooc.wire_bytes.
+            # G <= 256, 2 B count), the paper's triplet form.
             return int(n_matrices * (8 + 4 * self.avg_nnz))
         return n_matrices * levels * levels * 2
 
@@ -126,20 +128,20 @@ def measure_costs(
 ) -> CostModel:
     """Re-derive per-ROI constants by timing the real kernels.
 
-    Times :func:`repro.core.cooccurrence.cooccurrence_scan`,
-    the dense batch feature kernel and the sparse path on synthetic
-    MRI-like data, then scales everything by ``reference_speedup`` (this
-    machine's speed relative to a PIII; default keeps the PAPER_COSTS
-    co-occurrence anchor and preserves only the measured *ratios*).
+    Times :func:`repro.core.cooccurrence.cooccurrence_scan` and the dense
+    batch feature kernel on synthetic MRI-like data and counts the
+    matrices' distinct non-zero entries (``avg_nnz``); the sparse-path
+    constants keep :data:`PAPER_COSTS`' ratios to ``feat_full_per_roi``.
+    Everything is then scaled by ``reference_speedup`` (this machine's
+    speed relative to a PIII; default keeps the PAPER_COSTS co-occurrence
+    anchor and preserves only the measured *ratios*).
     """
     from scipy.ndimage import gaussian_filter
 
     from ..core.cooccurrence import cooccurrence_scan
     from ..core.features import PAPER_FEATURES, haralick_features
-    from ..core.features_sparse import features_from_sparse
     from ..core.quantization import quantize_linear
     from ..core.roi import ROISpec
-    from ..core.sparse import batch_sparse_from_dense
 
     rng = np.random.default_rng(seed)
     shape = tuple(r + 7 for r in roi_shape)
@@ -158,33 +160,21 @@ def measure_costs(
     haralick_features(mats, PAPER_FEATURES)
     t_full = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    sparse_mats = batch_sparse_from_dense(mats)
-    t_convert = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    for sp in sparse_mats:
-        features_from_sparse(sp, PAPER_FEATURES)
-    t_sparse = time.perf_counter() - t0
-
     n_scanned = sum(m.shape[0] for _, m in batches)
     per_cooc = t_cooc / n_scanned
-    ratios = CostModel(
-        cooc_per_roi=per_cooc,
-        feat_full_per_roi=t_full / total,
-        feat_sparse_per_roi=t_sparse / total,
-        sparse_convert_per_roi=t_convert / total,
-        avg_nnz=float(np.mean([sp.nnz for sp in sparse_mats])),
-    )
     if reference_speedup is None:
         # Preserve measured ratios, anchored to the PAPER_COSTS scale.
         scale = PAPER_COSTS.cooc_per_roi / per_cooc
     else:
         scale = reference_speedup
+    full = t_full / total * scale
+    # The paper's sparse-path terms, rescaled with the dense one.
+    paper_ratio = full / PAPER_COSTS.feat_full_per_roi
     return replace(
-        ratios,
-        cooc_per_roi=ratios.cooc_per_roi * scale,
-        feat_full_per_roi=ratios.feat_full_per_roi * scale,
-        feat_sparse_per_roi=ratios.feat_sparse_per_roi * scale,
-        sparse_convert_per_roi=ratios.sparse_convert_per_roi * scale,
+        PAPER_COSTS,
+        cooc_per_roi=per_cooc * scale,
+        feat_full_per_roi=full,
+        feat_sparse_per_roi=PAPER_COSTS.feat_sparse_per_roi * paper_ratio,
+        sparse_convert_per_roi=PAPER_COSTS.sparse_convert_per_roi * paper_ratio,
+        avg_nnz=float(np.count_nonzero(np.triu(mats), axis=(1, 2)).mean()),
     )

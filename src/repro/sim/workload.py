@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Dict, List, Tuple
 
 from ..chunks.chunking import ChunkSpec, partition
-from ..core.roi import ROISpec
+from ..core.roi import ROISpec, valid_positions_shape
 from ..pipeline.config import clip_chunk_shape
 from ..storage.distribution import round_robin_node, slices_for_node
 
@@ -40,7 +40,7 @@ class SimWorkload:
     def __post_init__(self) -> None:
         if self.num_storage_nodes < 1:
             raise ValueError("need at least one storage node")
-        ROISpec(self.roi_shape)
+        valid_positions_shape(self.dataset_shape, ROISpec(self.roi_shape))
         if not (0 < self.packet_fraction <= 1):
             raise ValueError("packet_fraction must be in (0, 1]")
 
@@ -142,16 +142,19 @@ class SimWorkload:
 def paper_workload(scale: float = 1.0, **overrides) -> SimWorkload:
     """The Section 5.1 workload, optionally scaled down for fast tests.
 
-    ``scale`` shrinks every dataset dimension (min 8 in-plane, 4 in z/t);
-    chunk dimensions are clipped automatically.
+    ``scale`` shrinks every dataset dimension (min 8 in-plane, 4 in z/t,
+    and never below the ROI's extent); chunk dimensions are clipped
+    automatically.
     """
     if not (0 < scale <= 1.0):
         raise ValueError("scale must be in (0, 1]")
-    nx = max(8, round(256 * scale))
-    nz = max(4, round(32 * scale))
-    nt = max(4, round(32 * scale))
+    roi = overrides.get("roi_shape", SimWorkload.roi_shape)
+    nx, ny, nz, nt = (
+        max(floor, round(full * scale), r)
+        for full, floor, r in zip((256, 256, 32, 32), (8, 8, 4, 4), roi)
+    )
     defaults = dict(
-        dataset_shape=(nx, nx, nz, nt),
+        dataset_shape=(nx, ny, nz, nt),
         chunk_shape=(max(8, round(50 * scale)), max(8, round(50 * scale)), nz, nt),
     )
     defaults.update(overrides)

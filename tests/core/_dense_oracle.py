@@ -1,6 +1,10 @@
-"""Test-only oracle: the dense Haralick formulas, one temporary per term.
+"""Test-only oracles for the Haralick features.
 
-This is the feature kernel as it stood before the moment-table GEMM:
+``naive_features`` is the scalar-loop reference: every feature but
+``mcc`` written out cell by cell over one ``(G, G)`` count matrix.
+
+``dense_haralick_features`` is the dense formulas, one temporary per
+term: the feature kernel as it stood before the moment-table GEMM, with
 every statistic written out over the full ``(B, G, G)`` probability
 array, the ``p_{x+y}`` / ``p_{x-y}`` marginals by one-hot products, the
 IMC entropies through the explicit ``px * py`` outer product, ``mcc`` one
@@ -22,6 +26,63 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     nz = x > 0
     out[nz] = x[nz] * np.log(x[nz])
+    return out
+
+
+def naive_features(counts):
+    """Scalar-loop reference of all 14 features but ``mcc``."""
+    counts = np.asarray(counts, dtype=float)
+    g = counts.shape[0]
+    total = counts.sum()
+    p = counts / total
+    px = p.sum(axis=1)
+    py = p.sum(axis=0)
+    mu_x = sum(i * px[i] for i in range(g))
+    mu_y = sum(j * py[j] for j in range(g))
+    var_x = sum((i - mu_x) ** 2 * px[i] for i in range(g))
+    var_y = sum((j - mu_y) ** 2 * py[j] for j in range(g))
+    p_sum = np.zeros(2 * g - 1)
+    p_diff = np.zeros(g)
+    for i in range(g):
+        for j in range(g):
+            p_sum[i + j] += p[i, j]
+            p_diff[abs(i - j)] += p[i, j]
+
+    def ent(arr):
+        return -sum(v * np.log(v) for v in np.ravel(arr) if v > 0)
+
+    out = {}
+    out["asm"] = (p**2).sum()
+    out["contrast"] = sum(k**2 * p_diff[k] for k in range(g))
+    num = sum(i * j * p[i, j] for i in range(g) for j in range(g)) - mu_x * mu_y
+    den = np.sqrt(var_x * var_y)
+    out["correlation"] = num / den if den > 0 else 0.0
+    out["sum_of_squares"] = sum(
+        (i - mu_x) ** 2 * p[i, j] for i in range(g) for j in range(g)
+    )
+    out["idm"] = sum(
+        p[i, j] / (1 + (i - j) ** 2) for i in range(g) for j in range(g)
+    )
+    f6 = sum(k * p_sum[k] for k in range(2 * g - 1))
+    out["sum_average"] = f6
+    out["sum_variance"] = sum((k - f6) ** 2 * p_sum[k] for k in range(2 * g - 1))
+    out["sum_entropy"] = ent(p_sum)
+    out["entropy"] = ent(p)
+    mean_d = sum(k * p_diff[k] for k in range(g))
+    out["difference_variance"] = sum((k - mean_d) ** 2 * p_diff[k] for k in range(g))
+    out["difference_entropy"] = ent(p_diff)
+    hxy = out["entropy"]
+    hxy1 = -sum(
+        p[i, j] * np.log(px[i] * py[j])
+        for i in range(g)
+        for j in range(g)
+        if p[i, j] > 0 and px[i] * py[j] > 0
+    )
+    hxy2 = ent(np.outer(px, py))
+    hx, hy = ent(px), ent(py)
+    hmax = max(hx, hy)
+    out["imc1"] = (hxy - hxy1) / hmax if hmax > 0 else 0.0
+    out["imc2"] = np.sqrt(max(0.0, 1.0 - np.exp(-2.0 * (hxy2 - hxy))))
     return out
 
 

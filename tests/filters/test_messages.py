@@ -5,7 +5,6 @@ import pytest
 
 from repro.chunks.chunking import partition
 from repro.core.roi import ROISpec
-from repro.core.sparse import SparseCooc
 from repro.filters.messages import (
     FeaturePortion,
     MatrixPacket,
@@ -27,7 +26,10 @@ class TestTextureParams:
         assert p.roi_shape == (5, 5, 5, 3)
         assert p.levels == 32
         assert p.packet_fraction == pytest.approx(1 / 8)
-        assert not p.sparse
+
+    def test_no_sparse_option(self):
+        with pytest.raises(TypeError):
+            TextureParams(sparse=True)
 
     def test_packet_rois_eighth(self):
         p = TextureParams(roi_shape=(3, 3, 3, 2))
@@ -69,28 +71,17 @@ class TestPayloads:
         tc = TextureChunk(chunk=c, data=np.zeros(c.shape, dtype=np.uint16))
         assert tc.nbytes == c.num_voxels * 2
 
-    def test_matrix_packet_exactly_one_form(self):
-        c = chunk()
-        with pytest.raises(ValueError):
-            MatrixPacket(chunk=c, start=0)
-        with pytest.raises(ValueError):
-            MatrixPacket(
-                chunk=c,
-                start=0,
-                dense=np.zeros((1, 4, 4)),
-                sparse=[SparseCooc(4, np.array([0]), np.array([0]), np.array([1]))],
-            )
+    def test_matrix_packet_shape_validation(self):
+        for shape in [(4, 4), (2, 4, 5), (1, 2, 4, 4)]:
+            with pytest.raises(ValueError):
+                MatrixPacket(chunk=chunk(), start=0, dense=np.zeros(shape))
 
-    def test_matrix_packet_wire_bytes(self):
-        c = chunk()
-        dense = MatrixPacket(chunk=c, start=0, dense=np.zeros((3, 32, 32)))
-        assert dense.count == 3
-        assert dense.wire_bytes(32) == 3 * 32 * 32 * 2
-        sp = SparseCooc(32, np.array([1, 2]), np.array([1, 3]), np.array([4, 2]))
-        sparse = MatrixPacket(chunk=c, start=0, sparse=[sp, sp])
-        assert sparse.count == 2
-        assert sparse.wire_bytes(32) == 2 * sp.wire_bytes()
-        assert sparse.wire_bytes(32) < dense.wire_bytes(32) / 50
+    def test_matrix_packet_nbytes(self):
+        packet = MatrixPacket(
+            chunk=chunk(), start=0, dense=np.zeros((3, 32, 32), dtype=np.int64)
+        )
+        assert packet.count == 3
+        assert packet.nbytes == 3 * 32 * 32 * 8
 
     def test_feature_portion_consistency(self):
         c = chunk()

@@ -51,13 +51,12 @@ def expected(volume):
     return haralick_transform(q, cfg, quantized=True)
 
 
-def texture_params(sparse=False):
+def texture_params():
     return TextureParams(
         roi_shape=ROI,
         levels=LEVELS,
         features=FEATURES,
         intensity_range=(0.0, 65535.0),
-        sparse=sparse,
     )
 
 
@@ -90,9 +89,9 @@ class TestHMPVariant:
         result = run_pipeline(dataset_root, cfg)
         assert_matches(result.volumes, expected)
 
-    def test_sparse_representation(self, dataset_root, expected):
+    def test_two_copies_wide_chunks(self, dataset_root, expected):
         cfg = AnalysisConfig(
-            texture=texture_params(sparse=True),
+            texture=texture_params(),
             variant="hmp",
             texture_chunk_shape=(10, 10, 6, 4),
             num_texture_copies=2,
@@ -124,9 +123,9 @@ class TestSplitVariant:
         result = run_pipeline(dataset_root, cfg)
         assert_matches(result.volumes, expected)
 
-    def test_split_sparse(self, dataset_root, expected):
+    def test_split_two_hcc_two_hpc(self, dataset_root, expected):
         cfg = AnalysisConfig(
-            texture=texture_params(sparse=True),
+            texture=texture_params(),
             variant="split",
             texture_chunk_shape=(8, 8, 6, 4),
             num_hcc_copies=2,

@@ -31,7 +31,7 @@ def second_dataset_root(tmp_path_factory):
 
 #: TextureParams fields make_config routes into the texture dataclass.
 _TEXTURE_FIELDS = (
-    "levels", "distance", "intensity_range", "sparse", "kernel", "roi_shape",
+    "levels", "distance", "intensity_range", "kernel", "roi_shape",
 )
 
 

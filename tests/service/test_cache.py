@@ -30,12 +30,9 @@ class TestResultKey:
         assert result_key("h", params(), "idm") != base
 
     def test_excludes_bit_identical_knobs(self):
-        # Variant, kernel, sparse mode and chunking are pinned
-        # bit-identical by the conformance suites, so they must share
-        # cache entries rather than fragment them.
-        assert result_key("h", params(sparse=True), "asm") == result_key(
-            "h", params(sparse=False), "asm"
-        )
+        # Variant, kernel and chunking are pinned bit-identical by the
+        # conformance suites, so they must share cache entries rather
+        # than fragment them.
         assert result_key("h", params(kernel="reference"), "asm") == result_key(
             "h", params(), "asm"
         )

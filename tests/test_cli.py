@@ -115,6 +115,11 @@ class TestAnalyzeRuntimes:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--pool-entries", "3"])
 
+    def test_analyze_has_no_sparse_flag(self):
+        # One co-occurrence representation: dense matrices.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["analyze", "dir", "--sparse"])
+
 
 class TestSimulate:
     @pytest.mark.parametrize("figure", ["7a", "7b", "8", "9", "10", "11"])
@@ -123,3 +128,11 @@ class TestSimulate:
         assert rc == 0
         out = capsys.readouterr().out
         assert "workload" in out
+
+    @pytest.mark.parametrize("scale", ["0", "-0.5", "1.5", "nan"])
+    def test_scale_outside_unit_interval_is_a_usage_error(self, scale, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scale", scale])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--scale" in err and "Traceback" not in err
