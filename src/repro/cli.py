@@ -83,10 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", type=int, metavar="N",
                    help="distributed runtime shorthand: N loopback agents "
                         "(equivalent to --hosts 127.0.0.1 x N)")
-    p.add_argument("--elastic", action="store_true",
-                   help="distributed runtime: keep the head listening so "
-                        "agents can join the run live (and be drained "
-                        "again) via DistRuntime.add_agent/drain_agent")
     p.add_argument("--heartbeat-timeout", type=float, metavar="SECONDS",
                    help="distributed runtime: seconds of agent silence "
                         "before it is declared dead (default: the "
@@ -229,10 +225,8 @@ def _cmd_analyze(args) -> int:
     if (args.hosts or args.agents) and args.runtime != "distributed":
         print("--hosts/--agents require --runtime distributed", file=sys.stderr)
         return 2
-    if (
-        args.elastic or args.heartbeat_timeout is not None
-    ) and args.runtime != "distributed":
-        print("--elastic/--heartbeat-timeout require --runtime distributed",
+    if args.heartbeat_timeout is not None and args.runtime != "distributed":
+        print("--heartbeat-timeout requires --runtime distributed",
               file=sys.stderr)
         return 2
     if args.hosts and args.agents:
@@ -249,7 +243,6 @@ def _cmd_analyze(args) -> int:
     result = run_pipeline(
         args.dataset, config, runtime=args.runtime, hosts=hosts,
         trace=args.trace, trace_out=args.trace_out,
-        elastic=args.elastic,
         heartbeat_timeout=args.heartbeat_timeout,
         poll_interval=args.poll_interval,
     )

@@ -57,10 +57,6 @@ __all__ = [
     "CrashAgent",
     "DelayConnection",
     "DropDeliveries",
-    "JoinAgent",
-    "DrainAgent",
-    "MembershipAction",
-    "validate_schedule",
     "FaultPlan",
     "CopyInjector",
     "ConnectionInjector",
@@ -366,98 +362,6 @@ class DropDeliveries:
             raise ValueError("probability must be in [0, 1]")
 
 
-# ---------------------------------------------------------------------------
-# Membership-churn actions (elastic distributed runtime only)
-#
-# Not faults: a join or a planned drain is healthy cluster behaviour
-# (autoscaling, maintenance).  They live here because scenario specs
-# mix them freely with FaultPlan entries to script one run's churn.
-
-
-@dataclass(frozen=True)
-class JoinAgent:
-    """Attach one new worker agent ``at`` seconds into the run.
-
-    Loopback hosts are forked by the head like startup agents; any other
-    host must launch ``python -m repro.datacutter.net.agent`` with the
-    command the head prints.  The head installs one new copy of every
-    elastic-eligible filter (replicated, all inputs transparent) on the
-    joiner and rebalances pending chunk assignments onto it.
-    """
-
-    at: float
-    host: str = "127.0.0.1"
-
-    def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("at must be >= 0")
-        if not self.host:
-            raise ValueError("host must be non-empty")
-
-
-@dataclass(frozen=True)
-class DrainAgent:
-    """Gracefully drain one worker agent ``at`` seconds into the run.
-
-    The head stops dispatching new buffers to the agent's copies, lets
-    in-flight chunks finish (within ``deadline`` seconds if given),
-    closes the copies' input streams so they finalize, then detaches the
-    agent with a clean DETACH handshake.  A drain that exceeds its
-    deadline — or an agent that goes silent mid-drain — is reclassified
-    as a crash and handled by the reroute machinery.
-    """
-
-    at: float
-    agent: Union[int, str] = -1
-    deadline: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("at must be >= 0")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive")
-
-
-MembershipAction = Union[JoinAgent, DrainAgent]
-
-
-def validate_schedule(
-    schedule: List[MembershipAction], agents: List[str], elastic: bool
-) -> None:
-    """Reject membership schedules that could never apply.
-
-    ``agents`` names the run's *initial* worker agents.  Drain targets
-    may also be integer indices of agents that join later (index >= the
-    initial count is only valid when ``elastic``); joins always require
-    the elastic listener.
-    """
-    for action in schedule:
-        if isinstance(action, JoinAgent):
-            if not elastic:
-                raise ValueError(
-                    "JoinAgent in the schedule requires elastic=True "
-                    "(the listener must stay open for late attach)"
-                )
-        elif isinstance(action, DrainAgent):
-            if isinstance(action.agent, int):
-                if action.agent < 0 or (
-                    action.agent >= len(agents) and not elastic
-                ):
-                    raise ValueError(
-                        f"DrainAgent targets agent {action.agent} but the "
-                        f"runtime starts {len(agents)} agents"
-                    )
-            elif action.agent not in agents and not elastic:
-                raise ValueError(
-                    f"DrainAgent targets unknown agent {action.agent!r}; "
-                    f"runtime has {agents}"
-                )
-        else:
-            raise ValueError(
-                f"unknown membership action {type(action).__name__}"
-            )
-
-
 ConnectionFault = (CrashAgent, DelayConnection, DropDeliveries)
 
 FaultSpec = Union[
@@ -572,7 +476,6 @@ class FaultPlan:
         self,
         copies_by_filter: Dict[str, int],
         agents: Optional[List[str]] = None,
-        elastic: bool = False,
     ) -> None:
         """Reject faults that target nothing.
 
@@ -581,9 +484,7 @@ class FaultPlan:
         tested nothing looks exactly like a clean recovery.
         ``agents`` names the distributed runtime's worker agents;
         ``None`` (the single-host runtimes) rejects connection-level
-        faults outright, since there is no connection to break.  With
-        ``elastic`` the runtime may grow past the initial agent list, so
-        out-of-range indices (agents that join later) are allowed.
+        faults outright, since there is no connection to break.
         """
         for f in self.faults:
             if isinstance(f, ConnectionFault):
@@ -594,12 +495,12 @@ class FaultPlan:
                         "runtime"
                     )
                 if isinstance(f.agent, int):
-                    if f.agent < 0 or (f.agent >= len(agents) and not elastic):
+                    if not 0 <= f.agent < len(agents):
                         raise ValueError(
                             f"fault targets agent {f.agent} but the runtime "
                             f"has {len(agents)} agents"
                         )
-                elif f.agent not in agents and not elastic:
+                elif f.agent not in agents:
                     raise ValueError(
                         f"fault targets unknown agent {f.agent!r}; "
                         f"runtime has {agents}"

@@ -44,12 +44,9 @@ filters that read the dataset need it on a shared filesystem).  Loopback
 agents are forked by the head and inherit the graph through process
 memory, so tests and CI need no real cluster and no picklable factories.
 
-Elastic membership is head-driven and needs almost nothing here: a
-*joining* agent runs exactly this code (the head registers its index
-first via ``DistRuntime.add_agent``), and a *draining* agent just honors
-two extra control frames — ``drain`` (informational; the head stops
-dispatching and closes the copies' inputs early) and ``detach`` (leave
-the dispatcher loop cleanly once every hosted copy has reported in).
+The agent's copies are fixed by its one ``setup``: it never gains or
+loses a copy mid-run, and it leaves the dispatcher loop only on the
+head's ``stop`` or a lost connection.
 """
 
 from __future__ import annotations
@@ -239,9 +236,6 @@ class AgentRunner:
         self.retry = RetryPolicy()
         self.faults = None
         self.trace = False
-        #: Set when the head announced a drain; the copies keep running
-        #: until their inputs close, this only records the lifecycle.
-        self.draining = False
         self.abort = threading.Event()
         self.poll = _POLL
         self.out_q: "queue.Queue" = queue.Queue()
@@ -392,17 +386,6 @@ class AgentRunner:
                     worker = self.copies.get((name, idx))
                     if worker is not None:
                         worker.in_q.put(("close", stream))
-                elif kind == "drain":
-                    # Planned leave: nothing to do locally but note it —
-                    # the head stops dispatching, closes our copies'
-                    # input streams early so they finalize normally, and
-                    # sends "detach" once every copy reported in.
-                    self.draining = True
-                elif kind == "detach":
-                    # Clean release at the end of a drain: leave the
-                    # dispatcher loop the same way "stop" does, but as a
-                    # planned goodbye rather than a run-wide shutdown.
-                    break
                 elif kind == "stop":
                     break
                 else:  # pragma: no cover - protocol growth guard

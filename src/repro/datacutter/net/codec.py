@@ -76,11 +76,14 @@ MAX_BUFFERS = 4096
 
 
 #: Version of the head/agent control protocol spoken over this codec.
-#: Version 2 added elastic membership: late-join hellos, and the
-#: ``drain`` / ``detach`` control frames of the planned-leave handshake.
-#: The head refuses agents announcing a different version — a stale
-#: agent build silently missing DRAIN would look exactly like a hang.
-PROTOCOL_VERSION = 2
+#: Version 3 is a fixed frame set: head to agent ``setup``, ``buf``,
+#: ``scredit``, ``close`` and ``stop``; agent to head ``hello``, ``hb``,
+#: ``send``, ``ack``, ``nack``, ``done``, ``copy_failed`` and
+#: ``deposit``.  Version 2 also had the ``drain`` and ``detach`` frames
+#: of a live-leave handshake, which a version-3 agent would not know.
+#: The head refuses agents announcing a different version, so a stale
+#: build fails the handshake instead of dying on an unknown frame.
+PROTOCOL_VERSION = 3
 
 
 class CodecError(RuntimeError):
@@ -106,9 +109,8 @@ class ConnectionClosed(ConnectionError):
 class Hello:
     """A parsed agent handshake frame.
 
-    ``index`` is the agent's slot in the head's connection table — for
-    elastic late joins the head allocates the slot before the agent
-    connects, so the same handshake covers both startup and join.
+    ``index`` is the agent's slot in the head's connection table, which
+    is fixed when the run starts: one slot per host.
     """
 
     index: int
@@ -125,9 +127,9 @@ def make_hello(index: int, token: str, pid: int) -> Tuple:
 def parse_hello(msg: Any) -> Optional[Hello]:
     """Parse a handshake frame; ``None`` if the frame is no hello at all.
 
-    Version-1 agents (pre-elastic builds) sent a 4-tuple without the
-    version field; they parse as ``version=1`` so the head can reject
-    them with an accurate reason instead of treating them as strangers.
+    Version-1 agents sent a 4-tuple without the version field; they
+    parse as ``version=1`` so the head can reject them with an accurate
+    reason instead of treating them as strangers.
     """
     if not (isinstance(msg, tuple) and len(msg) in (4, 5) and msg[0] == "hello"):
         return None

@@ -18,23 +18,10 @@ deployment does.  The head
   them onto consumer copies per the stream's policy and relays them
   down, zero-copy end to end through the wire codec.
 
-Elastic membership (``elastic=True``) removes the fixed-host-set
-assumption: the listener stays open for the whole run, so agents may
-*join* mid-run (:meth:`DistRuntime.add_agent`, or a scheduled
-:class:`~repro.datacutter.faults.JoinAgent`) — the head authenticates
-the late hello against the run token, installs one new copy of every
-elastic-eligible filter (replicated, all inputs transparent) on the
-joiner, and rebalances pending chunk assignments onto the new copies —
-and agents may be *drained* (:meth:`DistRuntime.drain_agent` /
-:class:`~repro.datacutter.faults.DrainAgent`): a ``drain`` control
-frame stops new dispatch to the agent's copies, in-flight chunks finish
-(bounded by the drain deadline), the copies' input streams are closed
-early so they finalize and report ``done``, and the agent is released
-with a ``detach`` frame and a clean socket shutdown.  A planned drain
-is attributed as membership churn (``RunResult.drained_agents``), never
-as a failure: it adds nothing to ``retries``/``reroutes``.  A drain
-that exceeds its deadline, or an agent that goes silent mid-drain, is
-*reclassified* as a crash and recovered by the reroute machinery.
+Membership is fixed when the run starts, as the paper's placement
+specs fix it: the head accepts exactly one agent per host, closes its
+listener, and never admits another.  The only membership change after
+that is an agent dying, which the reroute machinery below recovers.
 
 Flow control is credit based, replacing the single-host runtimes'
 shared-memory queue counters: a consumer copy never has more than
@@ -76,13 +63,9 @@ from ..buffers import DataBuffer
 from ..faults import (
     CopyFailure,
     CrashAgent,
-    DrainAgent,
     FaultPlan,
-    JoinAgent,
-    MembershipAction,
     PipelineError,
     RetryPolicy,
-    validate_schedule,
 )
 from ..graph import FilterGraph, StreamEdge
 from ..obs import Trace, Tracer, snapshot_run
@@ -149,18 +132,6 @@ class _AgentConn:
         self.pid: Optional[int] = None
         self.reader: Optional[threading.Thread] = None
         self.writer: Optional[threading.Thread] = None
-        #: Elastic membership: attached after the run started.
-        self.joined = False
-        #: Planned-leave lifecycle.  ``drain_state`` moves None ->
-        #: "draining" -> "drained" (clean) or "failed" (escalated);
-        #: ``drained`` is set when the drain reaches either end state.
-        self.draining = False
-        self.drain_state: Optional[str] = None
-        self.drain_deadline: Optional[float] = None
-        self.drained = threading.Event()
-        #: A detach frame was sent: the agent's clean socket close must
-        #: not be mistaken for a crash.
-        self.detached = False
 
 
 class _Pending:
@@ -221,16 +192,6 @@ class DistRuntime:
         :data:`~repro.datacutter.net.agent.HEARTBEAT_INTERVAL` seconds).
         ``None`` reads the ``REPRO_DIST_HEARTBEAT_TIMEOUT`` environment
         variable and falls back to 5 seconds.
-    elastic:
-        Keep the listener open for the whole run so agents can join
-        live (:meth:`add_agent`) — see the module docstring.  Draining
-        needs no flag; only late *attach* does.
-    schedule:
-        Declarative membership churn: a list of
-        :class:`~repro.datacutter.faults.JoinAgent` /
-        :class:`~repro.datacutter.faults.DrainAgent` actions fired by
-        the monitor loop at their ``at`` offsets (seconds after
-        dispatch starts).  Joins require ``elastic=True``.
     port / bind_host:
         Listening endpoint; port 0 picks an ephemeral port (fine for
         loopback runs, external agents need a fixed one).
@@ -256,8 +217,6 @@ class DistRuntime:
         bind_host: str = "",
         connect_timeout: float = 30.0,
         trace: bool = False,
-        elastic: bool = False,
-        schedule: Optional[List[MembershipAction]] = None,
         poll_interval: Optional[float] = None,
     ):
         graph.validate()
@@ -290,14 +249,10 @@ class DistRuntime:
         self.send_window = send_window
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults
-        self.elastic = bool(elastic)
-        self.schedule = sorted(schedule or [], key=lambda a: a.at)
-        validate_schedule(self.schedule, self.node_names, self.elastic)
         if faults is not None:
             faults.validate(
                 {name: spec.copies for name, spec in graph.filters.items()},
                 agents=self.node_names,
-                elastic=self.elastic,
             )
         if heartbeat_timeout is None:
             heartbeat_timeout = float(
@@ -320,9 +275,9 @@ class DistRuntime:
 
         Idempotent, and safe to call from another thread while ``run()``
         is blocked: the run's done event fires, the monitor loop exits,
-        and ``run()``'s own teardown closes the listener, the agent
-        connections, and any loopback agent processes.  After a finished
-        run this is a no-op — ``run()`` already tore everything down.
+        and ``run()``'s own teardown closes the agent connections and
+        any loopback agent processes.  After a finished run this is a
+        no-op — ``run()`` already tore everything down.
         """
         done = getattr(self, "_done_event", None)
         if done is not None and not done.is_set():
@@ -355,7 +310,6 @@ class DistRuntime:
         self._done_event = threading.Event()
         self._fatal = False
         self._stopping = False
-        self._running = False
         self._failures: List[CopyFailure] = []
         self._results: Dict[str, List[Any]] = {}
         self._busy: Dict[Tuple[str, int], float] = {}
@@ -368,12 +322,6 @@ class DistRuntime:
         self._status: Dict[Tuple[str, int], str] = {}
         self._outstanding: Dict[Tuple[str, int], int] = {}
         self._agent_of: Dict[Tuple[str, int], int] = {}
-        #: Live copy counts; joins grow these past the graph's static
-        #: declarations, so every runtime-side loop over copies must use
-        #: this map, not ``graph.copies``.
-        self._copies: Dict[str, int] = {
-            name: spec.copies for name, spec in g.filters.items()
-        }
         for spec in g.filters.values():
             for i in range(spec.copies):
                 self._status[(spec.name, i)] = "running"
@@ -388,25 +336,10 @@ class DistRuntime:
             es = _EdgeState(edge, g.copies(edge.dst), g.copies(edge.src))
             self._edges[(edge.src, edge.stream)] = es
             self._edges_into[edge.dst].append(es)
-        #: Per-run membership: joins append, so the constructor-time
-        #: ``hosts``/``node_names`` stay pristine for the next run.
-        self._run_nodes = list(self.node_names)
         self._conns = [
             _AgentConn(i, self.node_names[i], self.hosts[i])
             for i in range(len(self.hosts))
         ]
-        self._joined_agents: List[str] = []
-        self._drained_agents: List[str] = []
-        self._rebalances = 0
-        #: (filter, copy, stream) close frames already queued, so the
-        #: per-copy early closes a drain sends and the edge-wide closes
-        #: ``_maybe_close`` sends never duplicate each other.
-        self._closed_sent: set = set()
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._token: Optional[str] = None
-        self._run_start = 0.0
-        self._sched_idx = 0
 
     def _conn_of(self, filter_name: str, copy_index: int) -> _AgentConn:
         return self._conns[self._agent_of[(filter_name, copy_index)]]
@@ -556,20 +489,11 @@ class DistRuntime:
             return
         es.closed = True
         dst = es.edge.dst
-        for i in range(self._copies[dst]):
-            # Draining copies still need end-of-stream to finalize.
-            if self._status[(dst, i)] in ("running", "draining"):
-                self._send_close(dst, i, es.edge.stream)
-
-    def _send_close(self, dst: str, copy: int, stream: str) -> None:
-        """Queue one end-of-stream frame, at most once per copy/stream."""
-        key = (dst, copy, stream)
-        if key in self._closed_sent:
-            return
-        self._closed_sent.add(key)
-        conn = self._conn_of(dst, copy)
-        if not conn.dead:
-            conn.out_q.put((("close", dst, copy, stream), None))
+        for i in range(self.graph.copies(dst)):
+            if self._status[(dst, i)] == "running":
+                conn = self._conn_of(dst, i)
+                if not conn.dead:
+                    conn.out_q.put((("close", dst, i, es.edge.stream), None))
 
     # ------------------------------------------------------------------
     # Agent message handling
@@ -630,9 +554,6 @@ class DistRuntime:
         # into the same consumer filter.
         for other in self._edges_into[dst]:
             self._pump_edge(other)
-        conn = self._conn_of(dst, p.target)
-        if conn.draining:
-            self._advance_drain(conn)
 
     def _on_nack(self, seq: int) -> None:
         """An injected connection drop: re-deliver to the same copy."""
@@ -647,37 +568,27 @@ class DistRuntime:
         self._pump_edge(es)
 
     def _on_done(self, f: str, c: int, busy: float, retries: int) -> None:
-        prev = self._status.get((f, c))
-        if prev not in ("running", "draining"):
+        if self._status.get((f, c)) != "running":
             return
-        self._status[(f, c)] = "drained" if prev == "draining" else "done"
+        self._status[(f, c)] = "done"
         self._busy[(f, c)] = busy
         self._retries += retries
         for e in self.graph.out_edges(f):
             es = self._edges[(f, e.stream)]
             es.producers_done += 1
             self._maybe_close(es)
-        if prev == "draining":
-            self._advance_drain(self._conn_of(f, c))
         self._check_complete()
 
     def _on_copy_failed(
         self, failure: CopyFailure, busy: float, retries: int
     ) -> None:
         key = (failure.filter_name, failure.copy_index)
-        if self._status.get(key) not in ("running", "draining"):
+        if self._status.get(key) != "running":
             return
         self._busy[key] = busy
         self._retries += retries
         self._status[key] = "failed"
         self._handle_failed(failure)
-        conn = self._conn_of(*key)
-        if conn.draining:
-            # A copy that dies mid-drain taints the drain: the agent
-            # still detaches once every copy is terminal, but the leave
-            # was not clean and is not attributed as one.
-            conn.drain_state = "failed"
-            self._advance_drain(conn)
         self._check_complete()
 
     def _handle_failed(self, failure: CopyFailure) -> None:
@@ -695,7 +606,7 @@ class DistRuntime:
             and any(not es.closed for es in edges_in)
             and any(
                 self._status[(f, i)] == "running"
-                for i in range(self._copies[f])
+                for i in range(g.copies(f))
             )
         )
         failure.recovered = recoverable
@@ -742,9 +653,7 @@ class DistRuntime:
             self._maybe_close(self._edges[(f, e.stream)])
 
     def _check_complete(self) -> None:
-        if all(
-            s not in ("running", "draining") for s in self._status.values()
-        ):
+        if all(s != "running" for s in self._status.values()):
             self._done_event.set()
 
     # ------------------------------------------------------------------
@@ -764,22 +673,11 @@ class DistRuntime:
             if conn.dead or self._stopping:
                 return
             conn.dead = True
-            if conn.detached:
-                # The head told this agent to go; its socket close (or a
-                # missed heartbeat after it) is the expected epilogue of
-                # a completed drain, not a crash.
-                return
             victims = [
                 key
                 for key, agent in self._agent_of.items()
-                if agent == conn.index
-                and self._status[key] in ("running", "draining")
+                if agent == conn.index and self._status[key] == "running"
             ]
-            if conn.draining and not conn.drained.is_set():
-                # Silence mid-drain: the planned leave escalates to a
-                # crash and its copies go through normal recovery.
-                conn.drain_state = "failed"
-                conn.drained.set()
             if not victims:
                 return
             injected = self._injected_agent_crash(conn)
@@ -799,316 +697,6 @@ class DistRuntime:
                     )
                 )
             self._check_complete()
-
-    # ------------------------------------------------------------------
-    # Elastic membership
-
-    def _elastic_filters(self) -> List[str]:
-        """Filters a joining agent can host a new copy of.
-
-        Eligible means replicated (the paper's compute filters), fed
-        only by transparent streams (any copy may receive any buffer),
-        and not yet finalizing (at least one input stream still open) —
-        growing a finished filter would add a copy that can never see a
-        buffer and whose ``done`` the completion check would still wait
-        for.  Sources and sinks with a single copy are never grown, so
-        elastic runs keep bit-identical output order.
-        """
-        out: List[str] = []
-        for name, spec in self.graph.filters.items():
-            in_edges = self.graph.in_edges(name)
-            if spec.copies <= 1 or not in_edges:
-                continue
-            if any(e.policy == "explicit" for e in in_edges):
-                continue
-            if all(es.closed for es in self._edges_into[name]):
-                continue
-            out.append(name)
-        return out
-
-    def _resolve_conn(self, agent: Any) -> _AgentConn:
-        if isinstance(agent, int):
-            if agent < 0:
-                agent += len(self._conns)
-            if not 0 <= agent < len(self._conns):
-                raise ValueError(f"unknown agent index {agent}")
-            return self._conns[agent]
-        for conn in self._conns:
-            if conn.name == agent:
-                return conn
-        raise ValueError(f"unknown agent {agent!r}")
-
-    def add_agent(self, host: str = "127.0.0.1") -> str:
-        """Admit one more agent into a running elastic run.
-
-        Registers a connection slot and (for loopback hosts) spawns the
-        agent process; the open listener authenticates its hello against
-        the run token and :meth:`_attach` installs one new copy of every
-        elastic-eligible filter on it.  Returns the new node name.
-        Requires ``elastic=True`` and an active run.
-        """
-        with self._lock:
-            if not self.elastic:
-                raise RuntimeError("add_agent requires elastic=True")
-            if not self._running or self._stopping:
-                raise RuntimeError("add_agent needs an active run")
-            index = len(self._conns)
-            name = f"{host}#{index}"
-            conn = _AgentConn(index, name, host)
-            conn.joined = True
-            conn.last_seen = time.monotonic()
-            self._conns.append(conn)
-            self._run_nodes.append(name)
-        if host in _LOOPBACK:
-            self._spawn_loopback(conn, self._port, self._token)
-        else:
-            print(
-                f"[DistRuntime] waiting for joining agent {index} on "
-                f"{host}: run `python -m repro.datacutter.net.agent "
-                f"--connect <head-address>:{self._port} --index {index} "
-                f"--token {self._token}`",
-                file=sys.stderr,
-            )
-        return name
-
-    def _attach(
-        self, conn: _AgentConn, sock: socket.socket, pid: int
-    ) -> None:
-        """Wire up an authenticated late joiner (accept-thread side)."""
-        sock.settimeout(None)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        with self._lock:
-            if self._stopping or conn.dead:
-                sock.close()
-                return
-            conn.sock = sock
-            conn.pid = pid
-            conn.last_seen = time.monotonic()
-            assignments: List[Tuple[str, int]] = []
-            grown = set()
-            for f in self._elastic_filters():
-                idx = self._copies[f]
-                self._copies[f] = idx + 1
-                self._status[(f, idx)] = "running"
-                self._outstanding[(f, idx)] = 0
-                self._agent_of[(f, idx)] = conn.index
-                for es in self._edges_into[f]:
-                    es.states.append(CopyState(idx))
-                for e in self.graph.out_edges(f):
-                    self._edges[(f, e.stream)].n_producers += 1
-                assignments.append((f, idx))
-                grown.add(f)
-            graph = None if conn.proc is not None else self.graph
-            conn.out_q.put(
-                (
-                    (
-                        "setup",
-                        graph,
-                        assignments,
-                        self.retry,
-                        self.faults,
-                        self.send_window,
-                        conn.name,
-                        self.trace,
-                        self.poll_interval,
-                    ),
-                    None,
-                )
-            )
-            conn.writer = threading.Thread(
-                target=self._writer,
-                args=(conn,),
-                name=f"head-writer-{conn.index}",
-                daemon=True,
-            )
-            conn.writer.start()
-            conn.reader = threading.Thread(
-                target=self._reader,
-                args=(conn,),
-                name=f"head-reader-{conn.index}",
-                daemon=True,
-            )
-            conn.reader.start()
-            # A new copy of a filter with one already-closed input must
-            # still get that stream's end-of-stream to finalize.
-            for f, idx in assignments:
-                for es in self._edges_into[f]:
-                    if es.closed:
-                        self._send_close(f, idx, es.edge.stream)
-            self._joined_agents.append(conn.name)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "agent.join", agent=conn.name, copies=len(assignments)
-                )
-            if grown:
-                self._rebalance(grown)
-
-    def _rebalance(self, filters: set) -> None:
-        """Re-pick every pending non-explicit buffer into ``filters``.
-
-        Called with the lock held after membership changed: a join added
-        consumer copies the scheduler should start loading, a drain
-        removed some it must stop loading.  Only *pending* entries move
-        — buffers already on the wire stay where they are (a drain waits
-        for their acks, a join never needs them back).
-        """
-        moved = 0
-        for f in filters:
-            for es in self._edges_into[f]:
-                for p in es.pending:
-                    if p.explicit:
-                        continue
-                    es.states[p.target].on_unassign(p.buffer)
-                    es.sent -= 1
-                    target = self._choose(es, p.buffer)
-                    if target is None:  # pragma: no cover - defensive
-                        es.states[p.target].on_assign(p.buffer)
-                        es.sent += 1
-                        continue
-                    es.sent += 1
-                    if target != p.target:
-                        moved += 1
-                        if self._tracer is not None:
-                            self._tracer.emit(
-                                "sched.rebalance",
-                                chunk=p.buffer.metadata.get("chunk"),
-                                stream=es.edge.stream,
-                                dest=target,
-                            )
-                    p.target = target
-                self._pump_edge(es)
-        self._rebalances += moved
-
-    def drain_agent(
-        self, agent: Any, deadline: Optional[float] = None
-    ) -> threading.Event:
-        """Ask one agent to leave cleanly; returns its completion event.
-
-        New dispatch to the agent's copies stops immediately; pending
-        buffers re-pick onto surviving copies; in-flight deliveries
-        finish and are acknowledged; then each copy's input streams are
-        closed early so it finalizes and reports ``done``, and the agent
-        is released with a ``detach`` frame.  ``agent`` is an index
-        (negative counts from the end) or node name.  ``deadline`` is
-        seconds from now before the drain escalates to a crash (default
-        30).  Idempotent: draining an already-draining agent returns the
-        same event.  Raises ``ValueError`` when the agent hosts a
-        source, an explicitly-addressed copy, or the last live copy of a
-        filter with open inputs — those leaves cannot be clean.
-        """
-        with self._lock:
-            if not self._running or self._stopping:
-                raise RuntimeError("drain_agent needs an active run")
-            conn = self._resolve_conn(agent)
-            if conn.draining:
-                return conn.drained
-            if conn.dead or conn.sock is None:
-                raise RuntimeError(f"agent {conn.name} is not attached")
-            victims = [
-                key
-                for key, a in self._agent_of.items()
-                if a == conn.index and self._status[key] == "running"
-            ]
-            for f, c in victims:
-                if not self.graph.in_edges(f):
-                    raise ValueError(
-                        f"cannot drain agent {conn.name}: it hosts "
-                        f"source {f}[{c}]"
-                    )
-                edges_in = self._edges_into[f]
-                if any(
-                    es.policy.requires_explicit_dest() for es in edges_in
-                ):
-                    raise ValueError(
-                        f"cannot drain agent {conn.name}: {f}[{c}] is "
-                        f"explicitly addressed"
-                    )
-                if any(not es.closed for es in edges_in) and not any(
-                    self._status[(f, i)] == "running"
-                    and self._agent_of[(f, i)] != conn.index
-                    for i in range(self._copies[f])
-                ):
-                    raise ValueError(
-                        f"cannot drain agent {conn.name}: {f}[{c}] is "
-                        f"the last live copy of {f} with open inputs"
-                    )
-            if deadline is None:
-                deadline = 30.0
-            conn.draining = True
-            conn.drain_state = "draining"
-            conn.drain_deadline = time.monotonic() + deadline
-            for key in victims:
-                self._status[key] = "draining"
-            conn.out_q.put((("drain",), None))
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "agent.drain", agent=conn.name, copies=len(victims)
-                )
-            self._rebalance({f for f, _ in victims})
-            self._advance_drain(conn)
-            return conn.drained
-
-    def _advance_drain(self, conn: _AgentConn) -> None:
-        """Advance a draining agent toward detach (lock held).
-
-        Called whenever one of the agent's copies loses outstanding
-        work (ack) or reaches a terminal state (done / failed).  A copy
-        with no unacknowledged deliveries gets its input streams closed
-        early; once every copy is terminal the agent is detached.
-        """
-        if not conn.draining or conn.dead or conn.drained.is_set():
-            return
-        waiting = False
-        for key, agent in self._agent_of.items():
-            if agent != conn.index:
-                continue
-            if self._status[key] != "draining":
-                continue
-            waiting = True
-            f, c = key
-            if self._outstanding[key] == 0:
-                for es in self._edges_into[f]:
-                    if not es.closed:
-                        self._send_close(f, c, es.edge.stream)
-        if waiting:
-            return
-        # Every copy reached a terminal state: release the agent.  The
-        # leave is attributed as clean only if nothing failed along the
-        # way (an escalated drain is a crash, never a drained agent).
-        conn.detached = True
-        if conn.drain_state == "draining":
-            conn.drain_state = "drained"
-            self._drained_agents.append(conn.name)
-        conn.out_q.put((("detach",), None))
-        if self._tracer is not None:
-            self._tracer.emit(
-                "agent.detach",
-                agent=conn.name,
-                clean=conn.drain_state == "drained",
-            )
-        conn.drained.set()
-
-    def _fire_schedule(self, now: float) -> None:
-        """Fire scheduled membership actions whose offset has passed."""
-        while self._sched_idx < len(self.schedule):
-            action = self.schedule[self._sched_idx]
-            if now - self._run_start < action.at:
-                return
-            self._sched_idx += 1
-            try:
-                if isinstance(action, JoinAgent):
-                    self.add_agent(action.host)
-                else:
-                    self.drain_agent(action.agent, deadline=action.deadline)
-            except (ValueError, RuntimeError) as exc:
-                # A schedule that races the run's natural end (or names
-                # an undrainable agent) degrades to a no-op, not a
-                # failed run: scenarios assert on RunResult attribution.
-                print(
-                    f"[DistRuntime] scheduled "
-                    f"{type(action).__name__} skipped: {exc}",
-                    file=sys.stderr,
-                )
 
     # ------------------------------------------------------------------
     # Connection threads
@@ -1205,42 +793,6 @@ class DistRuntime:
             conn.pid = pid
             waiting.discard(index)
 
-    def _accept_late(self, listener: socket.socket, token: str) -> None:
-        """Accept-thread body: admit joining agents until the run ends.
-
-        Only agents :meth:`add_agent` registered can attach — the hello
-        must carry the run token, the current protocol version, and the
-        index of a slot that has no socket yet.
-        """
-        while not self._done_event.is_set() and not self._stopping:
-            try:
-                sock, _addr = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed by teardown
-            sock.settimeout(self.connect_timeout)
-            try:
-                hello = codec.parse_hello(codec.recv_message(sock))
-            except (codec.ConnectionClosed, codec.CodecError, OSError):
-                sock.close()
-                continue
-            conn: Optional[_AgentConn] = None
-            if (
-                hello is not None
-                and hello.token == token
-                and hello.version == codec.PROTOCOL_VERSION
-            ):
-                with self._lock:
-                    if 0 <= hello.index < len(self._conns):
-                        cand = self._conns[hello.index]
-                        if cand.sock is None and not cand.dead:
-                            conn = cand
-            if conn is None:
-                sock.close()
-                continue
-            self._attach(conn, sock, hello.pid)
-
     # ------------------------------------------------------------------
     # Execution
 
@@ -1291,15 +843,10 @@ class DistRuntime:
             self._accept_agents(listener, token)
         except BaseException:
             self._teardown()
-            listener.close()
             raise
-        if self.elastic:
-            # Keep listening: late joiners authenticate with the same
-            # token on the same endpoint.
-            self._listener = listener
-            self._token = token
-            self._port = port
-        else:
+        finally:
+            # Membership is fixed from here on: no agent is ever admitted
+            # after the initial handshake.
             listener.close()
 
         now = time.monotonic()
@@ -1346,17 +893,6 @@ class DistRuntime:
                 daemon=True,
             )
             conn.reader.start()
-        if self.elastic:
-            self._accept_thread = threading.Thread(
-                target=self._accept_late,
-                args=(listener, token),
-                name="head-accept",
-                daemon=True,
-            )
-            self._accept_thread.start()
-        with self._lock:
-            self._running = True
-        self._run_start = time.monotonic()
 
         deadline = None if timeout is None else time.monotonic() + timeout
         timed_out = False
@@ -1371,34 +907,10 @@ class DistRuntime:
                     self._fatal = True
                 self._done_event.set()
                 break
-            self._fire_schedule(now)
-            for conn in list(self._conns):
+            for conn in self._conns:
                 if conn.dead:
                     continue
-                if conn.sock is None:
-                    # A registered joiner that has not attached yet: it
-                    # heartbeats nothing, so give it the connect window,
-                    # then forget it quietly (nothing was placed on it).
-                    if now - conn.last_seen > self.connect_timeout:
-                        conn.dead = True
-                        print(
-                            f"[DistRuntime] joining agent {conn.index} "
-                            f"never connected",
-                            file=sys.stderr,
-                        )
-                    continue
-                if (
-                    conn.draining
-                    and not conn.drained.is_set()
-                    and conn.drain_deadline is not None
-                    and now > conn.drain_deadline
-                ):
-                    self._on_agent_gone(conn, "drain deadline exceeded")
-                elif conn.detached:
-                    # Sent on its way; its socket close is not a crash
-                    # and its silence needs no heartbeat policing.
-                    continue
-                elif now - conn.last_seen > self.heartbeat_timeout:
+                if now - conn.last_seen > self.heartbeat_timeout:
                     self._on_agent_gone(conn, "heartbeat timeout")
                 elif (
                     conn.proc is not None
@@ -1428,9 +940,6 @@ class DistRuntime:
             reroutes=self._reroutes,
             failed_copies=list(self._failures),
             wire_bytes=dict(self._wire),
-            joined_agents=list(self._joined_agents),
-            drained_agents=list(self._drained_agents),
-            rebalances=self._rebalances,
             metrics=snapshot_run(
                 self._busy,
                 buffers_sent,
@@ -1447,16 +956,6 @@ class DistRuntime:
     def _teardown(self) -> None:
         with self._lock:
             self._stopping = True
-            self._running = False
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-            self._accept_thread = None
         for conn in self._conns:
             if conn.sock is not None and not conn.dead:
                 conn.out_q.put((("stop",), None))

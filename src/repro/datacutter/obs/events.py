@@ -136,15 +136,6 @@ EVENT_KINDS: Dict[str, Tuple[str, ...]] = {
     # fault tolerance
     "fault.retry": (),
     "fault.reroute": ("stream",),
-    # elastic membership (distributed runtime): one agent joins the run,
-    # is asked to drain, or detaches cleanly after a completed drain
-    "agent.join": ("agent",),
-    "agent.drain": ("agent",),
-    "agent.detach": ("agent",),
-    # one pending buffer re-assigned by the scheduler after membership
-    # changed (a join added capacity, or a drain removed it) — distinct
-    # from fault.reroute, which recovers from a crash
-    "sched.rebalance": ("stream", "dest"),
 }
 
 #: Kinds whose ``dur`` is meaningful (rendered as complete spans).
@@ -158,10 +149,6 @@ _ROUTING_KINDS = frozenset(
         "shm.frame",
         "transport.fallback",
         "fault.reroute",
-        "agent.join",
-        "agent.drain",
-        "agent.detach",
-        "sched.rebalance",
     }
 )
 

@@ -124,17 +124,6 @@ class RunResult:
     #: For such a payload ``wire_bytes`` counts just the descriptor frame
     #: that still crossed the pipe, so a link's traffic is the two added.
     shm_bytes: Dict[str, int] = field(default_factory=dict)
-    #: Elastic membership (distributed runtime only): node names of the
-    #: agents that joined the run live, and of the agents that left it
-    #: through a *completed* graceful drain.  A drain that escalated —
-    #: deadline exceeded, or the agent went silent mid-drain — is a
-    #: crash: it appears in ``failed_copies``, never in
-    #: ``drained_agents``.  A clean drain contributes nothing to
-    #: ``retries``/``reroutes``; the pending buffers it moved off the
-    #: draining copies are counted in ``rebalances`` instead.
-    joined_agents: List[str] = field(default_factory=list)
-    drained_agents: List[str] = field(default_factory=list)
-    rebalances: int = 0
     #: Standard metrics snapshot (:func:`repro.datacutter.obs.snapshot_run`):
     #: counters/gauges/histograms derived from this run's aggregates, plus
     #: event-derived instruments when tracing was on.

@@ -110,9 +110,7 @@ def prepare_pipeline(
     return PreparedPipeline(dataset=dataset, graph=graph, config=config)
 
 
-def _validate_backend_kwargs(
-    runtime, hosts, elastic, schedule, heartbeat_timeout
-) -> None:
+def _validate_backend_kwargs(runtime, hosts, heartbeat_timeout) -> None:
     """Cross-argument rules shared by build_runtime and run_pipeline.
 
     run_pipeline applies them *before* preparing the dataset, so a bad
@@ -122,16 +120,9 @@ def _validate_backend_kwargs(
     if hosts is not None and runtime != "distributed":
         raise ValueError(f"hosts= only applies to runtime='distributed', "
                          f"not {runtime!r}")
-    if runtime != "distributed":
-        if elastic:
-            raise ValueError("elastic= only applies to "
-                             "runtime='distributed'")
-        if schedule:
-            raise ValueError("schedule= only applies to "
-                             "runtime='distributed'")
-        if heartbeat_timeout is not None:
-            raise ValueError("heartbeat_timeout= only applies to "
-                             "runtime='distributed'")
+    if heartbeat_timeout is not None and runtime != "distributed":
+        raise ValueError("heartbeat_timeout= only applies to "
+                         "runtime='distributed'")
 
 
 def build_runtime(
@@ -142,15 +133,13 @@ def build_runtime(
     faults: Optional[FaultPlan] = None,
     trace: bool = False,
     hosts: Optional[List[str]] = None,
-    elastic: bool = False,
-    schedule: Optional[list] = None,
     heartbeat_timeout: Optional[float] = None,
     poll_interval: Optional[float] = None,
 ):
     """Build phase: construct the execution backend for a wired graph.
 
-    Validates the cross-argument rules (``hosts=``/``elastic=``/... only
-    for the distributed runtime) and returns a runtime object ready to
+    Validates the cross-argument rules (``hosts=`` and
+    ``heartbeat_timeout=`` only for the distributed runtime) and returns a runtime object ready to
     ``run()``.
     The returned runtime is a context manager; drive it inside a
     ``with`` block.
@@ -158,9 +147,7 @@ def build_runtime(
     ``poll_interval`` sets the watchdog granularity of every blocking
     wait (all three backends).
     """
-    _validate_backend_kwargs(
-        runtime, hosts, elastic, schedule, heartbeat_timeout
-    )
+    _validate_backend_kwargs(runtime, hosts, heartbeat_timeout)
     if runtime == "threads":
         return LocalRuntime(
             graph, max_queue=max_queue, retry=retry, faults=faults,
@@ -181,8 +168,6 @@ def build_runtime(
             retry=retry,
             faults=faults,
             trace=trace,
-            elastic=elastic,
-            schedule=schedule,
             heartbeat_timeout=heartbeat_timeout,
             poll_interval=poll_interval,
         )
@@ -258,8 +243,6 @@ def run_pipeline(
     hosts: Optional[List[str]] = None,
     trace: Union[bool, str, None] = None,
     trace_out: Optional[str] = None,
-    elastic: bool = False,
-    schedule: Optional[list] = None,
     heartbeat_timeout: Optional[float] = None,
     run_timeout: Optional[float] = None,
     poll_interval: Optional[float] = None,
@@ -310,15 +293,6 @@ def run_pipeline(
     trace_out:
         Output path for the ``"chrome"`` / ``"jsonl"`` modes (defaults
         to ``trace.json`` / ``trace.jsonl``).
-    elastic:
-        Distributed runtime only: keep the head's listener open so
-        agents can join the run live (``DistRuntime.add_agent`` / a
-        scheduled :class:`~repro.datacutter.faults.JoinAgent`).
-    schedule:
-        Distributed runtime only: a list of
-        :class:`~repro.datacutter.faults.JoinAgent` /
-        :class:`~repro.datacutter.faults.DrainAgent` membership actions
-        fired at their ``at`` offsets after dispatch starts.
     heartbeat_timeout:
         Distributed runtime only: seconds of agent silence before it is
         declared dead.  ``None`` reads ``REPRO_DIST_HEARTBEAT_TIMEOUT``
@@ -340,9 +314,7 @@ def run_pipeline(
     mode = resolve_trace_mode(trace)
     if trace_out is not None and mode not in ("chrome", "jsonl"):
         raise ValueError("trace_out= requires trace='chrome' or 'jsonl'")
-    _validate_backend_kwargs(
-        runtime, hosts, elastic, schedule, heartbeat_timeout
-    )
+    _validate_backend_kwargs(runtime, hosts, heartbeat_timeout)
     prepared = prepare_pipeline(dataset_root, config)
     retry = retry if retry is not None else prepared.config.retry
     rt = build_runtime(
@@ -353,8 +325,6 @@ def run_pipeline(
         faults=faults,
         trace=mode is not None,
         hosts=hosts,
-        elastic=elastic,
-        schedule=schedule,
         heartbeat_timeout=heartbeat_timeout,
         poll_interval=poll_interval,
     )

@@ -58,7 +58,6 @@ class RuntimeProfile:
     runtime: str = "threads"
     max_queue: int = 64
     hosts: Optional[Tuple[str, ...]] = None
-    elastic: bool = False
     heartbeat_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:

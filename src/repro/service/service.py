@@ -283,7 +283,6 @@ class AnalysisService:
                 runtime=profile.runtime,
                 max_queue=profile.max_queue,
                 hosts=list(profile.hosts) if profile.hosts else None,
-                elastic=profile.elastic,
                 heartbeat_timeout=profile.heartbeat_timeout,
                 retry=req.retry,
                 faults=req.faults,

@@ -29,7 +29,7 @@ from repro.datacutter.runtime_local import _CopyThread
 
 #: Suites that drive the runtimes or spill to disk (checked after every test).
 _GATED = (
-    "datacutter", "integration", "pipeline", "regions", "scenarios", "service",
+    "datacutter", "integration", "pipeline", "regions", "service",
 )
 #: How long a finished run's copies get to leave (seconds).
 _GRACE = 2.0

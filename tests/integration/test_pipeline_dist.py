@@ -1,10 +1,12 @@
 """Acceptance tests for the distributed pipeline backend.
 
-The issue's bar: ``run_pipeline(..., runtime="distributed")`` over three
-loopback agents must produce feature volumes bit-identical to the
-sequential reference — including under an injected agent crash — and the
-codec path must move every ndarray without an intermediate serialization
-copy (asserted with the no-pickle-of-ndarray hook over the whole run).
+The bar: ``run_pipeline(..., runtime="distributed")`` over loopback
+agents must produce feature volumes bit-identical to the sequential
+reference — including under an injected agent crash, on an uneven
+cluster with a slow link, and under a crash while every copy is loaded —
+and the codec path must move every ndarray without an intermediate
+serialization copy (asserted with the no-pickle-of-ndarray hook over the
+whole run).
 """
 
 import sys
@@ -52,16 +54,38 @@ def reference(dataset):
     )
 
 
-def config():
+def config(chunk=(8, 8, 6, 4), texture_copies=4):
     params = TextureParams(
         roi_shape=ROI, levels=LEVELS, features=FEATURES,
         intensity_range=(0.0, 65535.0),
     )
     return AnalysisConfig(
         texture=params, variant="hmp",
-        texture_chunk_shape=(8, 8, 6, 4),
-        num_texture_copies=4, num_iic_copies=2,
+        texture_chunk_shape=chunk,
+        num_texture_copies=texture_copies, num_iic_copies=2,
     )
+
+
+#: Small chunks, so every texture copy sees many buffers.
+CLUSTER_CHUNK = (4, 4, 3, 2)
+#: name -> (agents, texture copies, fault plan, a failure is expected).
+CLUSTER_CASES = {
+    # Five texture copies over three worker agents, one behind a slow
+    # link: demand-driven scheduling absorbs it with no failure.
+    "heterogeneous": (
+        4, 5, FaultPlan(seed=23).delay_connection(3, 0.03, probability=0.5),
+        False,
+    ),
+    # An agent dies while every texture copy is busy: its unacknowledged
+    # chunks are rerouted to the survivors.
+    "crash_under_load": (
+        4, 6,
+        FaultPlan(seed=13).delay_buffers("HMP", 0.03).crash_agent(
+            2, after_buffers=2
+        ),
+        True,
+    ),
+}
 
 
 class TestDistributedPipeline:
@@ -87,6 +111,25 @@ class TestDistributedPipeline:
         assert result.run.failed_copies != []
         assert all(f.recovered for f in result.run.failed_copies)
         assert result.run.reroutes >= 1
+
+    @pytest.mark.parametrize("case", sorted(CLUSTER_CASES))
+    def test_bit_identical_on_cluster(self, dataset, reference, case):
+        root, _ = dataset
+        agents, copies, plan, crash = CLUSTER_CASES[case]
+        result = run_pipeline(
+            root, config(CLUSTER_CHUNK, copies), runtime="distributed",
+            hosts=["127.0.0.1"] * agents, faults=plan,
+        )
+        for name in FEATURES:
+            assert result.volumes[name].tobytes() == reference[name].tobytes()
+        run = result.run
+        if crash:
+            assert run.failed_copies != []
+            assert all(f.recovered for f in run.failed_copies)
+            assert run.reroutes >= 1
+        else:
+            assert run.failed_copies == []
+            assert run.reroutes == 0
 
     def test_no_ndarray_serialization_copies(self, dataset, reference):
         root, _ = dataset

@@ -14,3 +14,8 @@ class TestRuntimeProfile:
         prof = RuntimeProfile(runtime="distributed", hosts=["h1", "h2"])
         assert prof.hosts == ("h1", "h2")
         assert hash(prof)  # stays usable as (part of) the batch key
+
+    def test_has_no_elastic_field(self):
+        # Distributed membership is fixed when the run starts.
+        with pytest.raises(TypeError):
+            RuntimeProfile(runtime="distributed", elastic=True)

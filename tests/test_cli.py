@@ -120,6 +120,14 @@ class TestAnalyzeRuntimes:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", "dir", "--sparse"])
 
+    def test_analyze_has_no_elastic_flag(self):
+        # Distributed membership is fixed when the run starts.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["analyze", "dir", "--runtime", "distributed", "--elastic"]
+            )
+        assert exc.value.code == 2
+
 
 class TestSimulate:
     @pytest.mark.parametrize("figure", ["7a", "7b", "8", "9", "10", "11"])

@@ -38,7 +38,6 @@ DEFAULT_FILES = (
     "docs/kernels.md",
     "docs/simulator.md",
     "docs/observability.md",
-    "docs/scenarios.md",
     "docs/service.md",
 )
 
