@@ -4,10 +4,7 @@ Demonstrates the memory story of the paper: a 4D dataset that should not
 be loaded whole is processed chunk by chunk.  The example bounds the
 texture filters' working set by the IIC-to-TEXTURE chunk size and shows
 the chunk/overlap arithmetic of Section 4.4 (Eqs. 1-2), then verifies
-the chunked parallel result against a reference region.  The last
-section runs the same dataset through the region data layer
-(docs/data-layer.md) with a RAM budget far below the dataset size, so
-staged chunks spill to disk instead of growing the process.
+the chunked parallel result against a reference region.
 
 Run:
     python examples/out_of_core_dataset.py
@@ -23,13 +20,7 @@ from repro.core import ROISpec, haralick_transform, HaralickConfig
 from repro.core.quantization import quantize_linear
 from repro.data import PhantomConfig, generate_phantom
 from repro.filters import TextureParams
-from repro.pipeline import (
-    AnalysisConfig,
-    plan_chunks,
-    run_pipeline,
-    transform_disk_dataset,
-)
-from repro.regions import RegionStore, StagingPolicy
+from repro.pipeline import AnalysisConfig, plan_chunks, run_pipeline
 from repro.storage import write_dataset
 
 
@@ -86,27 +77,6 @@ def main(workdir: str) -> None:
     check = result.volumes["asm"][:16, :16, :, :]
     np.testing.assert_allclose(check, ref["asm"][:16, :16, :, :], atol=1e-12)
     print("verified: chunked parallel output == sequential reference region")
-
-    print("\n=== region staging with a RAM cap below the dataset ===")
-    ram_cap = 256 << 10  # ~15% of the 1.77 MB dataset: staging must spill
-    print(f"RAM tier capped at {ram_cap >> 10} KiB for the "
-          f"{raw * 2 / 1e6:.1f} MB dataset")
-    store = RegionStore.from_policy(
-        StagingPolicy(ram_bytes=ram_cap, spill_dir=os.path.join(workdir, "spill"))
-    )
-    with store:
-        staged = transform_disk_dataset(dataset_root, config, region_store=store)
-        stats = store.stats
-        occupancy = store.occupancy()
-    print(f"stages={stats.stages} hits={stats.hits} "
-          f"evictions={stats.evictions} drops={stats.drops}")
-    print(f"tier occupancy at finish: {occupancy}")
-    assert stats.evictions > 0, "expected the RAM cap to force spill"
-    assert stats.drops == 0, "spilled regions must not be lost"
-    assert occupancy.get("ram", 0) <= ram_cap
-    for name in ("asm", "idm"):
-        np.testing.assert_array_equal(staged[name], result.volumes[name])
-    print("verified: staged out-of-core output == unbounded parallel output")
 
 
 if __name__ == "__main__":

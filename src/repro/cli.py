@@ -127,12 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "batch=1 (unlisted tenants get 1)")
     p.add_argument("--cache-mb", type=int, default=256,
                    help="result cache budget in MB (0 disables)")
-    p.add_argument("--cache-spill-mb", type=int, metavar="MB",
-                   help="spill result-cache entries evicted from RAM to "
-                        "disk, up to MB megabytes (omit to disable spill)")
-    p.add_argument("--cache-spill-dir", metavar="DIR",
-                   help="spill directory (default $TMPDIR/repro-regions); "
-                        "setting only this enables unbounded spill")
     p.add_argument("--no-batching", action="store_true",
                    help="disable packing co-batchable jobs into one pass")
 
@@ -339,10 +333,6 @@ def _cmd_serve(args) -> int:
         tenant_weights=weights,
         batching=not args.no_batching,
         cache_bytes=args.cache_mb << 20,
-        cache_spill_bytes=(
-            args.cache_spill_mb << 20 if args.cache_spill_mb is not None else None
-        ),
-        cache_spill_dir=args.cache_spill_dir,
     )
     stop = threading.Event()
     with AnalysisService(config) as service:

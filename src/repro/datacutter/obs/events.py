@@ -126,13 +126,6 @@ EVENT_KINDS: Dict[str, Tuple[str, ...]] = {
     # requested (today: incremental on its numpy passes because the
     # compiled pass could not be built or loaded); once per copy
     "kernel.fallback": ("requested", "used"),
-    # region-template data layer (repro.regions): one region staged into
-    # a storage tier, served from a tier (ghost/overlap reuse), or
-    # displaced between tiers by the eviction cascade (dst == "dropped"
-    # when it fell off the last tier)
-    "region.stage": ("tier", "bytes"),
-    "region.hit": ("tier", "bytes"),
-    "region.evict": ("src", "dst"),
     # fault tolerance
     "fault.retry": (),
     "fault.reroute": ("stream",),

@@ -185,24 +185,6 @@ def _ingest_events(reg: MetricsRegistry, events: Iterable[TraceEvent]) -> None:
             reg.counter("wire_frames", stream=ev.attrs["stream"]).inc()
         elif ev.kind == "shm.frame":
             reg.counter("shm_frames", stream=ev.attrs["stream"]).inc()
-        elif ev.kind == "region.stage":
-            tier = ev.attrs["tier"]
-            reg.counter("region_stages", tier=tier).inc()
-            reg.counter("region_staged_bytes", tier=tier).inc(
-                float(ev.attrs["bytes"])
-            )
-            for t, b in (ev.attrs.get("tier_bytes") or {}).items():
-                reg.gauge("region_tier_bytes", tier=t).set(float(b))
-        elif ev.kind == "region.hit":
-            tier = ev.attrs["tier"]
-            reg.counter("region_hits", tier=tier).inc()
-            reg.counter("region_hit_bytes", tier=tier).inc(
-                float(ev.attrs["bytes"])
-            )
-        elif ev.kind == "region.evict":
-            reg.counter(
-                "region_evictions", src=ev.attrs["src"], dst=ev.attrs["dst"]
-            ).inc()
         elif ev.kind.startswith("chunk.") and ev.kind in SPAN_KINDS:
             stage = ev.kind.split(".", 1)[1]
             reg.histogram("chunk_stage_seconds", stage=stage).observe(ev.dur)

@@ -12,7 +12,7 @@ assigned to it.
 
 The filter holds no cache of assembled chunks: RFR reads every slice
 whole and once (paper Section 5.1), so there is no read a staged copy
-could spare here (docs/data-layer.md has the measurement).
+could spare here (docs/userguide.md, "Out-of-core runs").
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from ..core.backends import get_kernel
 from ..core.features import haralick_features
 from ..core.roi import valid_positions_shape
 from ..datacutter.obs import Tracer
-from ..regions import RegionStore, read_chunk_staged
 from ..storage.dataset import DiskDataset4D
 from .builder import plan_chunks
 from .config import AnalysisConfig
@@ -50,7 +49,6 @@ def iter_chunk_features(
     dataset: DiskDataset4D,
     config: AnalysisConfig,
     tracer: Optional[Tracer] = None,
-    region_store: Optional[RegionStore] = None,
 ) -> Iterator[Tuple[ChunkSpec, Dict[str, np.ndarray]]]:
     """Yield ``(chunk, local feature volumes)`` one chunk at a time.
 
@@ -58,15 +56,6 @@ def iter_chunk_features(
     overlap positions); use :meth:`ChunkSpec.local_own_slices` to select
     the owned region.  Memory high-water mark is one chunk's input plus
     its outputs.
-
-    With a ``region_store``, chunk input is read through
-    :func:`repro.regions.read_chunk_staged`: ghost voxels shared with
-    already-staged neighbour chunks are served from the store's tier
-    hierarchy and only the uncovered remainder touches disk — in
-    raster order every chunk after the first resolves its overlap, so
-    disk bytes drop below a plain chunk-by-chunk sweep.  No other driver
-    takes a store: no other driver re-reads the overlap
-    (docs/data-layer.md).
     """
     params = config.texture
 
@@ -79,16 +68,7 @@ def iter_chunk_features(
 
     for chunk in plan_chunks(dataset.shape, config):
         t0 = time.perf_counter()
-        if region_store is not None:
-            data, staged = read_chunk_staged(dataset, chunk, region_store)
-            for tier, nbytes in staged.hit_bytes_by_tier.items():
-                emit("region.hit", chunk, tier=tier, bytes=int(nbytes))
-            emit("region.stage", chunk, tier=staged.staged_tier or "dropped",
-                 bytes=int(data.nbytes), tier_bytes=region_store.occupancy())
-            for ev in staged.evictions:
-                emit("region.evict", chunk, src=ev.src, dst=ev.dst)
-        else:
-            data = _read_chunk(dataset, chunk)
+        data = _read_chunk(dataset, chunk)
         emit("chunk.read", chunk, time.perf_counter() - t0,
              bytes=int(data.nbytes))
         # Quantization stands in for the parallel IIC's assembly step:
@@ -124,21 +104,14 @@ def transform_disk_dataset(
     dataset_root: str,
     config: Optional[AnalysisConfig] = None,
     tracer: Optional[Tracer] = None,
-    region_store: Optional[RegionStore] = None,
 ) -> Dict[str, np.ndarray]:
-    """Full sequential out-of-core run; returns stitched feature volumes.
-
-    A ``region_store`` routes chunk reads through the region data layer
-    (see :func:`iter_chunk_features`); the caller owns and closes it.
-    """
+    """Full sequential out-of-core run; returns stitched feature volumes."""
     config = config or AnalysisConfig()
     dataset = DiskDataset4D.open(dataset_root)
     stitcher = OutputStitcher(
         dataset.shape, config.texture.roi, config.texture.features
     )
-    for chunk, local in iter_chunk_features(
-        dataset, config, tracer=tracer, region_store=region_store
-    ):
+    for chunk, local in iter_chunk_features(dataset, config, tracer=tracer):
         t0 = time.perf_counter()
         stitcher.place(chunk, local)
         if tracer is not None:

@@ -36,18 +36,12 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from typing import Any, Dict, Iterable, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..filters.messages import TextureParams
-from ..regions import (
-    TIER_DISK,
-    TIER_RAM,
-    Eviction,
-    StagingPolicy,
-    StorageHierarchy,
-)
 
 __all__ = ["volume_fingerprint", "result_key", "ResultCache"]
 
@@ -114,119 +108,93 @@ def result_key(volume_hash: str, params: TextureParams, feature: str) -> str:
 
 
 class ResultCache:
-    """Byte-bounded LRU cache of feature volumes, with optional spill.
+    """Byte-bounded LRU cache of feature volumes, held in RAM.
 
     Stored arrays are marked read-only and handed back without copying —
     every consumer of a pipeline result treats volumes as immutable, and
     the read-only flag turns an accidental in-place edit into an error
     instead of silent cross-tenant corruption.
 
-    The entries live in the region layer's
-    :class:`~repro.regions.StorageHierarchy` (the repo's one
-    LRU-with-spill); the cache adds keys, counters and nothing else.
-    Without spill that is a RAM tier alone: entries past ``max_bytes``
-    are dropped and one larger than ``max_bytes`` is refused.  With
-    spill enabled (``spill_bytes`` and/or ``spill_dir``) a disk tier
-    sits below: displaced entries demote to it instead of dropping, a
-    hit there promotes the entry back (counted in both ``hits`` and
-    ``disk_hits``), and entries larger than ``max_bytes`` go straight to
-    disk and are served from there.  The disk tier brings crash-safe
-    cleanup (per-session spill directory, stale-session sweep,
-    ``atexit`` hook).
+    Entries live in one ``OrderedDict`` in recency order (oldest first):
+    a hit moves its key to the end, a ``put`` evicts from the front
+    until the new entry fits, and an entry larger than ``max_bytes`` is
+    refused.
     """
 
-    def __init__(
-        self,
-        max_bytes: int = 256 << 20,
-        spill_dir: Optional[str] = None,
-        spill_bytes: Optional[int] = None,
-    ):
+    def __init__(self, max_bytes: int):
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
-        if spill_bytes is not None and spill_bytes < 0:
-            raise ValueError("spill_bytes must be >= 0 or None")
-        spill = spill_dir is not None or bool(spill_bytes)
         self.max_bytes = max_bytes
-        self._store = StorageHierarchy.from_policy(
-            StagingPolicy(
-                ram_bytes=max_bytes,
-                disk_bytes=spill_bytes if spill else 0,
-                spill_dir=spill_dir,
-            )
-        )
-        # Guards the counters; the hierarchy has its own lock.
+        self._entries: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        self._bytes = 0
+        self._closed = False
+        # Guards the entries and the counters.
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.puts = 0
-        self.spills = 0
-        self.disk_hits = 0
-
-    def _count(self, evictions: Iterable[Eviction]) -> None:
-        """``evictions``: entries that left RAM; ``spills``: that reached disk."""
-        for ev in evictions:
-            self.evictions += ev.src == TIER_RAM
-            self.spills += ev.dst == TIER_DISK
 
     def get(self, key: str) -> Optional[np.ndarray]:
         with self._lock:
-            vol, tier, evictions = self._store.get(key)
-            self._count(evictions)
+            vol = self._entries.get(key)
             if vol is None:
                 self.misses += 1
                 return None
+            self._entries.move_to_end(key)
             self.hits += 1
-            self.disk_hits += tier == TIER_DISK
             return vol
 
     def put(self, key: str, volume: np.ndarray) -> None:
         vol = np.ascontiguousarray(volume)
         vol.flags.writeable = False
         with self._lock:
-            report = self._store.put(key, vol)
-            self._count(report.evictions)
-            self.puts += report.tier is not None
-            self.spills += report.tier == TIER_DISK
+            if self._closed:  # e.g. a worker outliving its service
+                return
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._bytes -= old.nbytes
+            if vol.nbytes > self.max_bytes:
+                return
+            while self._bytes + vol.nbytes > self.max_bytes:
+                self._bytes -= self._entries.popitem(last=False)[1].nbytes
+                self.evictions += 1
+            self._entries[key] = vol
+            self._bytes += vol.nbytes
+            self.puts += 1
 
     def __contains__(self, key: str) -> bool:
-        return key in self._store
+        with self._lock:
+            return key in self._entries
 
     def __len__(self) -> int:
-        return sum(self._store.entries().values())
+        return len(self._entries)
 
     @property
     def bytes_used(self) -> int:
-        """In-RAM payload bytes (spilled entries are not RAM)."""
-        return self._store.occupancy()[TIER_RAM]
-
-    @property
-    def disk_bytes_used(self) -> int:
-        return self._store.occupancy().get(TIER_DISK, 0)
+        return self._bytes
 
     def clear(self) -> None:
-        self._store.clear()
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0
 
     def close(self) -> None:
-        """Release every entry and the spill directory (idempotent)."""
-        self._store.close()
+        """Release every entry and refuse later puts (idempotent)."""
+        with self._lock:
+            self._closed = True
+        self.clear()
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             total = self.hits + self.misses
-            entries = self._store.entries()
             return {
-                "entries": entries[TIER_RAM],
-                "bytes": self.bytes_used,
+                "entries": len(self._entries),
+                "bytes": self._bytes,
                 "max_bytes": self.max_bytes,
                 "hits": self.hits,
                 "misses": self.misses,
                 "hit_rate": (self.hits / total) if total else 0.0,
                 "puts": self.puts,
                 "evictions": self.evictions,
-                "spill_enabled": TIER_DISK in entries,
-                "spills": self.spills,
-                "disk_hits": self.disk_hits,
-                "disk_entries": entries.get(TIER_DISK, 0),
-                "disk_bytes": self.disk_bytes_used,
             }

@@ -203,6 +203,12 @@ class ServiceServer:
 
     def close(self) -> None:
         self._closed = True
+        # Closing the socket from this thread does not wake an accept()
+        # blocked in the accept thread on Linux; shutting it down does.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:

@@ -64,13 +64,6 @@ class ServiceConfig:
     batch_max: int = 8
     #: Result cache budget in payload bytes; 0 disables caching.
     cache_bytes: int = 256 << 20
-    #: Disk budget for result-cache spill; entries displaced from the
-    #: in-RAM bound demote to disk instead of dropping.  ``None`` with
-    #: no spill dir disables spill (legacy behaviour); 0 disables too.
-    cache_spill_bytes: Optional[int] = None
-    #: Spill directory override (default: $TMPDIR/repro-regions).
-    #: Setting only this enables unbounded spill.
-    cache_spill_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -85,11 +78,7 @@ class AnalysisService:
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
         self.metrics = MetricsRegistry()
-        self.cache = ResultCache(
-            max_bytes=self.config.cache_bytes,
-            spill_dir=self.config.cache_spill_dir,
-            spill_bytes=self.config.cache_spill_bytes,
-        )
+        self.cache = ResultCache(max_bytes=self.config.cache_bytes)
         self.queue = FairQueue(
             max_queued=self.config.max_queued,
             weights=self.config.tenant_weights,

@@ -2,20 +2,17 @@
 of the rolling kernel's plane histograms.
 
 A run that returns (or raises) must leave nothing behind: no filter-copy
-thread still alive, no child process, no spill directory of a disk tier
-that was never closed.  The middleware, data-layer and service suites
-are checked after every test, so the test that leaks is the test that
-fails.  (The processes runtime's shared-memory slabs are anonymous
-mappings: they have no name that could be left behind.)
+thread or other ``repro-*`` thread still alive, and no child process.
+The middleware, pipeline and service suites are checked after every
+test, so the test that leaks is the test that fails.  (The processes
+runtime's shared-memory slabs are anonymous mappings: they have no name
+that could be left behind.)
 """
 
 import contextlib
 import errno
 import functools
-import glob
 import multiprocessing
-import os
-import tempfile
 import threading
 import time
 import types
@@ -27,10 +24,8 @@ from repro.datacutter import runtime_mp
 from repro.datacutter.net import shm
 from repro.datacutter.runtime_local import _CopyThread
 
-#: Suites that drive the runtimes or spill to disk (checked after every test).
-_GATED = (
-    "datacutter", "integration", "pipeline", "regions", "service",
-)
+#: Suites that drive the runtimes or the service (checked after every test).
+_GATED = ("datacutter", "integration", "pipeline", "service")
 #: How long a finished run's copies get to leave (seconds).
 _GRACE = 2.0
 
@@ -39,42 +34,25 @@ def _leftovers():
     threads = [
         t.name
         for t in threading.enumerate()
-        if isinstance(t, _CopyThread) and t.is_alive()
+        if (isinstance(t, _CopyThread) or t.name.startswith("repro-"))
+        and t.is_alive()
     ]
     children = [repr(p) for p in multiprocessing.active_children()]
     return threads, children
 
 
-def _spill_sessions(roots):
-    """This process's ``DiskTier`` session directories under ``roots``."""
-    pattern = f"spill-{os.getpid()}-*"
-    return {
-        path
-        for root in roots
-        for path in glob.glob(os.path.join(root, "**", pattern), recursive=True)
-    }
-
-
 @pytest.fixture(autouse=True)
 def no_leaked_copies(request):
     parts = request.node.path.parts
-    if "tests" not in parts or parts[parts.index("tests") + 1] not in _GATED:
-        yield
-        return
-    # Where a test can spill: the tiers' default root and its own tmp_path.
-    roots = [os.path.join(tempfile.gettempdir(), "repro-regions")]
-    if "tmp_path" in request.fixturenames:
-        roots.append(str(request.getfixturevalue("tmp_path")))
-    spills_before = _spill_sessions(roots)
     yield
+    if "tests" not in parts or parts[parts.index("tests") + 1] not in _GATED:
+        return
     deadline = time.monotonic() + _GRACE
     while any(_leftovers()) and time.monotonic() < deadline:
         time.sleep(0.02)
     threads, children = _leftovers()
-    assert not threads, f"filter-copy threads still alive: {threads}"
+    assert not threads, f"repro threads still alive: {threads}"
     assert not children, f"child processes still alive: {children}"
-    spills = sorted(_spill_sessions(roots) - spills_before)
-    assert not spills, f"spill directories left behind: {spills}"
 
 
 def slab_mappings():

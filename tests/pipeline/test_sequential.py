@@ -86,3 +86,10 @@ class TestTransformDiskDataset:
             assert per["chunk.cooccur"] > 0 and per["chunk.features"] > 0
             assert per["chunk.cooccur"] != per["chunk.features"]
             assert sum(per.values()) <= walls[index]
+
+    def test_has_no_region_store(self, setup):
+        # Every chunk is read straight from the dataset; there is no
+        # staging layer to hand in.
+        _vol, root, cfg = setup
+        with pytest.raises(TypeError):
+            transform_disk_dataset(root, cfg, region_store=None)

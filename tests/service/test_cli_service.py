@@ -20,6 +20,17 @@ class TestParser:
         )
         assert args.weights == ["clinical=3", "batch=1"]
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--cache-spill-mb", "1"],
+        ["serve", "--cache-spill-dir", "spill"],
+    ])
+    def test_serve_has_no_cache_spill_flags(self, argv, capsys):
+        # The result cache is one RAM LRU, bounded by --cache-mb alone.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_submit_defaults(self):
         args = build_parser().parse_args(["submit", "ds"])
         assert args.connect == "127.0.0.1:7461"

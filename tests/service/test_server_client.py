@@ -1,5 +1,8 @@
 """ServiceServer + ServiceClient over a loopback socket."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,21 @@ class TestProtocol:
                                 batchable=False)
         client.cancel(victim)  # may race the worker; must not error
         client.result(blocker, timeout=300)
+
+
+class TestLifecycle:
+    def test_close_is_prompt_and_joins_the_accept_thread(self):
+        with AnalysisService(ServiceConfig(workers=1)) as service:
+            server = ServiceServer(service, port=0)
+            time.sleep(0.05)  # let the accept thread block in accept()
+            t0 = time.perf_counter()
+            server.close()
+            assert time.perf_counter() - t0 < 0.5
+            assert not server._accept_thread.is_alive()
+            assert "repro-service-accept" not in {
+                t.name for t in threading.enumerate()
+            }
+            server.close()  # idempotent
 
 
 class TestErrors:

@@ -330,13 +330,18 @@ class TestCancelAndShutdown:
             assert not any(t.is_alive() for t in svc._workers)
         assert min(took) < 0.02, took
 
-    def test_config_fields_are_the_nine_that_do_something(self):
-        # Concurrency is `workers` alone: no pool size, no poll tick.
+    def test_config_fields_are_the_seven_that_do_something(self):
+        # Concurrency is `workers` alone: no pool size, no poll tick; the
+        # result cache is RAM alone: no spill budget or directory.
         assert {f.name for f in dataclasses.fields(ServiceConfig)} == {
             "workers", "max_queued", "tenant_weights", "default_weight",
-            "batching", "batch_max", "cache_bytes", "cache_spill_bytes",
-            "cache_spill_dir",
+            "batching", "batch_max", "cache_bytes",
         }
+
+    @pytest.mark.parametrize("knob", ["cache_spill_bytes", "cache_spill_dir"])
+    def test_config_has_no_cache_spill(self, knob):
+        with pytest.raises(TypeError):
+            ServiceConfig(**{knob: 1})
 
     def test_stats_shape(self, dataset_root):
         with make_service(workers=1) as svc:

@@ -105,8 +105,8 @@ class TestAnalyzeRuntimes:
         ["serve", "--staging", "ram=64M"],
     ])
     def test_filter_network_has_no_staging_flag(self, argv):
-        # The region store is reached through the sequential driver's
-        # region_store= argument only (docs/data-layer.md).
+        # Every driver reads each chunk straight from the dataset; there
+        # is no staging layer to size.
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 

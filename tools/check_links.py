@@ -34,7 +34,6 @@ DEFAULT_FILES = (
     "docs/architecture.md",
     "docs/userguide.md",
     "docs/middleware.md",
-    "docs/data-layer.md",
     "docs/kernels.md",
     "docs/simulator.md",
     "docs/observability.md",
