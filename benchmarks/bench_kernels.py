@@ -61,16 +61,23 @@ BENCH_ROWS = KERNELS + (NUMPY_ROW,)
 
 
 @contextlib.contextmanager
-def _implementation(row):
-    """Resolve a bench row to its scan; patches the loader for NUMPY_ROW."""
-    if row != NUMPY_ROW:
-        yield get_kernel(row)
-        return
+def _numpy_passes():
+    """The loader's result patched to "unavailable", as in the tests."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
             native, "_status",
             native.NativeStatus(None, None, "patched out by the bench"),
         )
+        yield
+
+
+@contextlib.contextmanager
+def _implementation(row):
+    """Resolve a bench row to its scan; patches the loader for NUMPY_ROW."""
+    if row != NUMPY_ROW:
+        yield get_kernel(row)
+        return
+    with _numpy_passes():
         yield incremental_scan
 
 
@@ -308,13 +315,29 @@ def _feature_matrices(kind):
     return _collect(incremental_scan, vol, batch=162)
 
 
+def _feature_rois_per_sec(mats, feats):
+    """Best of 3 passes over ``mats`` in packets of 162 (the ledger's)."""
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for lo in range(0, mats.shape[0], 162):
+            vals = haralick_features(mats[lo : lo + 162], feats)
+        best = min(best, time.perf_counter() - t0)
+    assert all(np.all(np.isfinite(v)) for v in vals.values())
+    return round(mats.shape[0] / best, 1)
+
+
 def test_feature_kernel_rows():
     """Feature-kernel throughput at the filters' packet size.
 
     The 4 paper features and all 14, on a phantom-like chunk (~5% of
     cells non-zero, what an MRI study looks like) and on uniform noise
-    (every cell non-zero, the worst case for the zero-skip entropies).
-    Merged into ``BENCH_kernels.json`` under ``"features"``.
+    (every cell non-zero, the worst case for the zero-skip entropies),
+    each as this machine resolves the compiled pass and again on the
+    numpy path (``... (numpy passes)``), as the scan rows do.  The
+    paper's four never reach the compiled pass, so their two rows time
+    the same code.  Merged into ``BENCH_kernels.json`` under
+    ``"features"``.
     """
     rows = {}
     for kind in ("phantom_like", "uniform_noise"):
@@ -325,14 +348,10 @@ def test_feature_kernel_rows():
         }
         for label, feats in (("paper4", PAPER_FEATURES),
                              ("all14", HARALICK_FEATURES)):
-            best = float("inf")
-            for _ in range(3):
-                t0 = time.perf_counter()
-                for lo in range(0, mats.shape[0], 162):
-                    vals = haralick_features(mats[lo : lo + 162], feats)
-                best = min(best, time.perf_counter() - t0)
-            assert all(np.all(np.isfinite(v)) for v in vals.values())
-            row[f"{label}_rois_per_sec"] = round(mats.shape[0] / best, 1)
+            key = f"{label}_rois_per_sec"
+            row[key] = _feature_rois_per_sec(mats, feats)
+            with _numpy_passes():
+                row[f"{key} (numpy passes)"] = _feature_rois_per_sec(mats, feats)
         rows[kind] = row
         print(f"\n  {kind}: {row}")
     _merge_bench_json({"features": rows})

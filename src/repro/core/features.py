@@ -39,6 +39,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import native
+
 __all__ = [
     "HARALICK_FEATURES",
     "PAPER_FEATURES",
@@ -66,6 +68,12 @@ HARALICK_FEATURES: Tuple[str, ...] = (
 
 #: The four parameters used in the paper's evaluation (Section 5.1).
 PAPER_FEATURES: Tuple[str, ...] = ("asm", "correlation", "sum_of_squares", "idm")
+
+#: The features read from entropies or ``mcc``: computed by the compiled
+#: pass when :func:`repro.core.native.load` has it, by numpy otherwise.
+INFORMATION_FEATURES = frozenset(
+    {"entropy", "sum_entropy", "difference_entropy", "imc1", "imc2", "mcc"}
+)
 
 
 def feature_index(name: str) -> int:
@@ -166,11 +174,13 @@ def _sum_diff_histograms(p3: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _mcc_batch(p3: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Maximal correlation coefficient of every matrix in a packet.
 
-    sqrt of the second-largest eigenvalue magnitude of
-    ``Q(i, j) = sum_k p(i, k) p(j, k) / (px(i) py(k))``, computed on the
-    submatrix of levels with non-zero marginals (0 with fewer than two).
-    Matrices are grouped by their number of kept levels ``k`` and each
-    group goes through one stacked ``(n_k, k, k)`` ``eigvals`` call.
+    sqrt of the second-largest eigenvalue of the symmetric
+    ``A = M M^T``, ``M = Dx^{-1/2} P Dy^{-1/2}``, which has the spectrum
+    of Haralick's ``Q(i, j) = sum_k p(i, k) p(j, k) / (px(i) py(k))``;
+    computed on the submatrix of levels with non-zero marginals (0 with
+    fewer than two).  Matrices are grouped by their number of kept
+    levels ``k`` and each group goes through one stacked ``(n_k, k, k)``
+    ``eigvalsh`` call.
     """
     keep = (px > 0) & (py > 0)
     kept = keep.sum(axis=1)
@@ -181,13 +191,51 @@ def _mcc_batch(p3: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
             continue
         sel = np.flatnonzero(kept == k)
         lev = order[sel, :k]
-        sub = p3[sel[:, None, None], lev[:, :, None], lev[:, None, :]]
-        a = sub / np.take_along_axis(px[sel], lev, 1)[:, :, None]
-        b = sub / np.take_along_axis(py[sel], lev, 1)[:, None, :]
-        eig = np.abs(np.linalg.eigvals(a @ b.transpose(0, 2, 1)))
-        eig.sort(axis=1)
+        m = p3[sel[:, None, None], lev[:, :, None], lev[:, None, :]]
+        m /= np.sqrt(np.take_along_axis(px[sel], lev, 1))[:, :, None]
+        m /= np.sqrt(np.take_along_axis(py[sel], lev, 1))[:, None, :]
+        eig = np.linalg.eigvalsh(m @ m.transpose(0, 2, 1))  # ascending
         out[sel] = np.sqrt(np.clip(eig[:, -2], 0.0, 1.0))
     return out
+
+
+def _information_numpy(
+    p: np.ndarray, tot: np.ndarray, need: frozenset, levels: int
+) -> Dict[str, np.ndarray]:
+    """The entropies and ``mcc`` the features in ``need`` read, in numpy.
+
+    Keys as :data:`repro.core.native.ENTROPIES` plus ``"mcc"``; only the
+    ones ``need`` reads are computed.
+    """
+    p3 = p.reshape(-1, levels, levels)
+    h: Dict[str, np.ndarray] = {}
+    if need & {"entropy", "imc1", "imc2"}:
+        h["hxy"] = _entropy(p, tot)
+    if need & {"sum_entropy", "difference_entropy"}:
+        p_sum, p_diff = _sum_diff_histograms(p3)
+        h["hsum"] = _entropy(p_sum, tot)
+        h["hdiff"] = _entropy(p_diff, tot)
+    if need & {"imc1", "imc2", "mcc"}:
+        px = p3 @ np.ones(levels)
+        py = p3.sum(axis=1)
+    if need & {"imc1", "imc2"}:
+        h["hx"] = _entropy(px, tot)
+        h["hy"] = _entropy(py, tot)
+    if "mcc" in need:
+        h["mcc"] = _mcc_batch(p3, px, py)
+    return h
+
+
+def _information_compiled(
+    lib, p: np.ndarray, tot: np.ndarray, need: frozenset, levels: int
+) -> Dict[str, np.ndarray]:
+    """:func:`_information_numpy`'s values from one C pass per slab."""
+    p3 = np.ascontiguousarray(p).reshape(-1, levels, levels)
+    ent, mcc = native.information_features(lib, p3, tot, "mcc" in need)
+    h = {key: ent[:, k] for k, key in enumerate(native.ENTROPIES)}
+    if mcc is not None:
+        h["mcc"] = mcc
+    return h
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -197,12 +245,12 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _feature_block(
-    flat: np.ndarray, need: frozenset, levels: int
+    flat: np.ndarray, need: frozenset, levels: int, lib
 ) -> Dict[str, np.ndarray]:
-    """The features in ``need`` for one ``(n, G, G)`` slab of matrices."""
+    """The features in ``need`` for one ``(n, G, G)`` slab of matrices;
+    the information features in C when ``lib`` is the loaded library."""
     n = flat.shape[0]
     p = flat.reshape(n, levels * levels).astype(np.float64, copy=False)
-    p3 = p.reshape(n, levels, levels)
     columns = ("1",) + tuple(
         sorted({c for name in need for c in _MOMENT_COLUMNS.get(name, ())})
     )
@@ -240,32 +288,27 @@ def _feature_block(
         out["sum_variance"] = (tot * m["ss"] - m["s"] ** 2) / tot2
     if "difference_variance" in need:
         out["difference_variance"] = (tot * m["dd"] - m["d"] ** 2) / tot2
-    if need & {"entropy", "imc1", "imc2"}:
-        hxy = _entropy(p, tot)
-        if "entropy" in need:
-            out["entropy"] = hxy
-    if need & {"sum_entropy", "difference_entropy"}:
-        p_sum, p_diff = _sum_diff_histograms(p3)
-        if "sum_entropy" in need:
-            out["sum_entropy"] = _entropy(p_sum, tot)
-        if "difference_entropy" in need:
-            out["difference_entropy"] = _entropy(p_diff, tot)
-    if need & {"imc1", "imc2", "mcc"}:
-        px = p3 @ np.ones(levels)
-        py = p3.sum(axis=1)
+    if need & INFORMATION_FEATURES:
+        if lib is None:
+            h = _information_numpy(p, tot, need, levels)
+        else:
+            h = _information_compiled(lib, p, tot, need, levels)
+        for name, key in (
+            ("entropy", "hxy"), ("sum_entropy", "hsum"),
+            ("difference_entropy", "hdiff"), ("mcc", "mcc"),
+        ):
+            if name in need:
+                out[name] = h[key]
     if need & {"imc1", "imc2"}:
         # HXY1 = -sum p ln(px py) and HXY2 = -sum px py ln(px py) both
         # collapse to HX + HY, so no (B, G, G) outer product is formed.
-        hx = _entropy(px, tot)
-        hy = _entropy(py, tot)
+        hxy, hx, hy = h["hxy"], h["hx"], h["hy"]
         if "imc1" in need:
             out["imc1"] = _ratio(hxy - hx - hy, np.maximum(hx, hy))
         if "imc2" in need:
             out["imc2"] = np.sqrt(
                 np.clip(1.0 - np.exp(-2.0 * (hx + hy - hxy)), 0.0, 1.0)
             )
-    if "mcc" in need:
-        out["mcc"] = _mcc_batch(p3, px, py)
     return {name: np.where(empty, 0.0, vals) for name, vals in out.items()}
 
 
@@ -281,7 +324,7 @@ def haralick_features(
         Count (or probability) matrices of shape ``(..., G, G)``.
     features:
         Feature names to compute; defaults to all fourteen.  Computing a
-        subset skips unrelated work (e.g. the eigendecompositions behind
+        subset skips unrelated work (e.g. the eigenvalue solve behind
         ``mcc``).
 
     Returns
@@ -292,12 +335,18 @@ def haralick_features(
     once.  The linear and quadratic statistics (f2-f4, f6, f7, f10) come
     from one ``(n, G*G) @ (G*G, K)`` product with a cached moment table
     holding only the columns the requested features need; ``asm`` and
-    ``idm`` are one ``einsum`` each; the entropies visit non-zero cells
-    only; ``p_x``, ``p_y``, ``p_{x+y}`` and ``p_{x-y}`` are built only
-    for the entropy/IMC/MCC features that read them; ``mcc`` is one
-    stacked ``eigvals`` call per distinct count of occupied levels.
-    A matrix's values do not depend on which other matrices share its
-    batch, so any packetization of a scan yields the same volumes.
+    ``idm`` are one ``einsum`` each.  The information features
+    (:data:`INFORMATION_FEATURES`) come from one compiled pass per slab
+    when :func:`repro.core.native.load` has the library: per matrix it
+    builds ``p_x``, ``p_y``, ``p_{x+y}`` and ``p_{|x-y|}``, takes the
+    five entropies over non-zero cells and, for ``mcc``, the
+    second-largest eigenvalue of the symmetric ``M M^T`` by Householder
+    tridiagonalisation and Sturm bisection.  Without it numpy computes
+    the same quantities, ``mcc`` by one stacked ``eigvalsh`` call per
+    distinct count of occupied levels.  The paper's four never reach
+    that seam.  A matrix's values do not depend on which other matrices
+    share its batch, so any packetization of a scan yields the same
+    volumes.
     """
     wanted = tuple(features) if features is not None else HARALICK_FEATURES
     for name in wanted:
@@ -312,13 +361,18 @@ def haralick_features(
     nmat = flat.shape[0]
 
     need = frozenset(wanted)
-    # mcc holds the gathered submatrices, both normalizations, their
-    # product and its complex spectrum on top of the float slab.
-    per_matrix = levels * levels * 8 * (6 if "mcc" in need else 2)
-    step = max(1, FEATURE_BLOCK_BYTES // per_matrix)
+    lib = native.load() if need & INFORMATION_FEATURES else None
+    # The compiled pass holds only the float slab.  The numpy entropies
+    # gather the non-zero cells beside it, and numpy mcc the kept
+    # submatrices, their product and the eigvalsh workspace.
+    if lib is not None:
+        slabs = 1
+    else:
+        slabs = 6 if "mcc" in need else 2
+    step = max(1, FEATURE_BLOCK_BYTES // (levels * levels * 8 * slabs))
     out = {name: np.empty(nmat) for name in wanted}
     for lo in range(0, nmat, step):
-        vals = _feature_block(flat[lo : lo + step], need, levels)
+        vals = _feature_block(flat[lo : lo + step], need, levels, lib)
         for name in wanted:
             out[name][lo : lo + step] = vals[name]
     return {name: out[name].reshape(lead) for name in wanted}

@@ -1,12 +1,13 @@
-"""Build, cache and load the compiled pass of the rolling scan kernel.
+"""Build, cache and load the compiled passes of the scan and the features.
 
 ``_native.c`` (shipped as package data next to this file) is compiled on
 first use with the system C compiler and loaded with :mod:`ctypes`, so
 the only requirement beyond the standard library is a ``cc`` at run time
 and, without one, nothing is lost but speed: :func:`load` returns
-``None`` and :func:`repro.core.backends.incremental_scan` runs its numpy
-passes instead.  ``ctypes`` releases the interpreter lock for the whole
-foreign call.
+``None``, :func:`repro.core.backends.incremental_scan` runs its numpy
+passes instead and :func:`repro.core.features.haralick_features` its
+numpy entropies and ``eigvalsh``.  ``ctypes`` releases the interpreter
+lock for the whole foreign call.
 
 The shared object lives in a per-user cache,
 ``${XDG_CACHE_HOME:-~/.cache}/repro/<sha256>.so`` with the hash taken
@@ -37,15 +38,19 @@ import sysconfig
 import tempfile
 import threading
 from importlib import resources
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["NativeStatus", "status", "load", "plane_histograms"]
+__all__ = [
+    "NativeStatus", "status", "load", "plane_histograms", "information_features",
+]
 
 #: Portable on purpose: the cache may sit on a home directory shared by
 #: machines of one architecture, so nothing like ``-march=native``.
 CFLAGS = ("-O2", "-shared", "-fPIC")
+#: Libraries linked after the source (``information_features`` uses libm).
+LDLIBS = ("-lm",)
 
 _BUILD_TIMEOUT_S = 120
 
@@ -124,7 +129,7 @@ def _build(cc: Sequence[str], source: bytes, target: str) -> None:
     try:
         try:
             proc = subprocess.run(
-                [*cc, *CFLAGS, "-x", "c", "-", "-o", tmp],
+                [*cc, *CFLAGS, "-x", "c", "-", "-o", tmp, *LDLIBS],
                 input=source,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.PIPE,
@@ -145,13 +150,24 @@ def _build(cc: Sequence[str], source: bytes, target: str) -> None:
             os.unlink(tmp)
 
 
+_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+#: Every exported function and its argument types (all return ``int``).
+_SIGNATURES = {
+    "plane_histograms": [_PTR, _I64, _PTR, _I64, _I64, _PTR, _I64, _I64, _PTR],
+    "information_features": [_PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64],
+}
+
+
 def _resolve() -> NativeStatus:
     try:
         cc = _compiler()
         source = resources.files(__package__).joinpath("_native.c").read_bytes()
         key = hashlib.sha256(
             b"\0".join(
-                [source, *(a.encode() for a in (*cc, *CFLAGS, platform.machine()))]
+                [
+                    source,
+                    *(a.encode() for a in (*cc, *CFLAGS, *LDLIBS, platform.machine())),
+                ]
             )
         ).hexdigest()
         path = os.path.join(_cache_dir(), key + ".so")
@@ -160,14 +176,14 @@ def _resolve() -> NativeStatus:
         _check_trusted(path)
         try:
             lib = ctypes.CDLL(path)
-            fn = lib.plane_histograms
+            for name, argtypes in _SIGNATURES.items():
+                fn = getattr(lib, name)
+                fn.argtypes = argtypes
+                fn.restype = ctypes.c_int
         except (OSError, AttributeError) as exc:
             raise _Unavailable(f"build failed: cannot load {path}: {exc}")
     except _Unavailable as exc:
         return NativeStatus(None, None, str(exc))
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [ptr, i64, ptr, i64, i64, ptr, i64, i64, ptr]
-    fn.restype = ctypes.c_int
     return NativeStatus(lib, path, None)
 
 
@@ -233,3 +249,43 @@ def plane_histograms(
         raise ValueError("window reads outside the pair-code array")
     if err:
         raise ValueError(f"pair code outside [0, {gg})")
+
+
+#: Columns of :func:`information_features`' entropy output, in order.
+ENTROPIES = ("hxy", "hx", "hy", "hsum", "hdiff")
+
+
+def information_features(
+    lib: ctypes.CDLL, p: np.ndarray, tot: np.ndarray, with_mcc: bool
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Entropies (and ``mcc``) of every matrix of ``p`` in one C pass.
+
+    ``p`` is a C-contiguous float64 ``(n, G, G)`` slab of counts or
+    probabilities and ``tot`` its per-matrix sums (positive).  Returns
+    the ``(n, 5)`` entropies of ``p / tot``, ``px``, ``py``,
+    ``p_{x+y}`` and ``p_{|x-y|}`` (columns :data:`ENTROPIES`), and the
+    ``(n,)`` maximal correlation coefficients when ``with_mcc``, else
+    ``None``.  The scratch the C loop works in (``O(G)``, ``O(G^2)``
+    with ``mcc``) is allocated here, once per call.
+    """
+    if (
+        p.dtype != np.float64
+        or p.ndim != 3
+        or p.shape[1] != p.shape[2]
+        or not p.flags.c_contiguous
+    ):
+        raise TypeError("p must be a C-contiguous float64 (n, G, G) array")
+    n, g = p.shape[0], p.shape[1]
+    if tot.dtype != np.float64 or tot.shape != (n,) or not tot.flags.c_contiguous:
+        raise TypeError(f"tot must be a C-contiguous float64 array of shape {(n,)}")
+    ent = np.empty((n, len(ENTROPIES)))
+    mcc = np.empty(n) if with_mcc else None
+    scratch = np.empty(5 * g + (2 * g * g + 2 * g if with_mcc else 0))
+    err = lib.information_features(
+        p.ctypes.data, n, g, tot.ctypes.data, ent.ctypes.data,
+        None if mcc is None else mcc.ctypes.data,
+        scratch.ctypes.data, scratch.size,
+    )
+    if err:
+        raise ValueError("information_features: scratch too short")
+    return ent, mcc

@@ -9,8 +9,10 @@ and for datasets that merely exceed RAM rather than patience.
 Both entry points take an optional :class:`~repro.datacutter.obs.Tracer`
 and emit the same chunk-lifecycle events (``chunk.read`` →
 ``chunk.stitch`` → ``chunk.cooccur``/``chunk.features`` →
-``chunk.write``) as the parallel runtimes, under the synthetic filter
-name ``"SEQ"`` — so one trace schema describes every execution mode.
+``chunk.write``, plus ``kernel.fallback`` once when ``incremental``
+runs its numpy passes) as the parallel runtimes, under the synthetic
+filter name ``"SEQ"`` — so one trace schema describes every execution
+mode.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from ..chunks.chunking import ChunkSpec
 from ..chunks.stitch import OutputStitcher
-from ..core.backends import get_kernel
+from ..core.backends import resolve_scan_kernel
 from ..core.features import haralick_features
 from ..core.roi import valid_positions_shape
 from ..datacutter.obs import Tracer
@@ -66,7 +68,14 @@ def iter_chunk_features(
                 chunk=chunk.index, **attrs,
             )
 
+    # Resolving the kernel builds or loads the compiled pass; when it
+    # had to fall back, the trace says so once per run, as HMP and HCC
+    # do once per copy.
+    scan, fallback = resolve_scan_kernel(params.kernel)
     for chunk in plan_chunks(dataset.shape, config):
+        if fallback:
+            emit("kernel.fallback", chunk, **fallback)
+            fallback = None
         t0 = time.perf_counter()
         data = _read_chunk(dataset, chunk)
         emit("chunk.read", chunk, time.perf_counter() - t0,
@@ -85,7 +94,7 @@ def iter_chunk_features(
         flat = {name: np.empty(int(np.prod(grid))) for name in params.features}
         t_cooc = t_feat = 0.0
         mark = time.perf_counter()
-        for start, mats in get_kernel(params.kernel)(
+        for start, mats in scan(
             q, params.roi, params.levels, distance=params.distance
         ):
             now = time.perf_counter()

@@ -1,12 +1,16 @@
-"""The moment-table feature kernel against the dense oracle.
+"""The feature kernel against the dense oracle, on both of its paths.
 
 ``haralick_features`` gets its linear and quadratic statistics from one
-GEMM, its entropies from non-zero cells only and ``mcc`` from stacked
-``eigvals`` calls; ``tests/core/_dense_oracle.py`` keeps the formulas it
-replaced.  The two must agree to the pipeline ledger's tolerance
-(``rtol=1e-9, atol=1e-12``) on anything a scan can produce, a matrix's
-features must not depend on the packet it travels in, and the float
-temporaries must not grow with the packet.
+GEMM and its information features (the five entropies, IMC and ``mcc``)
+from one compiled pass per slab, or from numpy when the library is not
+available: entropies over non-zero cells, ``mcc`` from stacked
+``eigvalsh`` calls.  ``tests/core/_dense_oracle.py`` keeps the formulas
+both replaced.  Each path must agree with the oracle, and the two paths
+with each other, to the pipeline ledger's tolerance (``rtol=1e-9,
+atol=1e-12``) on anything a scan can produce; a matrix's features must
+not depend on the packet it travels in, and the float temporaries must
+not grow with the packet.  Tests marked ``on_both_implementations`` run
+once as this machine resolves the library and once on the numpy path.
 """
 
 import tracemalloc
@@ -16,8 +20,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import features as features_mod
-from repro.core.features import HARALICK_FEATURES, haralick_features
+from repro.core import native
+from repro.core.features import (
+    HARALICK_FEATURES,
+    PAPER_FEATURES,
+    haralick_features,
+)
 
+from ..conftest import on_both_implementations, patched_to_numpy_passes
 from ._dense_oracle import _mcc, dense_haralick_features
 
 RTOL, ATOL = 1e-9, 1e-12
@@ -45,6 +55,15 @@ def count_matrices(draw):
         mats[3] = 0
         mats[3, levels - 1, levels // 2] = 7
     return mats.reshape(lead + (levels, levels))
+
+
+def _probabilities(counts):
+    """Each matrix divided by its total (an empty one left at zero)."""
+    flat = counts.reshape(-1, *counts.shape[-2:]).astype(float)
+    tot = flat.sum(axis=(1, 2))
+    return (flat / np.where(tot > 0, tot, 1.0)[:, None, None]).reshape(
+        counts.shape
+    )
 
 
 def _well_conditioned(name, counts):
@@ -94,24 +113,22 @@ def _assert_matches_oracle(counts, features):
 class TestAgainstDenseOracle:
     @given(counts=count_matrices())
     @settings(max_examples=60, deadline=None)
+    @on_both_implementations
     def test_all_fourteen_together(self, counts):
         _assert_matches_oracle(counts, HARALICK_FEATURES)
 
     @pytest.mark.parametrize("name", HARALICK_FEATURES)
     @given(counts=count_matrices())
     @settings(max_examples=15, deadline=None)
+    @on_both_implementations
     def test_each_feature_alone(self, name, counts):
         _assert_matches_oracle(counts, (name,))
 
     @given(counts=count_matrices())
     @settings(max_examples=25, deadline=None)
+    @on_both_implementations
     def test_probability_input(self, counts):
-        flat = counts.reshape(-1, *counts.shape[-2:]).astype(float)
-        tot = flat.sum(axis=(1, 2))
-        p = (flat / np.where(tot > 0, tot, 1.0)[:, None, None]).reshape(
-            counts.shape
-        )
-        _assert_matches_oracle(p, HARALICK_FEATURES)
+        _assert_matches_oracle(_probabilities(counts), HARALICK_FEATURES)
 
     def test_constant_row_has_no_correlation(self):
         # Every pair starts at level 3: var_x is exactly zero, so the
@@ -122,8 +139,57 @@ class TestAgainstDenseOracle:
         assert haralick_features(counts, ["correlation"])["correlation"] == 0.0
 
 
+needs_native = pytest.mark.skipif(
+    native.load() is None,
+    reason=f"compiled pass unavailable: {native.status().reason}",
+)
+
+
+class TestCompiledAgainstNumpy:
+    @needs_native
+    @given(counts=count_matrices(), probability=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_paths_agree(self, counts, probability):
+        # G in {2, 8, 32, 64}, non-symmetric, empty and single-cell
+        # (k < 2 kept levels) matrices come from count_matrices.
+        if probability:
+            counts = _probabilities(counts)
+        got = haralick_features(counts)
+        with patched_to_numpy_passes():
+            want = haralick_features(counts)
+        for name in HARALICK_FEATURES:
+            g, w = got[name], want[name]
+            if name in ("imc2", "mcc"):
+                g, w = g**2, w**2  # sqrt next to zero: compare the square
+            np.testing.assert_allclose(g, w, rtol=RTOL, atol=ATOL, err_msg=name)
+
+    @needs_native
+    def test_all_fourteen_use_the_compiled_pass(self, monkeypatch):
+        calls = []
+        real = native.information_features
+        monkeypatch.setattr(
+            native, "information_features",
+            lambda *args: calls.append(args[3]) or real(*args),
+        )
+        mats = np.random.default_rng(3).integers(0, 9, size=(20, 8, 8))
+        haralick_features(mats)
+        haralick_features(mats, ["entropy"])
+        assert calls == [True, False]  # mcc only when asked for
+
+    def test_paper_features_never_reach_the_seam(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the paper's four entered the seam")
+
+        monkeypatch.setattr(native, "load", forbidden)
+        monkeypatch.setattr(native, "information_features", forbidden)
+        mats = np.random.default_rng(4).integers(0, 9, size=(20, 8, 8))
+        out = haralick_features(mats, PAPER_FEATURES)
+        assert tuple(out) == PAPER_FEATURES
+
+
 class TestMccBatch:
     @pytest.mark.parametrize("symmetric", [True, False])
+    @on_both_implementations
     def test_equals_per_matrix_form(self, symmetric):
         rng = np.random.default_rng(12)
         mats = rng.integers(1, 40, size=(40, 16, 16))
@@ -146,7 +212,21 @@ class TestMccBatch:
         assert all(got[k] == 0.0 for k, n in enumerate(occupied) if n < 2)
 
 
+def test_cached_tables_are_read_only():
+    # Every call and every thread shares them: a write would change the
+    # features of every later packet.
+    haralick_features(np.ones((2, 8, 8)))
+    for table in (
+        features_mod._moment_table(8, ("1", "x", "xx")),
+        features_mod._idm_weights(8),
+    ):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
 class TestPacketIndependence:
+    @on_both_implementations
     def test_features_do_not_depend_on_the_batch(self):
         # The runtimes packetize one scan differently (1/8 chunk, 2048,
         # one ROI) and must stitch identical volumes: bitwise, not close.
@@ -160,6 +240,7 @@ class TestPacketIndependence:
             for name in HARALICK_FEATURES:
                 assert np.array_equal(part[name], whole[name][lo:hi]), name
 
+    @on_both_implementations
     def test_sub_blocking_is_invisible(self, monkeypatch):
         rng = np.random.default_rng(22)
         mats = rng.integers(0, 9, size=(50, 8, 8))
@@ -184,6 +265,7 @@ def _feature_peak(mats, features):
 @pytest.mark.parametrize(
     "features", [HARALICK_FEATURES[:-1], HARALICK_FEATURES], ids=["13", "all14"]
 )
+@on_both_implementations
 def test_feature_temporaries_do_not_grow_with_the_batch(features):
     """The analogue of the scan's ``WORKSPACE_BYTES`` tests.
 

@@ -1,10 +1,12 @@
-"""Tests for the compiled pass of the rolling kernel and its loader.
+"""Tests for the compiled passes and their loader.
 
 ``repro.core.native`` compiles ``_native.c`` on first use and loads it
 with ctypes; when that is impossible ``incremental`` runs its numpy
-passes.  Covered here: the C function against the numpy passes, the
-interpreter lock being released, every loader path (no compiler, failed
-build, unusable cache directory, untrusted cached file, racing builds),
+passes and the features their numpy path.  Covered here: the plane
+histograms against the numpy passes, the interpreter lock being
+released, the argument checks of both wrappers, every loader path (no
+compiler, failed build, a library missing a symbol, unusable cache
+directory, untrusted cached file, racing builds),
 error reporting without memory corruption, the re-pointed
 ``kernel.fallback`` event and ``repro kernels`` line, and packaging.
 
@@ -168,6 +170,41 @@ class TestPlaneHistograms:
         inside = [s for s in stamps if t0 + margin < s < t1 - margin]
         # Holding the lock through the call would leave this empty.
         assert len(inside) >= 5, (len(inside), t1 - t0)
+
+
+class TestInformationFeatures:
+    @needs_native
+    def test_rejects_wrong_dtype_layout_and_shape(self):
+        p = np.ones((3, 4, 4))
+        tot = np.full(3, 16.0)
+        call = native.information_features
+        for bad in (p.astype(np.float32), p[:, :, :3], p.transpose(0, 2, 1),
+                    p.reshape(3, 16)):
+            with pytest.raises(TypeError):
+                call(LIB, bad, tot, True)
+        for bad in (tot[:2], tot.astype(np.float32)):
+            with pytest.raises(TypeError):
+                call(LIB, p, bad, False)
+
+    @needs_native
+    @pytest.mark.parametrize("with_mcc", [False, True])
+    def test_short_scratch_is_refused_before_any_write(self, with_mcc):
+        g, n = 6, 2
+        p = np.ones((n, g, g))
+        tot = np.full(n, 36.0)
+        ent = np.full((n, 5), 7.0)
+        mcc = np.full(n, 7.0)
+        need = 5 * g + (2 * g * g + 2 * g if with_mcc else 0)
+        scratch = np.full(need, 7.0)
+        args = (p.ctypes.data, n, g, tot.ctypes.data, ent.ctypes.data,
+                mcc.ctypes.data if with_mcc else None, scratch.ctypes.data)
+        assert LIB.information_features(*args, need - 1) == 1
+        assert (ent == 7).all() and (mcc == 7).all() and (scratch == 7).all()
+        assert LIB.information_features(*args, need) == 0
+        np.testing.assert_allclose(ent, [[2 * np.log(g), np.log(g), np.log(g),
+                                          ent[0, 3], ent[0, 4]]] * n)
+        if with_mcc:
+            np.testing.assert_allclose(mcc, 0.0, atol=1e-7)  # independent
 
 
 class TestErrorsDoNotCorruptMemory:
@@ -340,6 +377,26 @@ class TestLoader:
         st_ = native._resolve()
         assert st_.lib is None
         assert st_.reason.startswith("build failed: cannot load")
+
+    @needs_native
+    def test_library_missing_a_symbol_is_not_loaded(
+        self, cache, tmp_path, monkeypatch
+    ):
+        # A library from an older _native.c: plane_histograms only.
+        real = native._compiler()[0]
+        monkeypatch.setenv(
+            "CC",
+            _fake_cc(
+                tmp_path,
+                'cat > /dev/null\nwhile [ "$1" != "-o" ]; do shift; done\n'
+                "echo 'int plane_histograms(void) { return 0; }' | "
+                f'{real} -shared -fPIC -x c - -o "$2"\n',
+            ),
+        )
+        st_ = native._resolve()
+        assert st_.lib is None
+        assert st_.reason.startswith("build failed: cannot load")
+        assert "information_features" in st_.reason
 
     @needs_native
     def test_unusable_cache_dir_builds_in_a_temp_dir_removed_at_exit(
@@ -577,7 +634,7 @@ class TestPackaging:
         from importlib import resources
 
         src = resources.files("repro.core").joinpath("_native.c").read_text()
-        assert "plane_histograms" in src
+        assert "plane_histograms" in src and "information_features" in src
 
     def _setup_py(self, tmp_path, *args):
         pytest.importorskip("setuptools")

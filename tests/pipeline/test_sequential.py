@@ -11,6 +11,8 @@ from repro.pipeline.config import AnalysisConfig
 from repro.pipeline.sequential import iter_chunk_features, transform_disk_dataset
 from repro.storage.dataset import DiskDataset4D, write_dataset
 
+from ..conftest import patched_to_numpy_passes
+
 
 @pytest.fixture(scope="module")
 def setup(tmp_path_factory):
@@ -93,3 +95,40 @@ class TestTransformDiskDataset:
         _vol, root, cfg = setup
         with pytest.raises(TypeError):
             transform_disk_dataset(root, cfg, region_store=None)
+
+    def test_numpy_passes_are_reported_once_per_run(self, setup):
+        # HMP and HCC put kernel.fallback in the trace once per copy; the
+        # sequential driver, one copy by construction, once per run.
+        from repro.datacutter.obs import Tracer, validate_events
+
+        _vol, root, cfg = setup
+        tracer = Tracer()
+        with patched_to_numpy_passes():
+            chunks = [
+                chunk.index for chunk, _local in iter_chunk_features(
+                    DiskDataset4D.open(root), cfg, tracer=tracer
+                )
+            ]
+        events = tracer.drain()
+        validate_events(events)
+        fallback = [ev for ev in events if ev.kind == "kernel.fallback"]
+        assert len(chunks) > 1 and len(fallback) == 1
+        (ev,) = fallback
+        assert ev.filter == "SEQ" and ev.chunk == chunks[0]
+        assert ev.attrs["requested"] == "incremental"
+        assert ev.attrs["used"] == "incremental (numpy passes)"
+        assert ev.attrs["reason"] == "patched out by the test suite"
+
+    def test_no_fallback_event_as_requested(self, setup):
+        from repro.core import native
+        from repro.datacutter.obs import Tracer
+
+        _vol, root, cfg = setup
+        if native.load() is None:
+            pytest.skip(f"compiled pass unavailable: {native.status().reason}")
+        tracer = Tracer()
+        for _chunk, _local in iter_chunk_features(
+            DiskDataset4D.open(root), cfg, tracer=tracer
+        ):
+            pass
+        assert not [ev for ev in tracer.drain() if ev.kind == "kernel.fallback"]

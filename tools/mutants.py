@@ -74,6 +74,10 @@ MODULES: Dict[str, List[str]] = {
     "src/repro/service/cache.py": [
         "tests/service/test_cache.py",
     ],
+    "src/repro/core/features.py": [
+        "tests/core/test_features.py",
+        "tests/core/test_feature_kernel.py",
+    ],
 }
 
 _FLIP = {
