@@ -37,11 +37,7 @@ from repro.core.backends import (
     get_kernel,
     incremental_scan,
 )
-from repro.core.cooccurrence import (
-    cooccurrence_matrix,
-    cooccurrence_scan,
-    resolve_directions,
-)
+from repro.core.cooccurrence import cooccurrence_matrix, resolve_directions
 from repro.core.features import HARALICK_FEATURES, PAPER_FEATURES, haralick_features
 from repro.core.quantization import quantize_linear
 from repro.core.roi import ROISpec, valid_positions_shape
@@ -92,14 +88,14 @@ def volume():
 
 @pytest.fixture(scope="module")
 def matrices(volume):
-    batches = [m for _s, m in cooccurrence_scan(volume, ROI, LEVELS, batch=1024)]
+    batches = [m for _s, m in incremental_scan(volume, ROI, LEVELS, batch=1024)]
     return np.concatenate(batches)[:1024]
 
 
-def test_cooccurrence_scan_throughput(benchmark, volume):
+def test_incremental_scan_throughput(benchmark, volume):
     def scan():
         total = 0
-        for _start, mats in cooccurrence_scan(volume, ROI, LEVELS, batch=2048):
+        for _start, mats in incremental_scan(volume, ROI, LEVELS, batch=2048):
             total += mats.shape[0]
         return total
 
@@ -211,8 +207,14 @@ def _rolling_axis_rows(repeats=3):
     return rows
 
 
+#: How much faster than the Fig. 2 reference loop ``incremental`` must
+#: run at the paper config, on its compiled pass and on its numpy passes.
+MIN_SPEEDUP_VS_REFERENCE = 10.0
+
+
 def test_kernel_backend_comparison():
-    """All rows bit-identical; rolling beats batched, compiled beats numpy.
+    """All rows bit-identical; rolling beats the reference loop by
+    ``MIN_SPEEDUP_VS_REFERENCE`` on both passes, compiled beats numpy.
 
     Paper configuration: 5x5x5x3 ROI, 32 levels, all 40 unique 4D
     directions, distance 1, plus a grey-level sweep over 16/32/64 and
@@ -252,9 +254,9 @@ def test_kernel_backend_comparison():
             str(levels): {k: r["rois_per_sec"] for k, r in row.items()}
             for levels, row in sweep.items()
         },
-        "speedup_incremental_vs_batched": round(
+        "speedup_incremental_vs_reference": round(
             results["incremental"]["rois_per_sec"]
-            / results["batched"]["rois_per_sec"],
+            / results["reference"]["rois_per_sec"],
             2,
         ),
         "speedup_native_vs_numpy_passes": round(
@@ -274,14 +276,15 @@ def test_kernel_backend_comparison():
         print(f"  {shape:>11}: axis {row['rolling_axis']} span {row['span']}"
               f" {row['rois_per_sec']:>10.1f} rois/sec")
 
-    # CI gates on the paper config: the rolling kernel must not regress
-    # below the batched one, and where the compiled pass loaded it must
-    # beat the numpy passes it replaces (CI separately requires that it
-    # did load).
-    assert (
-        results["incremental"]["rois_per_sec"]
-        >= results["batched"]["rois_per_sec"]
-    ), payload
+    # CI gates on the paper config: the rolling kernel, on either pass,
+    # must stay an order of magnitude ahead of the Fig. 2 loop, and where
+    # the compiled pass loaded it must beat the numpy passes it replaces
+    # (CI separately requires that it did load).
+    for row in ("incremental", NUMPY_ROW):
+        assert (
+            results[row]["rois_per_sec"]
+            >= MIN_SPEEDUP_VS_REFERENCE * results["reference"]["rois_per_sec"]
+        ), (row, payload)
     if native.load() is not None:
         assert (
             results["incremental"]["rois_per_sec"]
@@ -372,25 +375,26 @@ def _scan_peak_bytes(scan, volume, batch):
     return peak
 
 
-@pytest.mark.parametrize("kernel", ["batched", "incremental"])
-def test_scan_peak_memory(kernel):
+@pytest.mark.parametrize("row", ["incremental", NUMPY_ROW])
+def test_scan_peak_memory(row):
     """Kernel temporaries stay within the workspace budget.
 
     The unavoidable output allocation is excluded: one ``batch`` of
-    G x G int64 matrices.  Everything else — pair codes, gather tables
-    and blocks, bincount inputs and outputs, symmetrization scratch —
-    must fit in a small multiple of ``WORKSPACE_BYTES``.  Guards the
-    removal of the transpose copy and the ``block + shift``
-    mega-temporary from the batched scan.  The 16x16x10x6 volume rolls along
-    ``y`` (12 positions), not the innermost axis.
+    G x G int64 matrices.  Everything else — pair codes, plane
+    histograms, gather tables and blocks, bincount inputs and outputs,
+    symmetrization scratch — must fit in a small multiple of
+    ``WORKSPACE_BYTES``, on the compiled pass and on the numpy passes.
+    The 16x16x10x6 volume rolls along ``y`` (12 positions), not the
+    innermost axis.
     """
     volume = _smoke_volume(shape=(16, 16, 10, 6), seed=1)
     batch = 4096
     mats_bytes = batch * LEVELS * LEVELS * 8
-    peak = _scan_peak_bytes(get_kernel(kernel), volume, batch)
+    with _implementation(row) as scan:
+        peak = _scan_peak_bytes(scan, volume, batch)
     budget = mats_bytes + 3 * WORKSPACE_BYTES
     assert peak < budget, (
-        f"{kernel} scan peak {peak / 2**20:.1f} MiB exceeds "
+        f"{row} scan peak {peak / 2**20:.1f} MiB exceeds "
         f"{budget / 2**20:.1f} MiB (output {mats_bytes / 2**20:.1f} MiB "
         f"+ 3x workspace)"
     )

@@ -18,7 +18,7 @@ positions.
 import numpy as np
 from harness import print_table, record
 
-from repro.core.cooccurrence import cooccurrence_scan
+from repro.core.backends import incremental_scan
 from repro.core.quantization import quantize_linear
 from repro.core.roi import ROISpec
 from repro.data.synthetic import paper_dataset_config, generate_phantom
@@ -31,7 +31,7 @@ def measure(n_sample=4096):
     vol = generate_phantom(paper_dataset_config(scale=0.25, seed=3))
     q = quantize_linear(vol.data, LEVELS, lo=0, hi=4095)
     nnzs, visited = [], 0
-    for start, mats in cooccurrence_scan(q, ROI, LEVELS, batch=512):
+    for start, mats in incremental_scan(q, ROI, LEVELS, batch=512):
         mats = mats[: n_sample - len(nnzs)]
         nnzs.extend(np.count_nonzero(np.triu(mats), axis=(1, 2)))
         visited += int(np.count_nonzero(mats))

@@ -35,8 +35,6 @@ def _scale(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .core.backends import DEFAULT_KERNEL, KERNELS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Parallel 4D Haralick texture analysis (SC 2004 reproduction)",
@@ -65,9 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("RX", "RY", "RZ", "RT"))
     p.add_argument("--features", nargs="+",
                    default=["asm", "correlation", "sum_of_squares", "idm"])
-    p.add_argument("--kernel", choices=KERNELS, default=DEFAULT_KERNEL,
-                   help="co-occurrence scan backend (all are bit-identical; "
-                        "incremental is the fast rolling kernel)")
     p.add_argument("--scheduling", choices=("demand_driven", "round_robin"),
                    default="demand_driven")
     p.add_argument("--intensity-max", type=float, default=4095.0)
@@ -198,7 +193,6 @@ def _cmd_analyze(args) -> int:
         levels=args.levels,
         features=tuple(args.features),
         intensity_range=(0.0, args.intensity_max),
-        kernel=args.kernel,
     )
     kwargs = dict(
         texture=params,

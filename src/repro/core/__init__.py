@@ -9,11 +9,10 @@ directions
 roi
     ROI window geometry and raster-scan position grids.
 cooccurrence
-    Dense co-occurrence matrices: per-window reference kernel and the
-    vectorized batched scan.
+    Dense co-occurrence matrix of one window: the reference kernel.
 backends
-    Pluggable GLCM scan kernels (batched / incremental / reference)
-    and the dispatch registry.
+    Pluggable GLCM scan kernels (incremental / reference) and the
+    dispatch registry.
 native
     Builds, caches and loads the compiled pass of the incremental
     kernel (``_native.c``, ctypes); absent a C compiler the kernel runs
@@ -24,7 +23,8 @@ workspace
 features
     The fourteen Haralick features, vectorized over matrix batches.
 raster
-    Sequential raster scan (reference and production paths).
+    Sequential raster scan (reference and production paths); the one
+    scan-then-features body every texture driver shares.
 analysis
     ``haralick_transform`` — the high-level sequential API.
 """
@@ -42,7 +42,7 @@ from .backends import (
     reference_scan,
     resolve_scan_kernel,
 )
-from .cooccurrence import check_levels, cooccurrence_matrix, cooccurrence_scan
+from .cooccurrence import check_levels, cooccurrence_matrix
 from .directions import all_directions, direction_count, unique_directions
 from .features import (
     HARALICK_FEATURES,
@@ -74,7 +74,6 @@ __all__ = [
     "reference_scan",
     "check_levels",
     "cooccurrence_matrix",
-    "cooccurrence_scan",
     "all_directions",
     "direction_count",
     "unique_directions",

@@ -34,9 +34,9 @@ class HaralickConfig:
     all unique 4D directions.
 
     ``kernel`` selects the co-occurrence scan backend
-    (:data:`repro.core.backends.KERNELS`); every backend produces
-    bit-identical feature volumes, so this is purely a performance
-    knob.  The default is the incremental (rolling) kernel.
+    (:data:`repro.core.backends.KERNELS`): ``incremental``, the rolling
+    kernel and the default, or ``reference``, the paper's Fig. 2 loop
+    kept as a bit-identical oracle for tests.
     """
 
     roi_shape: Tuple[int, ...] = (5, 5, 5, 3)

@@ -2,13 +2,7 @@
 
 The paper's dominant cost is GLCM accumulation (Section 4.4.1), so the
 scan kernel is dispatchable behind one stable interface — the Region
-Templates idea of backend-selectable kernels.  Three backends:
-
-``"batched"``
-    :func:`repro.core.cooccurrence.cooccurrence_scan`.  One ``bincount``
-    per (direction, sub-batch): every ROI re-counts its full window, so
-    per-ROI work is ``O(ROI_volume)`` pair codes per direction plus a
-    ``G x G`` histogram accumulation *per direction*.
+Templates idea of backend-selectable kernels.  Two backends:
 
 ``"incremental"``
     :func:`incremental_scan` (this module).  The rolling kernel: Eq. (1)
@@ -43,9 +37,8 @@ with identical batch boundaries and bit-identical count matrices, so
 they are interchangeable under every runtime (sequential, threaded,
 multiprocess, distributed).  A yielded batch stays valid after the
 generator advances (consumers hand it downstream by reference).  Select
-a backend via ``HaralickConfig.kernel`` / ``TextureParams.kernel`` / the
-CLI ``--kernel`` flag, or grab the callable directly with
-:func:`get_kernel`.
+a backend via ``HaralickConfig.kernel`` / ``TextureParams.kernel``, or
+grab the callable directly with :func:`get_kernel`.
 """
 
 from __future__ import annotations
@@ -56,12 +49,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import native
-from .cooccurrence import (
-    check_levels,
-    cooccurrence_matrix,
-    cooccurrence_scan,
-    resolve_directions,
-)
+from .cooccurrence import check_levels, cooccurrence_matrix, resolve_directions
 from .directions import Direction
 from .quantization import num_levels_ok
 from .roi import ROISpec, iter_roi_origins, valid_positions_shape
@@ -95,8 +83,8 @@ def reference_scan(
 ) -> Iterator[Tuple[int, np.ndarray]]:
     """Fig. 2 loop as a scan backend: one window at a time.
 
-    Ground truth for the other backends; batching exists only to match
-    the shared yield contract.
+    Ground truth for the incremental backend; batching exists only to
+    match the shared yield contract.
     """
     data = np.asarray(data)
     if validate:
@@ -337,7 +325,7 @@ def incremental_scan(
     """Incremental (rolling) raster scan along the best-overlap axis.
 
     Same yield contract and bit-identical matrices as
-    :func:`~repro.core.cooccurrence.cooccurrence_scan`; see the module
+    :func:`reference_scan`; see the module
     docstring for the algorithm and complexity.  The rolling axis is a
     function of the shapes alone (:func:`_rolling_plan`).  Every yielded
     batch is a fresh array that the scan never touches again; only the
@@ -459,7 +447,6 @@ def incremental_scan(
 
 
 _REGISTRY: Dict[str, ScanKernel] = {
-    "batched": cooccurrence_scan,
     "incremental": incremental_scan,
     "reference": reference_scan,
 }
@@ -469,8 +456,6 @@ KERNELS: Tuple[str, ...] = tuple(sorted(_REGISTRY))
 
 #: One-line description per backend (the ``repro kernels`` listing).
 KERNEL_INFO: Dict[str, str] = {
-    "batched": "vectorized windowed bincount; O(ROI volume) codes per "
-               "ROI per direction",
     "incremental": "rolling hyperplane histograms along the best-overlap "
                    "axis (default); O(ROI face) codes per ROI, one "
                    "compiled pass when a C compiler is present",
@@ -483,7 +468,7 @@ def get_kernel(name: str) -> ScanKernel:
     """Resolve a backend name to its scan generator.
 
     Unknown names raise ``ValueError`` with the closest registered name
-    suggested, so a typo'd ``--kernel`` is a one-glance fix.
+    suggested, so a typo'd ``kernel=`` is a one-glance fix.
     """
     try:
         return _REGISTRY[name]

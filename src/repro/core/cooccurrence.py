@@ -10,39 +10,25 @@ and Appendix).  Properties reproduced here:
 3. The matrix is always ``G x G`` for ``G`` grey levels, independent of
    distance and direction.
 
-Two computation paths are provided:
-
-``cooccurrence_matrix``
-    One ROI window -> one dense ``(G, G)`` count matrix.  Simple slicing
-    per direction; this is the reference kernel.
-
-``cooccurrence_scan``
-    Batched raster scan: all valid ROI positions of a (chunk-sized) array
-    at once, using pair-code arrays and ``sliding_window_view`` plus a
-    single ``bincount`` per batch — the vectorized equivalent of the
-    paper's per-ROI loop, far faster in Python than per-window calls.
-
-A third, incremental (rolling) kernel and the backend-dispatch layer
-that selects between all of them live in ``repro.core.backends``.
+``cooccurrence_matrix`` computes one ROI window's dense ``(G, G)``
+count matrix by simple slicing per direction; it is the reference
+kernel.  The scan kernels that produce every window's matrix of a chunk
+at once, and the dispatch layer that selects between them, live in
+``repro.core.backends``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .directions import Direction, scale_direction, unique_directions
 from .quantization import num_levels_ok
-from .roi import ROISpec, valid_positions_shape
-from .workspace import WORKSPACE_BYTES, pair_shift, symmetrize_inplace
 
 __all__ = [
     "check_levels",
     "cooccurrence_matrix",
-    "cooccurrence_scan",
-    "pair_code_array",
     "resolve_directions",
 ]
 
@@ -118,99 +104,3 @@ def cooccurrence_matrix(
     if symmetric:
         out = out + out.T
     return out
-
-
-def pair_code_array(
-    data: np.ndarray, levels: int, direction: Direction
-) -> Tuple[np.ndarray, Tuple[int, ...]]:
-    """Pair-code array ``a*G + b`` for one displacement over a whole array.
-
-    Returns ``(codes, lo)`` where ``codes`` has shape ``data.shape - |v|``
-    and ``codes[q]`` encodes the pair at absolute position ``p = q + lo``
-    (so the window of ROI origin ``o`` covers codes ``q in [o, o + R - |v|)``).
-    """
-    v = tuple(int(c) for c in direction)
-    lo = tuple(max(0, -c) for c in v)
-    hi = tuple(max(0, c) for c in v)
-    nd = data.ndim
-    a = data[tuple(slice(lo[i], data.shape[i] - hi[i]) for i in range(nd))]
-    b = data[tuple(slice(hi[i], data.shape[i] - lo[i]) for i in range(nd))]
-    return a.astype(np.int64) * levels + b, lo
-
-
-def cooccurrence_scan(
-    data: np.ndarray,
-    roi: ROISpec,
-    levels: int,
-    directions: Optional[Sequence[Direction]] = None,
-    distance: int = 1,
-    batch: int = 2048,
-    symmetric: bool = True,
-    validate: bool = True,
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Raster-scan ``data`` with the ROI window, yielding GLCM batches.
-
-    Yields ``(start, matrices)`` pairs where ``matrices`` has shape
-    ``(B, G, G)`` and row ``k`` is the co-occurrence matrix of the ROI
-    whose origin is the ``start + k``-th position in C (raster) order of
-    the valid-position grid (``valid_positions_shape(data.shape, roi)``).
-
-    This is the "batched" backend of ``repro.core.backends``: one
-    ``bincount`` per (direction, sub-batch) instead of one per ROI.
-    Temporaries are bounded by ``WORKSPACE_BYTES`` — large ``batch``
-    values only size the yielded output, not the working set.
-    """
-    data = np.asarray(data)
-    if validate:
-        check_levels(data, levels)
-    else:
-        num_levels_ok(levels)
-    if data.ndim != roi.ndim:
-        raise ValueError(f"data ndim {data.ndim} != ROI ndim {roi.ndim}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    grid = valid_positions_shape(data.shape, roi)
-    npos = int(np.prod(grid))
-    dirs = resolve_directions(data.ndim, directions, distance)
-
-    # Per direction: sliding windows over the pair-code array.  Window at
-    # grid index o corresponds to ROI origin o (same raster order) because
-    # codes.shape - (R - |v|) + 1 == data.shape - R + 1 == grid.  The views
-    # overlap in memory, so batches are materialized by fancy-indexing only
-    # the rows needed (a flat upfront reshape would copy the whole scan).
-    win_views = []
-    for v in dirs:
-        absv = tuple(abs(c) for c in v)
-        if any(roi.shape[i] <= absv[i] for i in range(data.ndim)):
-            continue  # pairs never fit inside the ROI for this direction
-        codes, _ = pair_code_array(data, levels, v)
-        wshape = tuple(roi.shape[i] - absv[i] for i in range(data.ndim))
-        face = 1
-        for c in wshape:
-            face *= c
-        win_views.append((sliding_window_view(codes, wshape), face))
-
-    gg = levels * levels
-    # Sub-batch so the gather block (face codes) and the bincount output
-    # (gg-wide histogram segments) stay inside the workspace budget, no
-    # matter how large the caller's output batches are.
-    max_face = max((face for _view, face in win_views), default=1)
-    sub = max(1, min(batch, WORKSPACE_BYTES // (8 * (max_face + gg))))
-    for start in range(0, npos, batch):
-        stop = min(start + batch, npos)
-        b = stop - start
-        mats = np.zeros((b, levels, levels), dtype=np.int64)
-        flat = mats.reshape(b, gg)
-        for s0 in range(start, stop, sub):
-            s1 = min(s0 + sub, stop)
-            sb = s1 - s0
-            idx = np.unravel_index(np.arange(s0, s1), grid)
-            shift = pair_shift(sb, gg)
-            for view, face in win_views:
-                block = view[idx].reshape(sb, face)
-                block += shift  # fresh gather: safe to shift in place
-                counts = np.bincount(block.reshape(-1), minlength=sb * gg)
-                flat[s0 - start : s1 - start] += counts.reshape(sb, gg)
-        if symmetric:
-            symmetrize_inplace(mats)
-        yield start, mats

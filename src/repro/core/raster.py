@@ -14,11 +14,16 @@ Two implementations:
     feeding the vectorized feature kernels, with a bounded per-batch
     working set so arbitrarily large chunks can be scanned without
     densifying all matrices at once.
+
+:func:`raster_scan_batches` is the one scan-then-features body: the HMP
+filter, the sequential out-of-core driver and :func:`raster_scan` all
+run through it, and it alone times the two halves.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+import time
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,22 +74,35 @@ def raster_scan_batches(
     batch: int = 2048,
     kernel: str = DEFAULT_KERNEL,
     validate: bool = True,
+    times: Optional[List[float]] = None,
 ) -> Iterator[Tuple[int, Dict[str, np.ndarray]]]:
     """Stream feature batches in raster order.
 
     Yields ``(start, {name: values})`` where ``values[k]`` belongs to the
-    flattened position ``start + k``.  This is the kernel driven by the
-    HMP filter, which forwards each batch downstream as soon as it is
-    computed (pipelining).  ``kernel`` selects the scan backend
-    (``repro.core.backends``); every backend yields bit-identical
-    batches.
+    flattened position ``start + k``.  The HMP filter forwards each
+    batch downstream as soon as it is computed (pipelining).  ``kernel``
+    selects the scan backend (``repro.core.backends``); every backend
+    yields bit-identical batches.
+
+    ``times``, when given, is a two-slot accumulator: the scan's seconds
+    are added to ``times[0]`` and the features' to ``times[1]``.  The
+    clock stops while the caller holds a yielded batch, so whatever the
+    consumer does with it (send, copy) is counted in neither.
     """
     wanted = tuple(features) if features is not None else PAPER_FEATURES
     scan = get_kernel(kernel)
+    if times is None:
+        times = [0.0, 0.0]
+    mark = time.perf_counter()
     for start, mats in scan(
         data, roi, levels, directions, distance, batch=batch, validate=validate
     ):
-        yield start, haralick_features(mats, wanted)
+        now = time.perf_counter()
+        times[0] += now - mark
+        vals = haralick_features(mats, wanted)
+        times[1] += time.perf_counter() - now
+        yield start, vals
+        mark = time.perf_counter()
 
 
 def raster_scan(
@@ -97,18 +115,21 @@ def raster_scan(
     batch: int = 2048,
     kernel: str = DEFAULT_KERNEL,
     validate: bool = True,
+    times: Optional[List[float]] = None,
 ) -> Dict[str, np.ndarray]:
-    """Vectorized raster scan; same results as ``raster_scan_reference``."""
+    """Vectorized raster scan; same results as ``raster_scan_reference``.
+
+    ``times`` is :func:`raster_scan_batches`' scan/feature accumulator.
+    """
     data = np.asarray(data)
     wanted = tuple(features) if features is not None else PAPER_FEATURES
     grid = valid_positions_shape(data.shape, roi)
     npos = int(np.prod(grid))
-    out = {name: np.zeros(npos, dtype=np.float64) for name in wanted}
+    out = {name: np.empty(npos, dtype=np.float64) for name in wanted}
     for start, vals in raster_scan_batches(
         data, roi, levels, wanted, directions, distance, batch,
-        kernel=kernel, validate=validate,
+        kernel=kernel, validate=validate, times=times,
     ):
-        b = next(iter(vals.values())).shape[0]
         for name in wanted:
-            out[name][start : start + b] = vals[name]
+            out[name][start : start + vals[name].shape[0]] = vals[name]
     return {name: arr.reshape(grid) for name, arr in out.items()}

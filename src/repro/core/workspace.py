@@ -1,8 +1,8 @@
 """Shared, cached workspaces for the co-occurrence scan kernels.
 
-The hot loops of the batched kernel and of the incremental kernel's
-numpy passes need an auxiliary array whose contents depend only on
-``(levels, batch)``-style parameters, not on the data being scanned:
+The hot loop of the incremental kernel's numpy passes needs an
+auxiliary array whose contents depend only on ``(levels, batch)``-style
+parameters, not on the data being scanned:
 
 ``pair_shift``
     The per-row bincount offset ``arange(n) * G**2`` that turns a batch
@@ -10,7 +10,7 @@ numpy passes need an auxiliary array whose contents depend only on
     single ``bincount`` call.
 
 Allocating it per call shows up in profiles (it is as large as a batch
-row), so it is cached here and shared by every kernel and every filter
+row), so it is cached here and shared by every scan and every filter
 copy.  Cached arrays are returned *read-only*; kernels must never write
 into them.  The cache is guarded by a lock because the local runtime
 executes filter copies on threads.

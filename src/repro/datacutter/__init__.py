@@ -37,7 +37,6 @@ from .scheduling import (
     SchedulingPolicy,
     make_policy,
 )
-from .xmlspec import graph_from_xml, graph_to_xml
 
 __all__ = [
     "DataBuffer",
@@ -71,8 +70,6 @@ __all__ = [
     "DemandDrivenPolicy",
     "ExplicitPolicy",
     "make_policy",
-    "graph_from_xml",
-    "graph_to_xml",
     "TraceEvent",
     "Tracer",
     "Trace",

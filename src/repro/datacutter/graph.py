@@ -1,11 +1,12 @@
 """Filter graphs: filters, copy counts and stream connections.
 
 A :class:`FilterGraph` is the declarative description of a filter network
-(the paper expresses this as an XML document; see
-:mod:`repro.datacutter.xmlspec`).  Filters are registered with a factory
-(one fresh :class:`~repro.datacutter.filter.Filter` instance is built per
-copy) and connected by named unidirectional streams, each with a buffer
-scheduling policy.
+(the paper expresses this as an XML document; here
+:func:`repro.pipeline.builder.build_graph` wires it in code).  Filters
+are registered with a factory (one fresh
+:class:`~repro.datacutter.filter.Filter` instance is built per copy) and
+connected by named unidirectional streams, each with a buffer scheduling
+policy.
 """
 
 from __future__ import annotations

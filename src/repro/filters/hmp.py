@@ -12,11 +12,9 @@ form could only add conversion work (the paper's Fig. 7(a)).
 
 from __future__ import annotations
 
-import time
-
 from ..core.backends import resolve_scan_kernel
 from ..core.cooccurrence import check_levels
-from ..core.features import haralick_features
+from ..core.raster import raster_scan_batches
 from ..datacutter.buffers import DataBuffer
 from ..datacutter.filter import Filter, FilterContext
 from .messages import FeaturePortion, TextureChunk, TextureParams, trace_headers
@@ -45,30 +43,20 @@ class HaralickMatrixProducer(Filter):
         p = self.params
         q = p.quantize(tc.data)
         check_levels(q, p.levels)  # once per chunk, not per kernel call
-        # The whole quantized chunk goes to the scan kernel in one call;
-        # the kernel packetizes, and a yielded batch is never overwritten.
-        scan, fallback = resolve_scan_kernel(p.kernel)
-        batch = p.packet_rois(tc.chunk)
-        # When tracing, split the chunk's busy time into co-occurrence
-        # scan time (the generator) and parameter time, summed over
-        # packets and emitted as one span each per chunk.
-        tracing = ctx.tracing
-        if fallback and tracing and not self._fallback_reported:
+        fallback = resolve_scan_kernel(p.kernel)[1]
+        if fallback and ctx.tracing and not self._fallback_reported:
             self._fallback_reported = True
             ctx.event("kernel.fallback", chunk=tc.chunk.index, **fallback)
-        t_cooc = t_feat = 0.0
-        t_mark = time.perf_counter() if tracing else 0.0
-        for start, mats in scan(
-            q, p.roi, p.levels, distance=p.distance, batch=batch, validate=False
+        # The whole quantized chunk goes to the scan in one call; it
+        # packetizes, and a yielded batch is never overwritten.  Scan
+        # and parameter seconds are summed over packets and emitted as
+        # one span each per chunk; the send is in neither.
+        times = [0.0, 0.0]
+        for start, vals in raster_scan_batches(
+            q, p.roi, p.levels, p.features, distance=p.distance,
+            batch=p.packet_rois(tc.chunk), kernel=p.kernel, validate=False,
+            times=times,
         ):
-            if tracing:
-                now = time.perf_counter()
-                t_cooc += now - t_mark
-                t_mark = now
-            vals = haralick_features(mats, p.features)
-            if tracing:
-                now = time.perf_counter()
-                t_feat += now - t_mark
             portion = FeaturePortion(chunk=tc.chunk, start=start, values=vals)
             ctx.send(
                 self.out_stream,
@@ -78,8 +66,6 @@ class HaralickMatrixProducer(Filter):
                     tc.chunk, kind="features", count=portion.count
                 ),
             )
-            if tracing:
-                t_mark = time.perf_counter()
-        if tracing:
-            ctx.event("chunk.cooccur", dur=t_cooc, chunk=tc.chunk.index)
-            ctx.event("chunk.features", dur=t_feat, chunk=tc.chunk.index)
+        if ctx.tracing:
+            ctx.event("chunk.cooccur", dur=times[0], chunk=tc.chunk.index)
+            ctx.event("chunk.features", dur=times[1], chunk=tc.chunk.index)

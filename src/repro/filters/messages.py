@@ -54,8 +54,9 @@ class TextureParams:
     processes it.  ``packet_fraction`` is the fraction of a chunk's ROIs
     per HCC output packet (the paper sends a packet whenever 1/8 of a
     chunk has been processed).  ``kernel`` selects the co-occurrence
-    scan backend (:data:`repro.core.backends.KERNELS`); all backends are
-    bit-identical, so it is purely a performance knob.
+    scan backend (:data:`repro.core.backends.KERNELS`): ``incremental``,
+    the default and the one production scan, or ``reference``, the
+    paper's Fig. 2 loop kept as a bit-identical oracle for tests.
     """
 
     roi_shape: Tuple[int, ...] = (5, 5, 5, 3)

@@ -25,8 +25,7 @@ import numpy as np
 from ..chunks.chunking import ChunkSpec
 from ..chunks.stitch import OutputStitcher
 from ..core.backends import resolve_scan_kernel
-from ..core.features import haralick_features
-from ..core.roi import valid_positions_shape
+from ..core.raster import raster_scan
 from ..datacutter.obs import Tracer
 from ..storage.dataset import DiskDataset4D
 from .builder import plan_chunks
@@ -71,7 +70,7 @@ def iter_chunk_features(
     # Resolving the kernel builds or loads the compiled pass; when it
     # had to fall back, the trace says so once per run, as HMP and HCC
     # do once per copy.
-    scan, fallback = resolve_scan_kernel(params.kernel)
+    fallback = resolve_scan_kernel(params.kernel)[1]
     for chunk in plan_chunks(dataset.shape, config):
         if fallback:
             emit("kernel.fallback", chunk, **fallback)
@@ -87,26 +86,14 @@ def iter_chunk_features(
         q = params.quantize(data)
         emit("chunk.stitch", chunk, time.perf_counter() - t0,
              bytes=int(q.nbytes))
-        # ``raster_scan``'s composition (scan at its default batch, then
-        # features per batch), driven here so each half is timed, as HMP
-        # does per packet.
-        grid = valid_positions_shape(q.shape, params.roi)
-        flat = {name: np.empty(int(np.prod(grid))) for name in params.features}
-        t_cooc = t_feat = 0.0
-        mark = time.perf_counter()
-        for start, mats in scan(
-            q, params.roi, params.levels, distance=params.distance
-        ):
-            now = time.perf_counter()
-            t_cooc += now - mark
-            vals = haralick_features(mats, params.features)
-            for name in params.features:
-                flat[name][start : start + mats.shape[0]] = vals[name]
-            mark = time.perf_counter()
-            t_feat += mark - now
-        emit("chunk.cooccur", chunk, t_cooc)
-        emit("chunk.features", chunk, t_feat)
-        yield chunk, {name: arr.reshape(grid) for name, arr in flat.items()}
+        times = [0.0, 0.0]
+        local = raster_scan(
+            q, params.roi, params.levels, params.features,
+            distance=params.distance, kernel=params.kernel, times=times,
+        )
+        emit("chunk.cooccur", chunk, times[0])
+        emit("chunk.features", chunk, times[1])
+        yield chunk, local
 
 
 def transform_disk_dataset(

@@ -128,7 +128,8 @@ def measure_costs(
 ) -> CostModel:
     """Re-derive per-ROI constants by timing the real kernels.
 
-    Times :func:`repro.core.cooccurrence.cooccurrence_scan` and the dense
+    Times the default scan kernel (the one the pipelines run, resolved
+    and its compiled pass loaded before the clock starts) and the dense
     batch feature kernel on synthetic MRI-like data and counts the
     matrices' distinct non-zero entries (``avg_nnz``); the sparse-path
     constants keep :data:`PAPER_COSTS`' ratios to ``feat_full_per_roi``.
@@ -138,7 +139,7 @@ def measure_costs(
     """
     from scipy.ndimage import gaussian_filter
 
-    from ..core.cooccurrence import cooccurrence_scan
+    from ..core.backends import DEFAULT_KERNEL, resolve_scan_kernel
     from ..core.features import PAPER_FEATURES, haralick_features
     from ..core.quantization import quantize_linear
     from ..core.roi import ROISpec
@@ -150,8 +151,9 @@ def measure_costs(
     )
     roi = ROISpec(roi_shape)
 
+    scan = resolve_scan_kernel(DEFAULT_KERNEL)[0]
     t0 = time.perf_counter()
-    batches = list(cooccurrence_scan(data, roi, levels, batch=n_rois))
+    batches = list(scan(data, roi, levels, batch=n_rois))
     t_cooc = time.perf_counter() - t0
     mats = np.concatenate([m for _, m in batches])[:n_rois]
     total = mats.shape[0]

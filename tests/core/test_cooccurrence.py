@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.cooccurrence import (
-    cooccurrence_matrix,
-    cooccurrence_scan,
-    pair_code_array,
-    resolve_directions,
-)
+from repro.core.backends import KERNELS, _rolling_codes, get_kernel
+from repro.core.cooccurrence import cooccurrence_matrix, resolve_directions
 from repro.core.roi import ROISpec, valid_positions_shape
+
+from ..conftest import on_both_implementations
 
 
 def brute_force_glcm(window, levels, directions, symmetric=True):
@@ -120,58 +118,85 @@ class TestCooccurrenceMatrix:
 
 
 class TestPairCodeArray:
+    """The pair codes ``a*G + b`` the incremental scan histograms: one
+    flat array, direction ``k`` at offset ``k * data.size``, each code
+    at the low corner ``q`` of its pair."""
+
     def test_codes_and_shape(self):
         data = np.array([[0, 1], [2, 3]])
-        codes, lo = pair_code_array(data, 4, (0, 1))
-        assert codes.shape == (2, 1)
-        assert lo == (0, 0)
-        assert codes[0, 0] == 0 * 4 + 1
-        assert codes[1, 0] == 2 * 4 + 3
+        codes, faces = _rolling_codes(data, (2, 2), 4, [(0, 1), (1, 0)])
+        assert codes.shape == (2 * data.size,)
+        right, down = codes.reshape(2, 2, 2)
+        assert right[:, 0].tolist() == [0 * 4 + 1, 2 * 4 + 3]
+        assert down[0].tolist() == [0 * 4 + 2, 1 * 4 + 3]
+        # Windows read direction k's codes through one face of offsets,
+        # grouped by the window's extent along the innermost axis.
+        assert sorted(faces) == [1, 2]
+        assert faces[1].tolist() == [0, 2]
+        assert faces[2].tolist() == [4]
 
     def test_negative_component_offset(self):
         data = np.array([[0, 1], [2, 3]])
-        codes, lo = pair_code_array(data, 4, (0, -1))
-        assert lo == (0, 1)
-        assert codes[0, 0] == 1 * 4 + 0
+        codes, _faces = _rolling_codes(data, (2, 2), 4, [(0, -1)])
+        # The pair at low corner (i, 0) runs from (i, 1) to (i, 0).
+        assert codes.reshape(2, 2)[:, 0].tolist() == [1 * 4 + 0, 3 * 4 + 2]
 
 
 class TestCooccurrenceScan:
+    """The scan contract, checked on every registered kernel (and on
+    both implementations of ``incremental``)."""
+
     @pytest.mark.parametrize(
         "shape,roi_shape",
         [((8, 8), (3, 3)), ((6, 5, 4), (3, 3, 2)), ((6, 6, 5, 4), (3, 3, 3, 2))],
     )
+    @on_both_implementations
     def test_matches_per_window_kernel(self, shape, roi_shape):
         rng = np.random.default_rng(42)
         data = rng.integers(0, 6, size=shape)
         roi = ROISpec(roi_shape)
         grid = valid_positions_shape(shape, roi)
         npos = int(np.prod(grid))
-        collected = np.zeros((npos, 6, 6), dtype=np.int64)
-        for start, mats in cooccurrence_scan(data, roi, 6, batch=7):
-            collected[start : start + mats.shape[0]] = mats
-        for k, origin in enumerate(np.ndindex(grid)):
-            window = data[tuple(slice(o, o + r) for o, r in zip(origin, roi_shape))]
-            want = cooccurrence_matrix(window, 6)
-            assert np.array_equal(collected[k], want), f"mismatch at {origin}"
+        want = [
+            cooccurrence_matrix(
+                data[tuple(slice(o, o + r) for o, r in zip(origin, roi_shape))], 6
+            )
+            for origin in np.ndindex(grid)
+        ]
+        for kernel in KERNELS:
+            collected = np.zeros((npos, 6, 6), dtype=np.int64)
+            for start, mats in get_kernel(kernel)(data, roi, 6, batch=7):
+                collected[start : start + mats.shape[0]] = mats
+            for k, origin in enumerate(np.ndindex(grid)):
+                assert np.array_equal(collected[k], want[k]), (kernel, origin)
 
+    @on_both_implementations
     def test_batch_boundaries(self):
         data = np.random.default_rng(0).integers(0, 4, size=(5, 5))
         roi = ROISpec((2, 2))
-        starts = [s for s, _ in cooccurrence_scan(data, roi, 4, batch=5)]
-        assert starts == [0, 5, 10, 15]
+        for kernel in KERNELS:
+            batches = list(get_kernel(kernel)(data, roi, 4, batch=5))
+            assert [s for s, _ in batches] == [0, 5, 10, 15], kernel
+            assert [m.shape[0] for _, m in batches] == [5, 5, 5, 1], kernel
 
+    @on_both_implementations
     def test_single_position(self):
         data = np.random.default_rng(1).integers(0, 4, size=(3, 3))
         roi = ROISpec((3, 3))
-        batches = list(cooccurrence_scan(data, roi, 4))
-        assert len(batches) == 1
-        assert batches[0][1].shape == (1, 4, 4)
-        assert np.array_equal(batches[0][1][0], cooccurrence_matrix(data, 4))
+        for kernel in KERNELS:
+            batches = list(get_kernel(kernel)(data, roi, 4))
+            assert len(batches) == 1, kernel
+            assert batches[0][0] == 0, kernel
+            assert batches[0][1].shape == (1, 4, 4), kernel
+            assert np.array_equal(batches[0][1][0], cooccurrence_matrix(data, 4))
 
     def test_invalid_batch(self):
-        with pytest.raises(ValueError):
-            list(cooccurrence_scan(np.zeros((4, 4), int), ROISpec((2, 2)), 4, batch=0))
+        for kernel in KERNELS:
+            with pytest.raises(ValueError, match="batch"):
+                list(get_kernel(kernel)(np.zeros((4, 4), int), ROISpec((2, 2)),
+                                        4, batch=0))
 
     def test_roi_larger_than_data(self):
-        with pytest.raises(ValueError):
-            list(cooccurrence_scan(np.zeros((2, 2), int), ROISpec((3, 3)), 4))
+        for kernel in KERNELS:
+            with pytest.raises(ValueError):
+                list(get_kernel(kernel)(np.zeros((2, 2), int), ROISpec((3, 3)), 4))

@@ -529,8 +529,7 @@ class TestResolveFallback:
             "used": "incremental (numpy passes)",
             "reason": "no C compiler found",
         }
-        # Kernels that have no compiled part run as requested.
-        assert resolve_scan_kernel("batched")[1] is None
+        # A kernel that has no compiled part runs as requested.
         assert resolve_scan_kernel("reference")[1] is None
 
 
@@ -600,7 +599,7 @@ class TestFilterFallbackEvent:
         }
 
     def test_no_event_for_other_kernels(self):
-        filt = HaralickMatrixProducer(_params(kernel="batched"))
+        filt = HaralickMatrixProducer(_params(kernel="reference"))
         assert not _fallback_events(filt, _chunk(6))
 
 
@@ -613,8 +612,9 @@ class TestKernelsCli:
     def test_kernels_command(self, capsys):
         assert main(["kernels"]) == 0
         out = capsys.readouterr().out
-        for k in ("batched", "incremental", "reference"):
+        for k in ("incremental", "reference"):
             assert k in out
+        assert "batched" not in out
         assert "gpu" not in out
         assert "default kernel" in out
         st_ = native.status()

@@ -1,11 +1,10 @@
-"""Unit tests for filter graphs, placement and XML specs."""
+"""Unit tests for filter graphs and placement."""
 
 import pytest
 
 from repro.datacutter.filter import Filter
 from repro.datacutter.graph import FilterGraph
 from repro.datacutter.placement import Placement
-from repro.datacutter.xmlspec import graph_from_xml, graph_to_xml
 
 
 class Dummy(Filter):
@@ -151,52 +150,3 @@ class TestPlacement:
         p.place("Z", 0, "n0")
         with pytest.raises(ValueError):
             p.validate_for(g)
-
-
-XML_DOC = """
-<filtergraph>
-  <filter name="RFR" type="reader" copies="4"/>
-  <filter name="IIC" type="stitch"/>
-  <filter name="HMP" type="texture" copies="8"/>
-  <stream name="rfr2iic" src="RFR" dst="IIC" policy="explicit"/>
-  <stream name="iic2tex" src="IIC" dst="HMP" policy="demand_driven"/>
-</filtergraph>
-"""
-
-REGISTRY = {"reader": Dummy, "stitch": Dummy, "texture": Dummy}
-
-
-class TestXMLSpec:
-    def test_parse(self):
-        g = graph_from_xml(XML_DOC, REGISTRY)
-        assert set(g.filters) == {"RFR", "IIC", "HMP"}
-        assert g.copies("RFR") == 4
-        assert g.copies("IIC") == 1
-        edge = g.in_edges("IIC")[0]
-        assert edge.policy == "explicit"
-
-    def test_round_trip(self):
-        g = graph_from_xml(XML_DOC, REGISTRY)
-        doc2 = graph_to_xml(g)
-        g2 = graph_from_xml(doc2, REGISTRY)
-        assert set(g2.filters) == set(g.filters)
-        assert len(g2.edges) == len(g.edges)
-        assert g2.copies("HMP") == 8
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError):
-            graph_from_xml(XML_DOC, {"reader": Dummy})
-
-    def test_bad_xml_rejected(self):
-        with pytest.raises(ValueError):
-            graph_from_xml("<not closed", REGISTRY)
-
-    def test_wrong_root_rejected(self):
-        with pytest.raises(ValueError):
-            graph_from_xml("<other/>", REGISTRY)
-
-    def test_missing_attrs_rejected(self):
-        with pytest.raises(ValueError):
-            graph_from_xml(
-                "<filtergraph><filter name='X'/></filtergraph>", REGISTRY
-            )

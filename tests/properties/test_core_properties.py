@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.cooccurrence import cooccurrence_matrix, cooccurrence_scan
+from repro.core.backends import KERNELS, get_kernel
+from repro.core.cooccurrence import cooccurrence_matrix
 from repro.core.directions import canonical_direction, unique_directions
 from repro.core.features import HARALICK_FEATURES, PAPER_FEATURES, haralick_features
 from repro.core.quantization import quantize_linear
@@ -66,12 +67,13 @@ class TestCooccurrenceProperties:
     @settings(max_examples=30, deadline=None)
     def test_scan_consistent_with_single_windows(self, data):
         roi = ROISpec((2, 2))
-        for start, mats in cooccurrence_scan(data, roi, 6, batch=3):
-            grid = tuple(s - 1 for s in data.shape)
-            for k in range(mats.shape[0]):
-                ox, oy = np.unravel_index(start + k, grid)
-                want = cooccurrence_matrix(data[ox : ox + 2, oy : oy + 2], 6)
-                assert np.array_equal(mats[k], want)
+        grid = tuple(s - 1 for s in data.shape)
+        for kernel in KERNELS:
+            for start, mats in get_kernel(kernel)(data, roi, 6, batch=3):
+                for k in range(mats.shape[0]):
+                    ox, oy = np.unravel_index(start + k, grid)
+                    want = cooccurrence_matrix(data[ox : ox + 2, oy : oy + 2], 6)
+                    assert np.array_equal(mats[k], want), kernel
 
 
 class TestFeatureProperties:

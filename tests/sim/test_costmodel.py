@@ -45,6 +45,22 @@ class TestMeasureCosts:
         assert model.feat_sparse_per_roi > 0
         assert model.avg_nnz > 0
 
+    def test_times_the_default_scan_kernel(self, monkeypatch):
+        """The calibration times the scan the pipelines run, not another."""
+        from repro.core import backends
+
+        scanned = []
+        real = backends.get_kernel(backends.DEFAULT_KERNEL)
+
+        def spy(data, roi, levels, *args, **kwargs):
+            for start, mats in real(data, roi, levels, *args, **kwargs):
+                scanned.append(mats.shape[0])
+                yield start, mats
+
+        monkeypatch.setitem(backends._REGISTRY, backends.DEFAULT_KERNEL, spy)
+        measure_costs(levels=8, roi_shape=(3, 3, 3, 2), n_rois=32)
+        assert sum(scanned) == 8**4  # every position of the (10, 10, 10, 9) sample
+
     def test_explicit_speedup(self):
         model = measure_costs(
             levels=8, roi_shape=(3, 3, 3, 2), n_rois=32, reference_speedup=1.0

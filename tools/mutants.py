@@ -78,6 +78,16 @@ MODULES: Dict[str, List[str]] = {
         "tests/core/test_features.py",
         "tests/core/test_feature_kernel.py",
     ],
+    "src/repro/core/raster.py": [
+        "tests/core/test_raster.py",
+        "tests/core/test_backends.py",
+        "tests/pipeline/test_sequential.py",
+        "tests/filters/test_filters_unit.py",
+    ],
+    "src/repro/core/backends.py": [
+        "tests/core/test_backends.py",
+        "tests/properties/test_kernel_backends.py",
+    ],
 }
 
 _FLIP = {
