@@ -9,8 +9,9 @@ representation; its conversion costs more CPU than any link on one
 machine saves, so the co-occurrence matrices travel dense — the
 trade-off behind the paper's Fig. 7.)
 
-The output parameter volumes are rendered as normalized PGM image
-series via the HIC -> JIW path.
+The stitched parameter volumes are then rendered as normalized PGM
+image series by ``repro.viz.write_feature_images`` (the paper's JIW
+stage, run after the pipeline).
 
 Run:
     python examples/dce_mri_study.py [workdir]
@@ -27,6 +28,12 @@ from repro.data import Lesion, PhantomConfig, generate_phantom
 from repro.filters import TextureParams
 from repro.pipeline import AnalysisConfig, format_breakdown, run_pipeline
 from repro.storage import write_dataset
+from repro.viz import (
+    save_colormap_ppm,
+    save_montage_pgm,
+    write_curves_csv,
+    write_feature_images,
+)
 
 
 def main(workdir: str) -> None:
@@ -61,14 +68,12 @@ def main(workdir: str) -> None:
         num_hcc_copies=4,
         num_hpc_copies=1,
         num_iic_copies=2,
-        output="images",
-        output_dir=os.path.join(workdir, "images"),
     )
     t0 = time.perf_counter()
     result = run_pipeline(dataset_root, config)
     elapsed = time.perf_counter() - t0
     print(f"\nparallel analysis finished in {elapsed:.2f}s")
-    print(format_breakdown(result.run, order=("RFR", "IIC", "HCC", "HPC", "HIC", "JIW")))
+    print(format_breakdown(result.run, order=("RFR", "IIC", "HCC", "HPC", "HIC")))
 
     # --- inspect the texture response at the two lesions ----------------
     print("\nlesion texture signatures (feature at lesion ROI vs background):")
@@ -81,13 +86,11 @@ def main(workdir: str) -> None:
             f"background={background:8.4f}"
         )
 
-    images = result.run.deposits("images")
-    total = sum(i["count"] for i in images)
-    print(f"\nwrote {total} PGM images under {config.output_dir}")
+    images_dir = os.path.join(workdir, "images")
+    total = write_feature_images(result.volumes, images_dir)
+    print(f"\nwrote {total} PGM images under {images_dir}")
 
     # --- radiologist views (paper Section 1) ----------------------------
-    from repro.viz import save_colormap_ppm, save_montage_pgm, write_curves_csv
-
     viz_dir = os.path.join(workdir, "viz")
     os.makedirs(viz_dir, exist_ok=True)
     save_montage_pgm(os.path.join(viz_dir, "study_montage.pgm"), volume.data)

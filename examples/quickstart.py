@@ -34,8 +34,6 @@ def traced_pipeline_run(volume, trace_path: str) -> None:
             texture=TextureParams(roi_shape=(5, 5, 5, 3), levels=32),
             texture_chunk_shape=(24, 24, 12, 6),
             num_texture_copies=2,
-            output="uso",
-            output_dir=td + "/out",
         )
         result = run_pipeline(
             td + "/ds", config, trace="chrome", trace_out=trace_path

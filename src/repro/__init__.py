@@ -20,7 +20,8 @@ Layers
     Filter-stream middleware (DataCutter-style): filters, streams,
     transparent copies, buffer scheduling, a threaded local runtime.
 ``repro.filters``
-    The eight application filters (RFR, IIC, HMP, HCC, HPC, USO, HIC, JIW).
+    The application filters (RFR, IIC, HMP, HCC, HPC, HIC); HIC is the
+    one output stage.
 ``repro.sim``
     Discrete-event cluster simulator with PIII/XEON/OPTERON presets.
 ``repro.pipeline``

@@ -1,7 +1,7 @@
-"""Chunk partitioning with ROI overlap and piece stitching (Section 4.4)."""
+"""Chunk partitioning with ROI overlap and the two stitch points (Section 4.4)."""
 
 from .chunking import ChunkSpec, overlap, partition, partition_grid_shape
-from .stitch import ChunkAssembler, ChunkPiece, OutputStitcher
+from .stitch import ChunkAssembler, OutputStitcher
 
 __all__ = [
     "ChunkSpec",
@@ -9,6 +9,5 @@ __all__ = [
     "partition",
     "partition_grid_shape",
     "ChunkAssembler",
-    "ChunkPiece",
     "OutputStitcher",
 ]

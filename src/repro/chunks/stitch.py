@@ -14,36 +14,20 @@ Two stitch points exist in the pipeline (paper Section 4.3):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..core.roi import ROISpec, valid_positions_shape
 from .chunking import ChunkSpec
 
-__all__ = ["ChunkPiece", "ChunkAssembler", "OutputStitcher"]
-
-
-@dataclass
-class ChunkPiece:
-    """The portion of one chunk read by one RFR filter.
-
-    ``data`` has the chunk's full 4D input shape, zero-filled outside the
-    ``(t, z)`` slice planes listed in ``filled`` (the planes stored on the
-    originating node and covered by this chunk).
-    """
-
-    chunk_index: Tuple[int, ...]
-    data: np.ndarray
-    filled: List[Tuple[int, int]]  # global (t, z) plane keys present
-    source_node: int = 0
+__all__ = ["ChunkAssembler", "OutputStitcher"]
 
 
 class ChunkAssembler:
-    """Assembles the pieces of IIC-to-TEXTURE chunks (the IIC filter core).
+    """Assembles IIC-to-TEXTURE chunks plane by plane (the IIC filter core).
 
-    Pieces may arrive in any order and interleaved across chunks; a chunk
+    Planes may arrive in any order and interleaved across chunks; a chunk
     is complete when every ``(t, z)`` plane it spans has been filled.
     """
 
@@ -57,8 +41,7 @@ class ChunkAssembler:
             (t, z) for t in range(t0, t1) for z in range(z0, z1)
         }
         self._have: Set[Tuple[int, int]] = set()
-        self._buffer = np.zeros(chunk.shape, dtype=np.int64)
-        self._dtype = None
+        self._buffer: Optional[np.ndarray] = None  # allocated by the first plane
 
     @property
     def is_complete(self) -> bool:
@@ -68,34 +51,12 @@ class ChunkAssembler:
     def missing(self) -> Set[Tuple[int, int]]:
         return self._needed - self._have
 
-    def add(self, piece: ChunkPiece) -> None:
-        """Merge one piece into the chunk buffer."""
-        if piece.chunk_index != self.chunk.index:
-            raise ValueError(
-                f"piece for chunk {piece.chunk_index} given to assembler "
-                f"for chunk {self.chunk.index}"
-            )
-        if piece.data.shape != self.chunk.shape:
-            raise ValueError(
-                f"piece shape {piece.data.shape} != chunk shape {self.chunk.shape}"
-            )
-        if self._dtype is None:
-            self._dtype = piece.data.dtype
-        z0, t0 = self.chunk.lo[2], self.chunk.lo[3]
-        for t, z in piece.filled:
-            if (t, z) not in self._needed:
-                raise ValueError(f"plane (t={t}, z={z}) not part of chunk {self.chunk.index}")
-            if (t, z) in self._have:
-                raise ValueError(f"plane (t={t}, z={z}) delivered twice")
-            self._buffer[:, :, z - z0, t - t0] = piece.data[:, :, z - z0, t - t0]
-            self._have.add((t, z))
-
     def add_plane(self, t: int, z: int, plane: np.ndarray) -> None:
         """Merge one complete ``(t, z)`` plane of the chunk's (x, y) extent.
 
-        This is the path fed by :class:`SlicePortion` traffic: the IIC
-        filter crops each arriving slice rectangle to the chunk's in-plane
-        region before calling this.
+        The IIC filter crops each arriving :class:`SlicePortion` to the
+        chunk's in-plane region before calling this.  The assembled chunk
+        takes the planes' dtype.
         """
         if (t, z) not in self._needed:
             raise ValueError(f"plane (t={t}, z={z}) not part of chunk {self.chunk.index}")
@@ -104,8 +65,8 @@ class ChunkAssembler:
         expected = (self.chunk.shape[0], self.chunk.shape[1])
         if plane.shape != expected:
             raise ValueError(f"plane shape {plane.shape} != chunk in-plane {expected}")
-        if self._dtype is None:
-            self._dtype = plane.dtype
+        if self._buffer is None:
+            self._buffer = np.zeros(self.chunk.shape, dtype=plane.dtype)
         z0, t0 = self.chunk.lo[2], self.chunk.lo[3]
         self._buffer[:, :, z - z0, t - t0] = plane
         self._have.add((t, z))
@@ -116,16 +77,14 @@ class ChunkAssembler:
             raise RuntimeError(
                 f"chunk {self.chunk.index} incomplete: missing {sorted(self.missing)}"
             )
-        return self._buffer.astype(self._dtype if self._dtype is not None else np.int64)
+        return self._buffer
 
 
 class OutputStitcher:
     """Places per-chunk feature portions into full output volumes.
 
     One output volume per Haralick parameter, each of shape
-    ``dataset_shape - roi + 1`` (the HIC filter of Section 4.3.3).  Also
-    tracks per-feature running min/max, which the JIW filter needs for
-    normalization.
+    ``dataset_shape - roi + 1`` (the HIC filter of Section 4.3.3).
     """
 
     def __init__(
@@ -152,19 +111,21 @@ class OutputStitcher:
     def coverage(self) -> float:
         return float(self._placed.mean())
 
-    def place(self, chunk: ChunkSpec, values: Dict[str, np.ndarray]) -> None:
+    def place(self, chunk: ChunkSpec, values: Dict[str, np.ndarray]) -> int:
         """Place the owned portion of one chunk's local scan output.
 
         ``values[name]`` must be the full local raster-scan output of the
         chunk (shape ``chunk.shape - roi + 1``); only the owned region is
-        copied into the global volume.
+        copied into the global volume.  Returns the number of values
+        written: owned positions times features.
         """
         if set(values) != set(self.features):
             raise ValueError(f"features {sorted(values)} != expected {sorted(self.features)}")
         local_shape = tuple(s - r + 1 for s, r in zip(chunk.shape, self.roi.shape))
         sel_local = chunk.local_own_slices(self.roi)
         sel_global = chunk.own_slices()
-        if self._placed[sel_global].any():
+        owned = self._placed[sel_global]
+        if owned.any():
             raise ValueError(f"chunk {chunk.index} region already placed")
         for name in self.features:
             arr = np.asarray(values[name])
@@ -174,6 +135,7 @@ class OutputStitcher:
                 )
             self.volumes[name][sel_global] = arr[sel_local]
         self._placed[sel_global] = True
+        return owned.size * len(self.features)
 
     def result(self) -> Dict[str, np.ndarray]:
         if not self.is_complete:
@@ -182,7 +144,3 @@ class OutputStitcher:
             )
         return self.volumes
 
-    def minmax(self, name: str) -> Tuple[float, float]:
-        """Current min/max of one parameter volume (JIW normalization)."""
-        vol = self.volumes[name]
-        return float(vol.min()), float(vol.max())

@@ -206,9 +206,6 @@ def _cmd_analyze(args) -> int:
         hcc = max(1, args.copies - max(1, args.copies // 5))
         kwargs["num_hcc_copies"] = hcc
         kwargs["num_hpc_copies"] = max(1, args.copies - hcc)
-    if args.images_out:
-        kwargs["output"] = "images"
-        kwargs["output_dir"] = args.images_out
     config = AnalysisConfig(**kwargs)
     if (args.hosts or args.agents) and args.runtime != "distributed":
         print("--hosts/--agents require --runtime distributed", file=sys.stderr)
@@ -243,6 +240,11 @@ def _cmd_analyze(args) -> int:
     for name, vol in result.volumes.items():
         print(f"{name:<16} shape={vol.shape} min={vol.min():.4f} "
               f"max={vol.max():.4f}")
+    if args.images_out:
+        from .viz import write_feature_images
+
+        count = write_feature_images(result.volumes, args.images_out)
+        print(f"wrote {count} PGM images under {args.images_out}")
     return 0
 
 

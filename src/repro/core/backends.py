@@ -89,13 +89,10 @@ def reference_scan(
     data = np.asarray(data)
     if validate:
         check_levels(data, levels)
-    else:
-        num_levels_ok(levels)
-    if data.ndim != roi.ndim:
-        raise ValueError(f"data ndim {data.ndim} != ROI ndim {roi.ndim}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    valid_positions_shape(data.shape, roi)  # raises if the ROI cannot fit
+    # iter_roi_origins rejects an ROI that does not fit the data, and
+    # cooccurrence_matrix an invalid ``levels``.
     dirs = resolve_directions(data.ndim, directions, distance)
     start = 0
     buf: List[np.ndarray] = []
@@ -336,11 +333,9 @@ def incremental_scan(
         check_levels(data, levels)
     else:
         num_levels_ok(levels)
-    if data.ndim != roi.ndim:
-        raise ValueError(f"data ndim {data.ndim} != ROI ndim {roi.ndim}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    grid = valid_positions_shape(data.shape, roi)
+    grid = valid_positions_shape(data.shape, roi)  # also checks the ndim
     npos = int(np.prod(grid))
     dirs = resolve_directions(data.ndim, directions, distance)
     gg = levels * levels

@@ -2,7 +2,8 @@
 
 The paper stores the input dataset as raw 2D image slices, one file per
 slice (Section 4.2), and writes visual output as JPEG (JIW filter).  No
-JPEG codec is available offline, so the output path writes binary PGM
+JPEG codec is available offline, so :func:`repro.viz.write_feature_images`
+writes binary PGM
 (P5) — the same normalize-and-write-grayscale behaviour with an
 incidental container format (see DESIGN.md substitutions).
 
@@ -60,8 +61,9 @@ def read_raw_slice(
 def write_pgm(path: str, img: np.ndarray) -> None:
     """Write a 2D float or integer image as a binary PGM (P5) file.
 
-    Float input is assumed to be normalized to ``[0, 1]`` (the JIW filter
-    normalizes with the global parameter min/max first — paper 4.3.3);
+    Float input is assumed to be normalized to ``[0, 1]``
+    (:func:`repro.viz.write_feature_images` normalizes with each
+    parameter volume's min/max first — the paper's JIW, 4.3.3);
     integer input must already be in ``[0, 255]``.
     """
     img = np.asarray(img)

@@ -81,7 +81,7 @@ class FilterContext(abc.ABC):
     def deposit(self, key: str, value: Any) -> None:
         """Publish a result to the runtime's shared result store.
 
-        Used by terminal filters (USO, JIW) so drivers can retrieve
+        Used by terminal filters (HIC) so drivers can retrieve
         outputs after the run.
         """
 

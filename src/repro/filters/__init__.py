@@ -1,11 +1,14 @@
-"""The eight application filters of the Haralick pipeline (Section 4.3).
+"""The application filters of the Haralick pipeline (Section 4.3).
 
 Input filters: :class:`RawFileReader` (RFR), :class:`InputImageConstructor`
 (IIC).  Texture filters: :class:`HaralickMatrixProducer` (HMP, combined) or
 the split :class:`HaralickCoMatrixCalculator` (HCC) +
-:class:`HaralickParameterCalculator` (HPC).  Output filters:
-:class:`UnstitchedOutput` (USO), :class:`HaralickImageConstructor` (HIC),
-:class:`JPGImageWriter` (JIW).
+:class:`HaralickParameterCalculator` (HPC).  Output filter:
+:class:`HaralickImageConstructor` (HIC), which stitches the parameter
+volumes.  The paper's other two output filters are not filters here: its
+image series is :func:`repro.viz.write_feature_images`, called on the
+volumes after the run, and its unstitched record files (USO) have no
+counterpart (DESIGN.md, "Substitutions").
 """
 
 from .hcc import HaralickCoMatrixCalculator
@@ -13,18 +16,15 @@ from .hic import HaralickImageConstructor
 from .hmp import HaralickMatrixProducer
 from .hpc import HaralickParameterCalculator
 from .iic import InputImageConstructor
-from .jiw import JPGImageWriter, normalize_volume
 from .messages import (
     FeaturePortion,
     MatrixPacket,
-    ParameterVolume,
     SlicePortion,
     TextureChunk,
     TextureParams,
     iic_copy_for_chunk,
 )
 from .rfr import RawFileReader, inplane_blocks
-from .uso import UnstitchedOutput, combine_uso_outputs, read_uso_records
 
 __all__ = [
     "RawFileReader",
@@ -32,18 +32,12 @@ __all__ = [
     "HaralickMatrixProducer",
     "HaralickCoMatrixCalculator",
     "HaralickParameterCalculator",
-    "UnstitchedOutput",
     "HaralickImageConstructor",
-    "JPGImageWriter",
-    "normalize_volume",
     "TextureParams",
     "SlicePortion",
     "TextureChunk",
     "MatrixPacket",
     "FeaturePortion",
-    "ParameterVolume",
     "iic_copy_for_chunk",
     "inplane_blocks",
-    "combine_uso_outputs",
-    "read_uso_records",
 ]

@@ -22,7 +22,13 @@ from ..core.backends import resolve_scan_kernel
 from ..core.cooccurrence import check_levels
 from ..datacutter.buffers import DataBuffer
 from ..datacutter.filter import Filter, FilterContext
-from .messages import MatrixPacket, TextureChunk, TextureParams, trace_headers
+from .messages import (
+    HCC_TO_HPC,
+    MatrixPacket,
+    TextureChunk,
+    TextureParams,
+    trace_headers,
+)
 
 __all__ = ["HaralickCoMatrixCalculator"]
 
@@ -32,9 +38,8 @@ class HaralickCoMatrixCalculator(Filter):
 
     name = "HCC"
 
-    def __init__(self, params: TextureParams, out_stream: str = "hcc2hpc"):
+    def __init__(self, params: TextureParams):
         self.params = params
-        self.out_stream = out_stream
         self._fallback_reported = False  # kernel.fallback: once per copy
 
     def process(self, stream: str, buffer: DataBuffer, ctx: FilterContext) -> None:
@@ -63,7 +68,7 @@ class HaralickCoMatrixCalculator(Filter):
                 now = time.perf_counter()
                 t_cooc += now - t_mark
             ctx.send(
-                self.out_stream,
+                HCC_TO_HPC,
                 packet,
                 size_bytes=packet.nbytes,
                 metadata=trace_headers(

@@ -2,10 +2,11 @@
 
 Uses the positional information in arriving feature portions to place
 parameter values into the full 4D output dataset of each Haralick
-parameter.  Once every parameter volume is completely assembled, each is
-forwarded (with its min/max for normalization) to the next filter — the
-JIW image writer — and deposited in the runtime result store for
-programmatic consumers.
+parameter.  Once every parameter volume is completely assembled, the
+set is deposited under ``"volumes"`` in the runtime result store, where
+the driver collects it.  HIC is the pipeline's only output stage; the
+paper's image series is :func:`repro.viz.write_feature_images`, called
+on the volumes after the run.
 
 HIC runs as a single copy: it holds the global output volumes.
 """
@@ -13,7 +14,7 @@ HIC runs as a single copy: it holds the global output volumes.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from ..chunks.stitch import OutputStitcher
 from ..core.roi import ROISpec
 from ..datacutter.buffers import DataBuffer
 from ..datacutter.filter import Filter, FilterContext
-from .messages import FeaturePortion, ParameterVolume
+from .messages import FeaturePortion
 
 __all__ = ["HaralickImageConstructor"]
 
@@ -37,13 +38,9 @@ class HaralickImageConstructor(Filter):
         dataset_shape: Tuple[int, ...],
         roi_shape: Tuple[int, ...],
         features: Sequence[str],
-        out_stream: Optional[str] = "hic2jiw",
-        deposit_key: str = "volumes",
     ):
         self.roi = ROISpec(roi_shape)
         self.stitcher = OutputStitcher(dataset_shape, self.roi, features)
-        self.out_stream = out_stream
-        self.deposit_key = deposit_key
         # Per-chunk accumulation of flat feature values until full.
         self._partial: Dict[Tuple[int, ...], Dict[str, np.ndarray]] = {}
         self._filled: Dict[Tuple[int, ...], int] = {}
@@ -86,17 +83,13 @@ class HaralickImageConstructor(Filter):
                 name: arr.reshape(local_grid) for name, arr in store.items()
             }
             t0 = time.perf_counter() if ctx.tracing else 0.0
-            self.stitcher.place(self._chunks[key], local)
+            records = self.stitcher.place(self._chunks[key], local)
             if ctx.tracing:
-                own = self._chunks[key].local_own_slices(self.roi)
-                records = 1
-                for s in own:
-                    records *= s.stop - s.start
                 ctx.event(
                     "chunk.write",
                     dur=time.perf_counter() - t0,
                     chunk=key,
-                    records=int(records) * len(self.stitcher.features),
+                    records=records,
                 )
             self._placed.add(key)
             self._seen_starts.pop(key, None)
@@ -107,15 +100,4 @@ class HaralickImageConstructor(Filter):
             raise RuntimeError(
                 f"HIC: input ended with {len(self._partial)} incomplete chunks"
             )
-        volumes = self.stitcher.result()
-        for name, vol in volumes.items():
-            vmin, vmax = self.stitcher.minmax(name)
-            if self.out_stream is not None:
-                pv = ParameterVolume(feature=name, volume=vol, vmin=vmin, vmax=vmax)
-                ctx.send(
-                    self.out_stream,
-                    pv,
-                    size_bytes=pv.nbytes,
-                    metadata={"kind": "volume", "feature": name},
-                )
-        ctx.deposit(self.deposit_key, volumes)
+        ctx.deposit("volumes", self.stitcher.result())

@@ -17,7 +17,13 @@ from ..core.cooccurrence import check_levels
 from ..core.raster import raster_scan_batches
 from ..datacutter.buffers import DataBuffer
 from ..datacutter.filter import Filter, FilterContext
-from .messages import FeaturePortion, TextureChunk, TextureParams, trace_headers
+from .messages import (
+    TEXTURE_TO_OUTPUT,
+    FeaturePortion,
+    TextureChunk,
+    TextureParams,
+    trace_headers,
+)
 
 __all__ = ["HaralickMatrixProducer"]
 
@@ -27,13 +33,8 @@ class HaralickMatrixProducer(Filter):
 
     name = "HMP"
 
-    def __init__(
-        self,
-        params: TextureParams,
-        out_stream: str = "tex2out",
-    ):
+    def __init__(self, params: TextureParams):
         self.params = params
-        self.out_stream = out_stream
         self._fallback_reported = False  # kernel.fallback: once per copy
 
     def process(self, stream: str, buffer: DataBuffer, ctx: FilterContext) -> None:
@@ -59,7 +60,7 @@ class HaralickMatrixProducer(Filter):
         ):
             portion = FeaturePortion(chunk=tc.chunk, start=start, values=vals)
             ctx.send(
-                self.out_stream,
+                TEXTURE_TO_OUTPUT,
                 portion,
                 size_bytes=portion.nbytes,
                 metadata=trace_headers(

@@ -12,7 +12,13 @@ import time
 from ..core.features import haralick_features
 from ..datacutter.buffers import DataBuffer
 from ..datacutter.filter import Filter, FilterContext
-from .messages import FeaturePortion, MatrixPacket, TextureParams, trace_headers
+from .messages import (
+    TEXTURE_TO_OUTPUT,
+    FeaturePortion,
+    MatrixPacket,
+    TextureParams,
+    trace_headers,
+)
 
 __all__ = ["HaralickParameterCalculator"]
 
@@ -22,9 +28,8 @@ class HaralickParameterCalculator(Filter):
 
     name = "HPC"
 
-    def __init__(self, params: TextureParams, out_stream: str = "tex2out"):
+    def __init__(self, params: TextureParams):
         self.params = params
-        self.out_stream = out_stream
 
     def process(self, stream: str, buffer: DataBuffer, ctx: FilterContext) -> None:
         packet = buffer.payload
@@ -43,7 +48,7 @@ class HaralickParameterCalculator(Filter):
             )
         portion = FeaturePortion(chunk=packet.chunk, start=packet.start, values=vals)
         ctx.send(
-            self.out_stream,
+            TEXTURE_TO_OUTPUT,
             portion,
             size_bytes=portion.nbytes,
             metadata=trace_headers(

@@ -18,13 +18,19 @@ could spare here (docs/userguide.md, "Out-of-core runs").
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..chunks.chunking import ChunkSpec
 from ..chunks.stitch import ChunkAssembler
 from ..datacutter.buffers import DataBuffer
 from ..datacutter.filter import Filter, FilterContext
-from .messages import SlicePortion, TextureChunk, iic_copy_for_chunk, trace_headers
+from .messages import (
+    IIC_TO_TEXTURE,
+    SlicePortion,
+    TextureChunk,
+    iic_copy_for_chunk,
+    trace_headers,
+)
 
 __all__ = ["InputImageConstructor"]
 
@@ -34,13 +40,8 @@ class InputImageConstructor(Filter):
 
     name = "IIC"
 
-    def __init__(
-        self,
-        chunks: Sequence[ChunkSpec],
-        out_stream: str = "iic2tex",
-    ):
+    def __init__(self, chunks: Sequence[ChunkSpec]):
         self.all_chunks = list(chunks)
-        self.out_stream = out_stream
         self._assemblers: Dict[int, ChunkAssembler] = {}
         self._pending_planes: Dict[int, Dict[Tuple[int, int], "object"]] = {}
         self._my_chunks: Dict[int, ChunkSpec] = {}
@@ -145,7 +146,7 @@ class InputImageConstructor(Filter):
                 bytes=tc.nbytes,
             )
         ctx.send(
-            self.out_stream,
+            IIC_TO_TEXTURE,
             tc,
             size_bytes=tc.nbytes,
             metadata=trace_headers(

@@ -19,15 +19,25 @@ from ..core.features import PAPER_FEATURES, feature_index
 from ..core.roi import ROISpec
 
 __all__ = [
+    "RFR_TO_IIC",
+    "IIC_TO_TEXTURE",
+    "HCC_TO_HPC",
+    "TEXTURE_TO_OUTPUT",
     "TextureParams",
     "SlicePortion",
     "TextureChunk",
     "MatrixPacket",
     "FeaturePortion",
-    "ParameterVolume",
     "iic_copy_for_chunk",
     "trace_headers",
 ]
+
+#: Stream names of the filter graph (paper Figs. 4 and 5): the filters
+#: send on them and :func:`repro.pipeline.builder.build_graph` wires them.
+RFR_TO_IIC = "rfr2iic"
+IIC_TO_TEXTURE = "iic2tex"
+HCC_TO_HPC = "hcc2hpc"
+TEXTURE_TO_OUTPUT = "tex2out"
 
 
 def trace_headers(chunk: Optional[ChunkSpec] = None, **extra) -> Dict[str, object]:
@@ -193,18 +203,3 @@ def iic_copy_for_chunk(chunk_linear_index: int, num_iic_copies: int) -> int:
         raise ValueError("need at least one IIC copy")
     return chunk_linear_index % num_iic_copies
 
-
-@dataclass
-class ParameterVolume:
-    """A complete stitched 4D output volume for one Haralick parameter
-    (HIC -> JIW traffic), with the min/max the JIW filter needs for
-    normalization (paper Section 4.3.3)."""
-
-    feature: str
-    volume: np.ndarray
-    vmin: float
-    vmax: float
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.volume.nbytes)

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..chunks.chunking import ChunkSpec
 from ..datacutter.filter import Filter, FilterContext
 from ..storage.dataset import DiskDataset4D
-from .messages import SlicePortion, iic_copy_for_chunk
+from .messages import RFR_TO_IIC, SlicePortion, iic_copy_for_chunk
 
 __all__ = ["RawFileReader", "inplane_blocks"]
 
@@ -55,14 +55,12 @@ class RawFileReader(Filter):
         chunks: Sequence[ChunkSpec],
         num_iic_copies: int,
         node: Optional[int] = None,
-        out_stream: str = "rfr2iic",
         inplane_block: Optional[Tuple[int, int]] = None,
     ):
         self.dataset_root = dataset_root
         self.node = node  # None: copy k serves storage node k
         self.chunks = list(chunks)
         self.num_iic_copies = num_iic_copies
-        self.out_stream = out_stream
         self.inplane_block = inplane_block
         self._dataset: Optional[DiskDataset4D] = None
 
@@ -118,7 +116,7 @@ class RawFileReader(Filter):
                 portion = SlicePortion(t=t, z=z, x0=x0, x1=x1, y0=y0, y1=y1, data=data)
                 for dest in dests:
                     ctx.send(
-                        self.out_stream,
+                        RFR_TO_IIC,
                         portion,
                         size_bytes=portion.nbytes,
                         metadata={"kind": "slice", "t": t, "z": z},

@@ -9,7 +9,7 @@
 
       RFR x S --explicit--> IIC x I --sched--> HCC x C --sched--> HPC x P ----> output
 
-where the output stage is HIC(+JIW) or USO according to the config.
+where the output stage is HIC, the one output filter.
 """
 
 from __future__ import annotations
@@ -23,9 +23,13 @@ from ..filters.hic import HaralickImageConstructor
 from ..filters.hmp import HaralickMatrixProducer
 from ..filters.hpc import HaralickParameterCalculator
 from ..filters.iic import InputImageConstructor
-from ..filters.jiw import JPGImageWriter
+from ..filters.messages import (
+    HCC_TO_HPC,
+    IIC_TO_TEXTURE,
+    RFR_TO_IIC,
+    TEXTURE_TO_OUTPUT,
+)
 from ..filters.rfr import RawFileReader
-from ..filters.uso import UnstitchedOutput
 from ..storage.dataset import DiskDataset4D
 from .config import AnalysisConfig, clip_chunk_shape
 
@@ -66,7 +70,7 @@ def build_graph(dataset: DiskDataset4D, config: AnalysisConfig) -> FilterGraph:
         lambda: InputImageConstructor(chunks=chunks),
         copies=n_iic,
     )
-    graph.connect("RFR", "rfr2iic", "IIC", policy="explicit")
+    graph.connect("RFR", RFR_TO_IIC, "IIC", policy="explicit")
 
     if config.variant == "hmp":
         graph.add_filter(
@@ -74,7 +78,7 @@ def build_graph(dataset: DiskDataset4D, config: AnalysisConfig) -> FilterGraph:
             lambda: HaralickMatrixProducer(params),
             copies=config.num_texture_copies,
         )
-        graph.connect("IIC", "iic2tex", "HMP", policy=config.scheduling)
+        graph.connect("IIC", IIC_TO_TEXTURE, "HMP", policy=config.scheduling)
         tex_out = "HMP"
     else:
         graph.add_filter(
@@ -87,32 +91,19 @@ def build_graph(dataset: DiskDataset4D, config: AnalysisConfig) -> FilterGraph:
             lambda: HaralickParameterCalculator(params),
             copies=config.num_hpc_copies,
         )
-        graph.connect("IIC", "iic2tex", "HCC", policy=config.scheduling)
-        graph.connect("HCC", "hcc2hpc", "HPC", policy=config.scheduling)
+        graph.connect("IIC", IIC_TO_TEXTURE, "HCC", policy=config.scheduling)
+        graph.connect("HCC", HCC_TO_HPC, "HPC", policy=config.scheduling)
         tex_out = "HPC"
 
-    if config.output == "uso":
-        graph.add_filter(
-            "USO",
-            lambda: UnstitchedOutput(config.output_dir, params.roi_shape),
-            copies=config.num_uso_copies,
-        )
-        graph.connect(tex_out, "tex2out", "USO", policy=config.scheduling)
-    else:
-        with_images = config.output == "images"
-        graph.add_filter(
-            "HIC",
-            lambda: HaralickImageConstructor(
-                dataset_shape=dataset.shape,
-                roi_shape=params.roi_shape,
-                features=params.features,
-                out_stream="hic2jiw" if with_images else None,
-            ),
-        )
-        graph.connect(tex_out, "tex2out", "HIC", policy=config.scheduling)
-        if with_images:
-            graph.add_filter("JIW", lambda: JPGImageWriter(config.output_dir))
-            graph.connect("HIC", "hic2jiw", "JIW")
+    graph.add_filter(
+        "HIC",
+        lambda: HaralickImageConstructor(
+            dataset_shape=dataset.shape,
+            roi_shape=params.roi_shape,
+            features=params.features,
+        ),
+    )
+    graph.connect(tex_out, TEXTURE_TO_OUTPUT, "HIC", policy=config.scheduling)
 
     graph.validate()
     return graph

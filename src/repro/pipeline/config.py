@@ -17,7 +17,6 @@ from ..filters.messages import TextureParams
 __all__ = ["AnalysisConfig", "clip_chunk_shape"]
 
 VARIANTS = ("hmp", "split")
-OUTPUTS = ("volumes", "images", "uso")
 
 
 def clip_chunk_shape(
@@ -50,17 +49,12 @@ class AnalysisConfig:
     num_hcc_copies, num_hpc_copies:
         Split-variant copy counts.  The paper keeps HCC:HPC near 4:1
         because HCC is 4-5x more expensive (Section 5.2).
-    num_iic_copies, num_uso_copies:
-        Stitch and output copy counts.
+    num_iic_copies:
+        Input-stitch (IIC) copy count.  The output stitch (HIC) always
+        runs as one copy.
     scheduling:
         Buffer scheduling policy for the texture streams
         (``"demand_driven"`` or ``"round_robin"``).
-    output:
-        ``"volumes"`` deposits stitched volumes (HIC),
-        ``"images"`` additionally writes PGM series (HIC + JIW),
-        ``"uso"`` streams records to disk files (USO).
-    output_dir:
-        Directory for ``"images"`` / ``"uso"`` outputs.
     retry:
         Fault-tolerance policy for failed ``process()`` calls
         (:class:`~repro.datacutter.faults.RetryPolicy`); ``None`` uses
@@ -75,17 +69,12 @@ class AnalysisConfig:
     num_hcc_copies: int = 1
     num_hpc_copies: int = 1
     num_iic_copies: int = 1
-    num_uso_copies: int = 1
     scheduling: str = "demand_driven"
-    output: str = "volumes"
-    output_dir: Optional[str] = None
     retry: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.output not in OUTPUTS:
-            raise ValueError(f"output must be one of {OUTPUTS}, got {self.output!r}")
         if self.scheduling not in ("demand_driven", "round_robin"):
             raise ValueError(f"unsupported scheduling {self.scheduling!r}")
         for n in (
@@ -93,14 +82,11 @@ class AnalysisConfig:
             self.num_hcc_copies,
             self.num_hpc_copies,
             self.num_iic_copies,
-            self.num_uso_copies,
         ):
             if n < 1:
                 raise ValueError("all copy counts must be >= 1")
         if len(self.texture_chunk_shape) != len(self.texture.roi_shape):
             raise ValueError("chunk shape dimensionality != ROI dimensionality")
-        if self.output in ("images", "uso") and not self.output_dir:
-            raise ValueError(f"output={self.output!r} requires output_dir")
 
     def with_copies(self, **kwargs) -> "AnalysisConfig":
         """Convenience: derive a config with different copy counts."""

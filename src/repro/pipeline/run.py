@@ -25,21 +25,17 @@ call ``run_pipeline``, the build phases cost under a millisecond):
 
 from __future__ import annotations
 
-import glob
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from ..core.backends import resolve_scan_kernel
-from ..core.roi import valid_positions_shape
 from ..datacutter.faults import FaultPlan, RetryPolicy
 from ..datacutter.graph import FilterGraph
 from ..datacutter.obs import Trace, format_summary, resolve_trace_mode
 from ..datacutter.runtime_local import LocalRuntime, RunResult
 from ..datacutter.runtime_mp import MPRuntime
-from ..filters.uso import combine_uso_outputs
 from ..storage.dataset import DiskDataset4D
 from .builder import build_graph
 from .config import AnalysisConfig
@@ -174,38 +170,6 @@ def build_runtime(
     raise ValueError(f"unknown runtime {runtime!r}")
 
 
-def _volumes_from_uso(
-    dataset: DiskDataset4D, config: AnalysisConfig
-) -> Dict[str, np.ndarray]:
-    roi = config.texture.roi
-    out_shape = valid_positions_shape(dataset.shape, roi)
-    volumes = {}
-    for name in config.texture.features:
-        # Anchor the glob on the exact feature name: "asm_copy*" would
-        # also swallow part files of a feature named "asm_mean".
-        paths = sorted(
-            glob.glob(os.path.join(config.output_dir, f"{name}_copy[0-9]*.uso"))
-        )
-        if not paths:
-            raise FileNotFoundError(f"no USO output files for feature {name!r}")
-        volumes[name] = combine_uso_outputs(paths, out_shape)
-    return volumes
-
-
-def collect_volumes(
-    prepared: PreparedPipeline, run: RunResult
-) -> Dict[str, np.ndarray]:
-    """Stitch one run's output volumes according to the config's mode."""
-    if prepared.config.output == "uso":
-        return _volumes_from_uso(prepared.dataset, prepared.config)
-    deposits = run.deposits("volumes")
-    if len(deposits) != 1:
-        raise RuntimeError(
-            f"expected exactly one stitched volume set, got {len(deposits)}"
-        )
-    return deposits[0]
-
-
 def execute_pipeline(
     prepared: PreparedPipeline,
     rt,
@@ -229,8 +193,12 @@ def execute_pipeline(
             run.trace.to_jsonl(trace_out or "trace.jsonl")
         elif mode == "live":
             print(format_summary(run.trace.events))
-    volumes = collect_volumes(prepared, run)
-    return PipelineResult(volumes=volumes, run=run, config=prepared.config)
+    deposits = run.deposits("volumes")  # HIC's one volume set
+    if len(deposits) != 1:
+        raise RuntimeError(
+            f"expected exactly one stitched volume set, got {len(deposits)}"
+        )
+    return PipelineResult(volumes=deposits[0], run=run, config=prepared.config)
 
 
 def run_pipeline(

@@ -109,18 +109,14 @@ def transform_disk_dataset(
     )
     for chunk, local in iter_chunk_features(dataset, config, tracer=tracer):
         t0 = time.perf_counter()
-        stitcher.place(chunk, local)
+        records = stitcher.place(chunk, local)
         if tracer is not None:
-            own = chunk.local_own_slices(config.texture.roi)
-            records = 1
-            for s in own:
-                records *= s.stop - s.start
             tracer.emit(
                 "chunk.write",
                 filter=SEQ_FILTER,
                 copy=0,
                 dur=time.perf_counter() - t0,
                 chunk=chunk.index,
-                records=int(records) * len(config.texture.features),
+                records=records,
             )
     return stitcher.result()

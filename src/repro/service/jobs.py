@@ -73,10 +73,6 @@ class RuntimeProfile:
 class AnalysisRequest:
     """Everything one analysis job needs.
 
-    ``config.output`` must be ``"volumes"`` — the service returns
-    stitched feature volumes, it does not write image/USO files on
-    behalf of remote tenants.
-
     ``faults`` (fault-injection runs) opt the job out of the result
     cache and of request batching: injected failures are a property of
     one run, so neither its outputs nor its runtime pass may be shared

@@ -115,11 +115,6 @@ class AnalysisService:
             request = AnalysisRequest(**kwargs)
         elif kwargs:
             raise ValueError("pass a request object or fields, not both")
-        if request.config.output != "volumes":
-            raise ValueError(
-                "the analysis service only supports output='volumes' "
-                f"configs, got output={request.config.output!r}"
-            )
         if not os.path.isdir(request.dataset_root):
             raise ValueError(
                 f"dataset_root {request.dataset_root!r} is not a directory"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.chunks.chunking import partition
-from repro.chunks.stitch import ChunkAssembler, ChunkPiece, OutputStitcher
+from repro.chunks.stitch import ChunkAssembler, OutputStitcher
 from repro.core.raster import raster_scan
 from repro.core.roi import ROISpec, valid_positions_shape
 
@@ -13,33 +13,26 @@ def make_chunk(shape=(12, 10, 6, 4), roi=ROISpec((3, 3, 3, 2)), chunk_shape=(12,
     return partition(shape, roi, chunk_shape)[0]
 
 
-def split_into_pieces(chunk, data, node_of, num_nodes):
-    """Mimic per-node RFR reads: zero-filled arrays + filled plane lists."""
-    pieces = []
-    z0, t0 = chunk.lo[2], chunk.lo[3]
-    for n in range(num_nodes):
-        piece_data = np.zeros(chunk.shape, dtype=data.dtype)
-        filled = []
-        for t in range(chunk.lo[3], chunk.hi[3]):
-            for z in range(chunk.lo[2], chunk.hi[2]):
-                if node_of(t, z) == n:
-                    piece_data[:, :, z - z0, t - t0] = data[
-                        chunk.lo[0] : chunk.hi[0], chunk.lo[1] : chunk.hi[1], z, t
-                    ]
-                    filled.append((t, z))
-        pieces.append(ChunkPiece(chunk.index, piece_data, filled, source_node=n))
-    return pieces
+def planes(chunk, data):
+    """Every ``(t, z)`` plane of a chunk, as IIC hands them to add_plane."""
+    return [
+        (t, z, data[chunk.lo[0] : chunk.hi[0], chunk.lo[1] : chunk.hi[1], z, t])
+        for t in range(chunk.lo[3], chunk.hi[3])
+        for z in range(chunk.lo[2], chunk.hi[2])
+    ]
 
 
 class TestChunkAssembler:
     def test_assembles_distributed_pieces(self):
+        """Planes read on three storage nodes, interleaved by node."""
         rng = np.random.default_rng(0)
         data = rng.integers(0, 100, size=(12, 10, 6, 4))
         chunk = make_chunk()
-        pieces = split_into_pieces(chunk, data, lambda t, z: (t * 6 + z) % 3, 3)
         asm = ChunkAssembler(chunk)
-        for p in pieces:
-            asm.add(p)
+        for node in range(3):
+            for t, z, plane in planes(chunk, data):
+                if (t * 6 + z) % 3 == node:
+                    asm.add_plane(t, z, plane)
         assert asm.is_complete
         assert np.array_equal(asm.result(), data)
 
@@ -47,10 +40,9 @@ class TestChunkAssembler:
         rng = np.random.default_rng(1)
         data = rng.integers(0, 100, size=(12, 10, 6, 4))
         chunk = make_chunk()
-        pieces = split_into_pieces(chunk, data, lambda t, z: (t + z) % 2, 2)
         asm = ChunkAssembler(chunk)
-        for p in reversed(pieces):
-            asm.add(p)
+        for t, z, plane in reversed(planes(chunk, data)):
+            asm.add_plane(t, z, plane)
         assert np.array_equal(asm.result(), data)
 
     def test_incomplete_raises(self):
@@ -63,26 +55,61 @@ class TestChunkAssembler:
 
     def test_duplicate_plane_rejected(self):
         chunk = make_chunk()
-        data = np.zeros((12, 10, 6, 4), dtype=int)
-        pieces = split_into_pieces(chunk, data, lambda t, z: 0, 1)
         asm = ChunkAssembler(chunk)
-        asm.add(pieces[0])
-        with pytest.raises(ValueError):
-            asm.add(pieces[0])
+        plane = np.zeros((12, 10), dtype=int)
+        asm.add_plane(0, 0, plane)
+        with pytest.raises(ValueError, match="twice"):
+            asm.add_plane(0, 0, plane)
 
     def test_wrong_chunk_rejected(self):
-        chunks = partition((30, 10, 6, 4), ROISpec((3, 3, 3, 2)), (12, 10, 6, 4))
+        """A plane outside the chunk's (t, z) range belongs to another."""
+        chunks = partition((12, 10, 12, 4), ROISpec((3, 3, 3, 2)), (12, 10, 6, 4))
         asm = ChunkAssembler(chunks[0])
-        piece = ChunkPiece(chunks[1].index, np.zeros(chunks[1].shape, dtype=int), [])
-        with pytest.raises(ValueError):
-            asm.add(piece)
+        z_other = chunks[1].hi[2] - 1  # beyond chunks[0]'s z range
+        assert z_other >= chunks[0].hi[2]
+        with pytest.raises(ValueError, match="not part of chunk"):
+            asm.add_plane(0, z_other, np.zeros((12, 10), dtype=int))
+        with pytest.raises(ValueError, match="not part of chunk"):
+            asm.add_plane(4, 0, np.zeros((12, 10), dtype=int))
 
     def test_wrong_shape_rejected(self):
         chunk = make_chunk()
-        with pytest.raises(ValueError):
-            ChunkAssembler(chunk).add(
-                ChunkPiece(chunk.index, np.zeros((2, 2, 2, 2), dtype=int), [])
-            )
+        with pytest.raises(ValueError, match="in-plane"):
+            ChunkAssembler(chunk).add_plane(0, 0, np.zeros((10, 12), dtype=int))
+
+    def test_only_4d_chunks(self):
+        chunk = partition((10, 10), ROISpec((3, 3)), (10, 10))[0]
+        with pytest.raises(ValueError, match="4D"):
+            ChunkAssembler(chunk)
+
+    def test_offset_chunk_planes_land_in_place(self):
+        """A chunk whose z and t start at different non-zero offsets."""
+        rng = np.random.default_rng(3)
+        shape = (8, 6, 12, 9)
+        data = rng.integers(0, 50, size=shape)
+        chunk = next(
+            c for c in partition(shape, ROISpec((3, 3, 3, 2)), (8, 6, 6, 4))
+            if c.lo[2] > 0 and c.lo[3] > 0 and c.lo[2] != c.lo[3]
+        )
+        asm = ChunkAssembler(chunk)
+        assert asm.missing == {
+            (t, z)
+            for t in range(chunk.lo[3], chunk.hi[3])
+            for z in range(chunk.lo[2], chunk.hi[2])
+        }
+        for t, z, plane in planes(chunk, data):
+            asm.add_plane(t, z, plane)
+        assert np.array_equal(asm.result(), data[chunk.slices()])
+
+    def test_result_keeps_plane_dtype(self):
+        chunk = make_chunk()
+        data = np.arange(12 * 10 * 6 * 4, dtype=np.uint16).reshape(12, 10, 6, 4)
+        asm = ChunkAssembler(chunk)
+        for t, z, plane in planes(chunk, data):
+            asm.add_plane(t, z, plane)
+        out = asm.result()
+        assert out.dtype == np.uint16
+        assert np.array_equal(out, data)
 
 
 class TestOutputStitcher:
@@ -130,15 +157,25 @@ class TestOutputStitcher:
         stitcher = OutputStitcher(shape, roi, ["asm"])
         with pytest.raises(ValueError):
             stitcher.place(chunk, {"asm": np.zeros((5, 5))})
+        # Larger than the local grid: slicing the owned region out of it
+        # would succeed, so only the shape check catches it.
+        with pytest.raises(ValueError, match="local output shape"):
+            stitcher.place(chunk, {"asm": np.zeros((9, 9))})
 
-    def test_minmax_for_jiw_normalization(self):
-        shape, roi = (10, 10), ROISpec((3, 3))
-        chunk = partition(shape, roi, (10, 10))[0]
-        stitcher = OutputStitcher(shape, roi, ["asm"])
-        vals = np.linspace(0.25, 0.75, 64).reshape(8, 8)
-        stitcher.place(chunk, {"asm": vals})
-        lo, hi = stitcher.minmax("asm")
-        assert lo == pytest.approx(0.25) and hi == pytest.approx(0.75)
+    def test_place_returns_records_written(self):
+        shape, roi = (20, 18, 8, 5), ROISpec((3, 3, 3, 2))
+        features = ["asm", "contrast"]
+        stitcher = OutputStitcher(shape, roi, features)
+        total = 0
+        for chunk in partition(shape, roi, (9, 9, 6, 4)):
+            local_shape = tuple(s - r + 1 for s, r in zip(chunk.shape, roi.shape))
+            owned = int(np.prod([s.stop - s.start for s in chunk.own_slices()]))
+            records = stitcher.place(
+                chunk, {name: np.zeros(local_shape) for name in features}
+            )
+            assert records == owned * len(features)
+            total += records
+        assert total == int(np.prod(valid_positions_shape(shape, roi))) * 2
 
     def test_empty_features_rejected(self):
         with pytest.raises(ValueError):

@@ -71,8 +71,8 @@ def test_lifecycle_counts_groups_by_chunk():
     evs = [
         TraceEvent(ts=0, kind="chunk.stitch", filter="IIC", copy=0, chunk=(0, 0)),
         TraceEvent(ts=1, kind="chunk.stitch", filter="IIC", copy=1, chunk=(1, 0)),
-        TraceEvent(ts=2, kind="chunk.write", filter="USO", copy=0, chunk=(0, 0)),
-        TraceEvent(ts=3, kind="chunk.write", filter="USO", copy=0, chunk=(0, 0)),
+        TraceEvent(ts=2, kind="chunk.write", filter="HIC", copy=0, chunk=(0, 0)),
+        TraceEvent(ts=3, kind="chunk.write", filter="HIC", copy=0, chunk=(0, 0)),
         TraceEvent(ts=4, kind="service", filter="X", copy=0,
                    attrs={"stream": "s"}),
     ]
@@ -153,7 +153,7 @@ def test_registry_instruments():
 
 
 def test_snapshot_run_busy_histograms_match_per_copy_values():
-    busy = {("HMP", 0): 1.0, ("HMP", 1): 3.0, ("USO", 0): 0.5}
+    busy = {("HMP", 0): 1.0, ("HMP", 1): 3.0, ("HIC", 0): 0.5}
     snap = snapshot_run(busy, {"s": 7}, 2, 1, [("HMP", 1)], {"l": 10}, 4.2)
     h = snap["histograms"]["busy_seconds{filter=HMP}"]
     assert h["count"] == 2 and h["sum"] == 4.0 and h["max"] == 3.0

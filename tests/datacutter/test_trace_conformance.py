@@ -2,7 +2,8 @@
 
 Runs the same small analysis across the sequential driver and all three
 parallel runtimes with tracing on, and checks that every backend emits
-schema-valid events, that the per-chunk lifecycle counts agree, and that
+schema-valid events, that the per-chunk lifecycle counts agree, that
+HIC's ``chunk.write`` records cover every output value once, and that
 the metrics snapshot reproduces the legacy busy-time breakdown.
 """
 
@@ -10,8 +11,10 @@ import collections
 import json
 import sys
 
+import numpy as np
 import pytest
 
+from repro.core.roi import valid_positions_shape
 from repro.data.synthetic import PhantomConfig, generate_phantom
 from repro.datacutter.net import DistRuntime
 from repro.datacutter.obs import Tracer, lifecycle_counts, validate_events
@@ -21,7 +24,7 @@ from repro.filters.messages import TextureParams
 from repro.pipeline.builder import build_graph
 from repro.pipeline.config import AnalysisConfig
 from repro.pipeline.report import filter_breakdown
-from repro.pipeline.sequential import iter_chunk_features
+from repro.pipeline.sequential import transform_disk_dataset
 from repro.storage.dataset import DiskDataset4D, write_dataset
 
 pytestmark = pytest.mark.skipif(
@@ -30,7 +33,7 @@ pytestmark = pytest.mark.skipif(
 
 RUNTIMES = ("threads", "processes", "distributed")
 
-PARAMS = TextureParams(roi_shape=(3, 3, 3, 2), levels=8, features=("asm",))
+PARAMS = TextureParams(roi_shape=(3, 3, 3, 2), levels=8, features=("asm", "idm"))
 
 
 @pytest.fixture(scope="module")
@@ -41,20 +44,16 @@ def dataset_root(tmp_path_factory):
     return root
 
 
-def _config(tmp_path) -> AnalysisConfig:
-    return AnalysisConfig(
-        texture=PARAMS,
-        texture_chunk_shape=(8, 8, 6, 4),
-        num_texture_copies=2,
-        num_iic_copies=2,
-        output="uso",
-        output_dir=str(tmp_path / "out"),
-    )
+CONFIG = AnalysisConfig(
+    texture=PARAMS,
+    texture_chunk_shape=(8, 8, 6, 4),
+    num_texture_copies=2,
+    num_iic_copies=2,
+)
 
 
-def _run_traced(kind, dataset_root, tmp_path):
-    cfg = _config(tmp_path)
-    graph = build_graph(DiskDataset4D.open(dataset_root), cfg)
+def _run_traced(kind, dataset_root):
+    graph = build_graph(DiskDataset4D.open(dataset_root), CONFIG)
     if kind == "threads":
         return LocalRuntime(graph, trace=True).run(timeout=60)
     if kind == "processes":
@@ -71,8 +70,8 @@ def _records_written(events):
 
 
 @pytest.mark.parametrize("kind", RUNTIMES)
-def test_runtime_trace_is_schema_valid(kind, dataset_root, tmp_path):
-    run = _run_traced(kind, dataset_root, tmp_path)
+def test_runtime_trace_is_schema_valid(kind, dataset_root):
+    run = _run_traced(kind, dataset_root)
     assert run.trace is not None
     assert validate_events(run.trace.events) > 0
     kinds = collections.Counter(e.kind for e in run.trace.events)
@@ -84,74 +83,59 @@ def test_runtime_trace_is_schema_valid(kind, dataset_root, tmp_path):
     ):
         assert kinds[expected] > 0, (kind, expected, kinds)
     # copy lifecycle brackets every hosted copy exactly once
-    n_copies = sum(spec.copies for spec in
-                   _graph_specs(dataset_root, tmp_path))
+    graph = build_graph(DiskDataset4D.open(dataset_root), CONFIG)
+    n_copies = sum(spec.copies for spec in graph.filters.values())
     assert kinds["copy.start"] == n_copies
     assert kinds["copy.done"] == n_copies
 
 
-def _graph_specs(dataset_root, tmp_path):
-    graph = build_graph(
-        DiskDataset4D.open(dataset_root), _config(tmp_path)
-    )
-    return graph.filters.values()
-
-
-def test_all_modes_agree_on_chunk_lifecycle(dataset_root, tmp_path):
+def test_all_modes_agree_on_chunk_lifecycle(dataset_root):
     """Same workload, same chunks visited the same number of times."""
     per_mode = {}
 
-    cfg = _config(tmp_path)
     tracer = Tracer()
-    seq_cfg = AnalysisConfig(
-        texture=cfg.texture, texture_chunk_shape=cfg.texture_chunk_shape
-    )
-    for _chunk, _local in iter_chunk_features(
-        DiskDataset4D.open(dataset_root), seq_cfg, tracer=tracer
-    ):
-        pass
+    transform_disk_dataset(dataset_root, CONFIG, tracer=tracer)
     per_mode["sequential"] = tracer.drain()
 
     for kind in RUNTIMES:
-        run = _run_traced(kind, dataset_root, tmp_path / kind)
-        per_mode[kind] = run.trace.events
+        per_mode[kind] = _run_traced(kind, dataset_root).trace.events
 
     # RFR reads per slice while the sequential driver reads whole
-    # chunks, and record counts differ with the output stage — so the
-    # conformance surface is the per-chunk stitch/cooccur/features
-    # counts, which every mode must agree on exactly.
+    # chunks, so the conformance surface is the per-chunk stitch,
+    # cooccur, features and write counts, which every mode must agree
+    # on exactly.
     reference = None
     for mode, events in per_mode.items():
         counts = lifecycle_counts(events)
         subset = {
             k: counts[k] for k in ("chunk.stitch", "chunk.cooccur",
-                                   "chunk.features")
+                                   "chunk.features", "chunk.write")
         }
         if reference is None:
             reference = subset
         else:
             assert subset == reference, mode
 
-    # the three parallel runtimes also write identical record totals
-    totals = {
-        kind: _records_written(per_mode[kind]) for kind in RUNTIMES
-    }
-    assert len(set(totals.values())) == 1, totals
-    assert next(iter(totals.values())) > 0
+    # HIC (and the sequential stitcher) writes every output value once:
+    # the records of the chunk.write events sum to positions x features.
+    grid = valid_positions_shape((12, 10, 6, 4), PARAMS.roi)
+    want = int(np.prod(grid)) * len(PARAMS.features)
+    for mode, events in per_mode.items():
+        assert _records_written(events) == want, mode
 
 
-@pytest.mark.parametrize("kind", ("threads", "distributed"))
+@pytest.mark.parametrize("kind", RUNTIMES)
 def test_chrome_trace_has_per_chunk_pipeline_spans(kind, dataset_root,
                                                    tmp_path):
-    """The exported Chrome trace shows RFR→IIC→HMP→USO per chunk."""
-    run = _run_traced(kind, dataset_root, tmp_path)
+    """The exported Chrome trace shows RFR→IIC→HMP→HIC per chunk."""
+    run = _run_traced(kind, dataset_root)
     path = str(tmp_path / "trace.json")
     run.trace.to_chrome(path)
     doc = json.load(open(path))
     spans = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
     meta = [e for e in doc["traceEvents"] if e.get("ph") == "M"]
     procs = {e["args"]["name"] for e in meta if e["name"] == "process_name"}
-    assert {"RFR", "IIC", "HMP", "USO"} <= procs
+    assert {"RFR", "IIC", "HMP", "HIC"} <= procs
     chunk_tag = "0/0/0/0"
     stages = {s["name"].split(" ")[0] for s in spans if chunk_tag in s["name"]}
     assert {"chunk.stitch", "chunk.cooccur", "chunk.features",
@@ -160,10 +144,9 @@ def test_chrome_trace_has_per_chunk_pipeline_spans(kind, dataset_root,
 
 
 @pytest.mark.parametrize("kind", RUNTIMES)
-def test_breakdown_from_metrics_matches_busy_time(kind, dataset_root,
-                                                  tmp_path):
+def test_breakdown_from_metrics_matches_busy_time(kind, dataset_root):
     """filter_breakdown (metrics-based) stays within 1% of busy_time."""
-    run = _run_traced(kind, dataset_root, tmp_path)
+    run = _run_traced(kind, dataset_root)
     stats = filter_breakdown(run)
     legacy = {}
     for (name, _copy), busy in run.busy_time.items():
@@ -183,10 +166,8 @@ def test_breakdown_from_metrics_matches_busy_time(kind, dataset_root,
 
 
 @pytest.mark.parametrize("kind", RUNTIMES)
-def test_disabled_tracing_still_snapshots_metrics(kind, dataset_root,
-                                                  tmp_path):
-    cfg = _config(tmp_path)
-    graph = build_graph(DiskDataset4D.open(dataset_root), cfg)
+def test_disabled_tracing_still_snapshots_metrics(kind, dataset_root):
+    graph = build_graph(DiskDataset4D.open(dataset_root), CONFIG)
     if kind == "threads":
         run = LocalRuntime(graph).run(timeout=60)
     elif kind == "processes":

@@ -3,7 +3,7 @@
 Fault recovery gives the streams at-least-once semantics — after a copy
 dies, its queued buffers are re-delivered to survivors, and a buffer the
 dead copy had already processed may arrive a second time.  The stitching
-filters (IIC, HIC) and USO therefore dedup by position.  Hypothesis
+filters (IIC, HIC) therefore dedup by position.  Hypothesis
 drives arbitrary duplication + reordering of the delivery schedule and
 checks the result is bit-identical to the clean, in-order run.
 """
@@ -22,7 +22,6 @@ from repro.filters.hic import HaralickImageConstructor
 from repro.filters.hmp import HaralickMatrixProducer
 from repro.filters.iic import InputImageConstructor
 from repro.filters.messages import SlicePortion, TextureParams
-from repro.filters.uso import UnstitchedOutput, combine_uso_outputs
 
 from ..filters.test_filters_unit import FakeContext
 
@@ -94,9 +93,7 @@ class TestHICDedupProperty:
     @settings(max_examples=25, deadline=None)
     @given(at_least_once_schedule(len(FEATURE_PORTIONS)))
     def test_duplicated_reordered_portions_stitch_identically(self, schedule):
-        hic = HaralickImageConstructor(
-            SHAPE, PARAMS.roi_shape, PARAMS.features, out_stream=None
-        )
+        hic = HaralickImageConstructor(SHAPE, PARAMS.roi_shape, PARAMS.features)
         ctx = FakeContext()
         for i in schedule:
             hic.process("tex2out", DataBuffer(FEATURE_PORTIONS[i]), ctx)
@@ -105,24 +102,6 @@ class TestHICDedupProperty:
         want = expected_features()
         for name in PARAMS.features:
             np.testing.assert_array_equal(volumes[name], want[name])
-
-
-class TestUSODedup:
-    def test_duplicate_portion_written_once(self, tmp_path):
-        uso = UnstitchedOutput(str(tmp_path), PARAMS.roi_shape)
-        ctx = FakeContext()
-        uso.initialize(ctx)
-        for fp in FEATURE_PORTIONS:
-            uso.process("tex2out", DataBuffer(fp), ctx)
-        # Re-deliver every portion: records must not duplicate (the
-        # combiner rejects duplicate positions, so this would blow up).
-        for fp in FEATURE_PORTIONS:
-            uso.process("tex2out", DataBuffer(fp), ctx)
-        uso.finalize(ctx)
-        files = {v["feature"]: v["path"] for k, v in ctx.deposited if k == "uso_files"}
-        out_shape = tuple(s - r + 1 for s, r in zip(SHAPE, PARAMS.roi_shape))
-        rebuilt = combine_uso_outputs([files["asm"]], out_shape)
-        np.testing.assert_allclose(rebuilt, expected_features()["asm"])
 
 
 if __name__ == "__main__":

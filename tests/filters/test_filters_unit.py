@@ -18,17 +18,15 @@ from repro.filters.hic import HaralickImageConstructor
 from repro.filters.hmp import HaralickMatrixProducer
 from repro.filters.hpc import HaralickParameterCalculator
 from repro.filters.iic import InputImageConstructor
-from repro.filters.jiw import JPGImageWriter, normalize_volume
 from repro.filters.messages import (
     FeaturePortion,
-    ParameterVolume,
     SlicePortion,
     TextureChunk,
     TextureParams,
 )
 from repro.filters.rfr import RawFileReader, inplane_blocks
-from repro.filters.uso import UnstitchedOutput, combine_uso_outputs, read_uso_records
 from repro.storage.dataset import write_dataset
+from repro.viz import normalize_volume, write_feature_images
 
 
 class FakeContext(FilterContext):
@@ -274,53 +272,8 @@ class TestOutputFilters:
         hmp.process("iic2tex", DataBuffer(TextureChunk(the_chunk(), volume.data)), ctx)
         return [s["payload"] for s in ctx.sent]
 
-    def test_uso_round_trip(self, volume, tmp_path):
-        uso = UnstitchedOutput(str(tmp_path), PARAMS.roi_shape)
-        ctx = FakeContext()
-        uso.initialize(ctx)
-        for fp in self.portions(volume):
-            uso.process("tex2out", DataBuffer(fp), ctx)
-        uso.finalize(ctx)
-        files = {v["feature"]: v["path"] for k, v in ctx.deposited if k == "uso_files"}
-        assert set(files) == {"asm", "idm"}
-        out_shape = tuple(s - r + 1 for s, r in zip(SHAPE, PARAMS.roi_shape))
-        rebuilt = combine_uso_outputs([files["asm"]], out_shape)
-        q = quantize_linear(volume.data, 8, lo=0.0, hi=4095.0)
-        want = raster_scan(q, PARAMS.roi, 8, features=("asm",))["asm"]
-        np.testing.assert_allclose(rebuilt, want)
-
-    def test_uso_record_format(self, volume, tmp_path):
-        uso = UnstitchedOutput(str(tmp_path), PARAMS.roi_shape)
-        ctx = FakeContext()
-        uso.initialize(ctx)
-        fps = self.portions(volume)
-        uso.process("tex2out", DataBuffer(fps[0]), ctx)
-        uso.finalize(ctx)
-        path = next(v["path"] for k, v in ctx.deposited if v["feature"] == "asm")
-        coords, vals = read_uso_records(path, ndim=4)
-        assert coords.shape[1] == 4
-        assert coords.shape[0] == vals.shape[0] == fps[0].count
-
-    def test_combine_detects_missing(self, tmp_path):
-        path = str(tmp_path / "x.uso")
-        rec = np.zeros(1, dtype=[("pos", "<u4", (2,)), ("val", "<f8")])
-        with open(path, "wb") as fh:
-            fh.write(rec.tobytes())
-        with pytest.raises(ValueError):
-            combine_uso_outputs([path], (4, 4))
-
-    def test_combine_detects_duplicates(self, tmp_path):
-        path = str(tmp_path / "x.uso")
-        rec = np.zeros(2, dtype=[("pos", "<u4", (2,)), ("val", "<f8")])
-        with open(path, "wb") as fh:
-            fh.write(rec.tobytes())
-        with pytest.raises(ValueError):
-            combine_uso_outputs([path, path], (1, 1))
-
     def test_hic_stitches_and_deposits(self, volume):
-        hic = HaralickImageConstructor(
-            SHAPE, PARAMS.roi_shape, PARAMS.features, out_stream=None
-        )
+        hic = HaralickImageConstructor(SHAPE, PARAMS.roi_shape, PARAMS.features)
         ctx = FakeContext()
         for fp in self.portions(volume):
             hic.process("tex2out", DataBuffer(fp), ctx)
@@ -332,29 +285,26 @@ class TestOutputFilters:
         np.testing.assert_allclose(volumes["idm"], want["idm"])
 
     def test_hic_incomplete_raises(self, volume):
-        hic = HaralickImageConstructor(
-            SHAPE, PARAMS.roi_shape, PARAMS.features, out_stream=None
-        )
+        hic = HaralickImageConstructor(SHAPE, PARAMS.roi_shape, PARAMS.features)
         ctx = FakeContext()
         hic.process("tex2out", DataBuffer(self.portions(volume)[0]), ctx)
         with pytest.raises(RuntimeError):
             hic.finalize(ctx)
 
-    def test_hic_forwards_parameter_volumes(self, volume):
-        hic = HaralickImageConstructor(
-            SHAPE, PARAMS.roi_shape, PARAMS.features, out_stream="hic2jiw"
-        )
+    def test_hic_sends_nothing(self, volume):
+        """HIC is the sink: the volumes are deposited, never sent on."""
+        hic = HaralickImageConstructor(SHAPE, PARAMS.roi_shape, PARAMS.features)
         ctx = FakeContext()
         for fp in self.portions(volume):
             hic.process("tex2out", DataBuffer(fp), ctx)
         hic.finalize(ctx)
-        assert len(ctx.sent) == 2  # one ParameterVolume per feature
-        pv = ctx.sent[0]["payload"]
-        assert isinstance(pv, ParameterVolume)
-        assert pv.vmin <= pv.vmax
+        assert ctx.sent == []
 
 
 class TestJIW:
+    """The paper's JIW stage: :func:`repro.viz.write_feature_images`,
+    called on the stitched volumes after the run."""
+
     def test_normalize_volume(self):
         vol = np.array([[1.0, 3.0], [2.0, 5.0]])
         norm = normalize_volume(vol, 1.0, 5.0)
@@ -368,24 +318,16 @@ class TestJIW:
             normalize_volume(np.zeros((2, 2)), 1.0, 0.0)
 
     def test_writes_image_series(self, tmp_path):
-        jiw = JPGImageWriter(str(tmp_path))
-        ctx = FakeContext()
-        jiw.initialize(ctx)
-        vol = np.random.default_rng(0).random((6, 5, 3, 2))
-        pv = ParameterVolume("asm", vol, float(vol.min()), float(vol.max()))
-        jiw.process("hic2jiw", DataBuffer(pv), ctx)
-        (key, info), = ctx.deposited
-        assert info["count"] == 6
         from repro.data.formats import read_pgm
 
+        vol = np.random.default_rng(0).random((6, 5, 3, 2))
+        assert write_feature_images({"asm": vol}, str(tmp_path)) == 6
         img = read_pgm(os.path.join(str(tmp_path), "asm", "t0001_z0002.pgm"))
         assert img.shape == (6, 5)
+        # Normalized by the volume's own min and max.
+        want = np.round(normalize_volume(vol, vol.min(), vol.max()) * 255)
+        np.testing.assert_array_equal(img, want[:, :, 2, 1])
 
     def test_requires_4d(self, tmp_path):
-        jiw = JPGImageWriter(str(tmp_path))
-        ctx = FakeContext()
-        jiw.initialize(ctx)
         with pytest.raises(ValueError):
-            jiw.process(
-                "s", DataBuffer(ParameterVolume("x", np.zeros((2, 2)), 0, 1)), ctx
-            )
+            write_feature_images({"x": np.zeros((2, 2))}, str(tmp_path))

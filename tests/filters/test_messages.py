@@ -8,7 +8,6 @@ from repro.core.roi import ROISpec
 from repro.filters.messages import (
     FeaturePortion,
     MatrixPacket,
-    ParameterVolume,
     SlicePortion,
     TextureChunk,
     TextureParams,
@@ -92,10 +91,6 @@ class TestPayloads:
         fp = FeaturePortion(chunk=c, start=5, values={"a": np.zeros(3)})
         assert fp.count == 3
         assert fp.nbytes == 3 * 8
-
-    def test_parameter_volume(self):
-        pv = ParameterVolume("asm", np.zeros((4, 4, 2, 2)), 0.0, 1.0)
-        assert pv.nbytes == 4 * 4 * 2 * 2 * 8
 
 
 class TestIICAssignment:

@@ -21,6 +21,7 @@ from repro.pipeline.run import (
     run_pipeline,
 )
 from repro.storage.dataset import write_dataset
+from repro.viz import write_feature_images
 
 from ..conftest import slab_mappings, slabs_unmappable
 
@@ -245,40 +246,21 @@ class TestRerun:
 
 
 class TestOutputModes:
-    def test_uso_output(self, dataset_root, expected, tmp_path):
-        cfg = AnalysisConfig(
-            texture=texture_params(),
-            variant="hmp",
-            texture_chunk_shape=(8, 8, 6, 4),
-            num_texture_copies=2,
-            output="uso",
-            output_dir=str(tmp_path / "uso"),
-            num_uso_copies=2,
-        )
-        result = run_pipeline(dataset_root, cfg)
-        assert_matches(result.volumes, expected)
-        files = result.run.deposits("uso_files")
-        assert sum(f["records"] for f in files if f["feature"] == "asm") == int(
-            np.prod(expected["asm"].shape)
-        )
-
     def test_image_output(self, dataset_root, expected, tmp_path):
+        """HIC's volumes, written as PGM series after the run."""
         out = str(tmp_path / "imgs")
         cfg = AnalysisConfig(
             texture=texture_params(),
             variant="hmp",
             texture_chunk_shape=(16, 14, 6, 4),
-            output="images",
-            output_dir=out,
         )
         result = run_pipeline(dataset_root, cfg)
         assert_matches(result.volumes, expected)
-        images = result.run.deposits("images")
-        assert {i["feature"] for i in images} == set(FEATURES)
-        # One PGM per (z, t) plane of the output volume.
+        count = write_feature_images(result.volumes, out)
+        # One PGM per (z, t) plane of each output volume.
         nz, nt = expected["asm"].shape[2], expected["asm"].shape[3]
-        for info in images:
-            assert info["count"] == nz * nt
+        assert count == len(FEATURES) * nz * nt
+        assert set(os.listdir(out)) == set(FEATURES)
         from repro.data.formats import read_pgm
 
         sample = os.path.join(out, "asm", "t0000_z0000.pgm")

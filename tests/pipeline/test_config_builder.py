@@ -44,10 +44,10 @@ class TestAnalysisConfig:
         "kwargs",
         [
             dict(variant="bogus"),
-            dict(output="bogus"),
+            dict(num_iic_copies=0),
             dict(scheduling="bogus"),
             dict(num_texture_copies=0),
-            dict(output="uso"),  # needs output_dir
+            dict(num_hpc_copies=0),
             dict(texture_chunk_shape=(4, 4)),  # ndim mismatch
         ],
     )
@@ -113,26 +113,3 @@ class TestBuildGraph:
         g = build_graph(dataset, cfg)
         assert set(g.filters) == {"RFR", "IIC", "HCC", "HPC", "HIC"}
         assert g.in_edges("HPC")[0].policy == "round_robin"
-
-    def test_image_output_adds_jiw(self, dataset, tmp_path):
-        cfg = AnalysisConfig(
-            texture=params(),
-            texture_chunk_shape=(8, 8, 6, 4),
-            output="images",
-            output_dir=str(tmp_path),
-        )
-        g = build_graph(dataset, cfg)
-        assert "JIW" in g.filters
-        assert g.in_edges("JIW")[0].src == "HIC"
-
-    def test_uso_output_graph(self, dataset, tmp_path):
-        cfg = AnalysisConfig(
-            texture=params(),
-            texture_chunk_shape=(8, 8, 6, 4),
-            output="uso",
-            output_dir=str(tmp_path),
-            num_uso_copies=2,
-        )
-        g = build_graph(dataset, cfg)
-        assert g.copies("USO") == 2
-        assert "HIC" not in g.filters

@@ -46,14 +46,6 @@ class TestBasics:
             job = svc.submit(dataset_root=dataset_root, config=make_config())
             assert_volumes_equal(job.result(timeout=120).volumes, baseline)
 
-    def test_rejects_non_volume_outputs(self, dataset_root, tmp_path):
-        with make_service() as svc:
-            with pytest.raises(ValueError, match="volumes"):
-                svc.submit(AnalysisRequest(
-                    dataset_root,
-                    make_config(output="uso", output_dir=str(tmp_path)),
-                ))
-
     def test_rejects_missing_dataset(self):
         with make_service() as svc:
             with pytest.raises(ValueError, match="not a directory"):
