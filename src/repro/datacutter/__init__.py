@@ -29,14 +29,6 @@ from .obs import (
 from .placement import Placement
 from .runtime_local import LocalRuntime, RunResult
 from .runtime_mp import MPRuntime
-from .scheduling import (
-    CopyState,
-    DemandDrivenPolicy,
-    ExplicitPolicy,
-    RoundRobinPolicy,
-    SchedulingPolicy,
-    make_policy,
-)
 
 __all__ = [
     "DataBuffer",
@@ -64,12 +56,6 @@ __all__ = [
     "DistRuntime",
     "default_placement",
     "RunResult",
-    "CopyState",
-    "SchedulingPolicy",
-    "RoundRobinPolicy",
-    "DemandDrivenPolicy",
-    "ExplicitPolicy",
-    "make_policy",
     "TraceEvent",
     "Tracer",
     "Trace",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from .filter import Filter
-from .scheduling import make_policy
+from .scheduling import rule_for
 
 __all__ = ["FilterGraph", "FilterSpec", "StreamEdge"]
 
@@ -46,7 +46,7 @@ class StreamEdge:
     policy: str = "demand_driven"
 
     def __post_init__(self) -> None:
-        make_policy(self.policy)  # validate early
+        rule_for(self.policy)  # validate early
 
 
 class FilterGraph:

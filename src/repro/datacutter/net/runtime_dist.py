@@ -71,7 +71,7 @@ from ..graph import FilterGraph, StreamEdge
 from ..obs import Trace, Tracer, snapshot_run
 from ..placement import Placement
 from ..runtime_local import RunResult
-from ..scheduling import CopyState, make_policy
+from ..routing import EdgeRouter, RoutingError
 from . import codec
 
 __all__ = ["DistRuntime", "default_placement"]
@@ -135,33 +135,35 @@ class _AgentConn:
 
 
 class _Pending:
-    """One routed buffer: committed to ``target``, awaiting its credit."""
+    """One routed buffer: committed to ``target``, awaiting its credit.
 
-    __slots__ = ("buffer", "target", "explicit", "src_copy")
+    ``dest`` is the producer's explicit destination (``None`` on a
+    transparent edge); ``credited`` turns true once the producer's
+    send-window slot has been returned, which happens on the buffer's
+    first dispatch only.
+    """
 
-    def __init__(
-        self, buffer: DataBuffer, target: int, explicit: bool, src_copy: int
-    ):
+    __slots__ = ("buffer", "target", "dest", "src_copy", "credited")
+
+    def __init__(self, buffer: DataBuffer, target: int, dest, src_copy: int):
         self.buffer = buffer
         self.target = target
-        self.explicit = explicit
+        self.dest = dest
         self.src_copy = src_copy
+        self.credited = False
 
 
 class _EdgeState:
-    """Head-side routing state of one stream edge."""
+    """Head-side state of one stream edge: the routing core plus the
+    buffers routed but not yet dispatched."""
 
     def __init__(self, edge: StreamEdge, n_consumers: int, n_producers: int):
         self.edge = edge
         self.key = f"{edge.src}:{edge.stream}"
-        self.policy = make_policy(edge.policy)
-        self.states = [CopyState(i) for i in range(n_consumers)]
+        self.router = EdgeRouter(
+            edge.policy, n_consumers, n_producers, self.key, edge.dst
+        )
         self.pending: "deque[_Pending]" = deque()
-        self.inflight = 0
-        self.n_producers = n_producers
-        self.producers_done = 0
-        self.sent = 0
-        self.closed = False
 
 
 class DistRuntime:
@@ -347,16 +349,13 @@ class DistRuntime:
     # ------------------------------------------------------------------
     # Routing (every method below runs with self._lock held)
 
-    def _choose(self, es: _EdgeState, buffer: DataBuffer) -> Optional[int]:
-        dst = es.edge.dst
-        alive = [
-            s for s in es.states if self._status[(dst, s.copy_index)] == "running"
-        ]
-        if not alive:
+    def _claim(self, es: _EdgeState, dest: Optional[int]) -> Optional[int]:
+        """Claim the core's pick; ``None`` once its verdict is fatal."""
+        try:
+            return es.router.route(dest)
+        except RoutingError as exc:
+            self._trigger_fatal(str(exc))
             return None
-        idx = es.policy.choose(alive, buffer)
-        es.states[idx].on_assign(buffer)
-        return idx
 
     def _trigger_fatal(self, message: str) -> None:
         if not self._fatal:
@@ -383,25 +382,9 @@ class DistRuntime:
         if es is None:
             self._trigger_fatal(f"send on unknown stream {src_f}:{stream}")
             return
-        explicit = es.policy.requires_explicit_dest()
-        if explicit:
-            # Explicit placement is semantic (all pieces of one chunk
-            # meet at one copy); a dead destination is unrecoverable.
-            if self._status[(es.edge.dst, dest_copy)] != "running":
-                self._trigger_fatal(
-                    f"explicit stream {es.key} targets dead copy "
-                    f"{es.edge.dst}[{dest_copy}]"
-                )
-                return
-            es.states[dest_copy].on_assign(buffer)
-            target = dest_copy
-        else:
-            target = self._choose(es, buffer)
-            if target is None:
-                self._trigger_fatal(
-                    f"stream {es.key}: no surviving consumer copies"
-                )
-                return
+        target = self._claim(es, dest_copy)
+        if target is None:
+            return
         if self._tracer is not None:
             self._tracer.emit(
                 "sched.pick",
@@ -410,8 +393,7 @@ class DistRuntime:
                 policy=es.edge.policy,
                 dest=target,
             )
-        es.sent += 1
-        es.pending.append(_Pending(buffer, target, explicit, src_copy))
+        es.pending.append(_Pending(buffer, target, dest_copy, src_copy))
         self._pump_edge(es)
 
     def _dispatch(self, es: _EdgeState, p: _Pending) -> None:
@@ -423,18 +405,28 @@ class DistRuntime:
             # real multi-host runs this spans two wall clocks.
             p.buffer.metadata["_obs_enq"] = time.time()
         self._inflight[seq] = (es, p)
-        es.inflight += 1
         self._outstanding[(dst, p.target)] += 1
         self._conn_of(dst, p.target).out_q.put(
             (("buf", dst, p.target, es.edge.stream, seq, p.buffer), es.key)
         )
         # The producer's send-window slot frees as soon as the buffer
-        # leaves the head's pending queue.
-        pconn = self._conn_of(es.edge.src, p.src_copy)
-        if not pconn.dead:
-            pconn.out_q.put(
-                (("scredit", es.edge.src, p.src_copy, es.edge.stream), None)
-            )
+        # first leaves the head's pending queue; a re-dispatch after a
+        # nack or a reroute returns no second slot.
+        if not p.credited:
+            p.credited = True
+            pconn = self._conn_of(es.edge.src, p.src_copy)
+            if not pconn.dead:
+                pconn.out_q.put(
+                    (("scredit", es.edge.src, p.src_copy, es.edge.stream), None)
+                )
+
+    def _retire(self, seq: int) -> Optional[Tuple[_EdgeState, _Pending]]:
+        """Take one dispatch off the in-flight table, returning its credit."""
+        entry = self._inflight.pop(seq, None)
+        if entry is not None:
+            es, p = entry
+            self._outstanding[(es.edge.dst, p.target)] -= 1
+        return entry
 
     def _pump_edge(self, es: _EdgeState) -> None:
         """Dispatch every pending buffer whose target has credit.
@@ -449,25 +441,14 @@ class DistRuntime:
             remaining: "deque[_Pending]" = deque()
             while es.pending:
                 p = es.pending.popleft()
-                if self._status[(dst, p.target)] != "running":
-                    if p.explicit:
-                        self._trigger_fatal(
-                            f"explicit stream {es.key} targets dead copy "
-                            f"{dst}[{p.target}]"
-                        )
-                        return
+                if es.router.dead[p.target]:
                     # Committed but never on the wire: re-pick quietly,
-                    # like a producer blocked on a queue whose copy died.
-                    es.states[p.target].on_unassign(p.buffer)
-                    es.sent -= 1
-                    target = self._choose(es, p.buffer)
-                    if target is None:
-                        self._trigger_fatal(
-                            f"stream {es.key}: no surviving consumer copies"
-                        )
+                    # like a producer blocked on a queue whose copy died
+                    # (on an explicit edge the core's verdict is fatal).
+                    es.router.unclaim(p.target)
+                    p.target = self._claim(es, p.dest)
+                    if p.target is None:
                         return
-                    p.target = target
-                    es.sent += 1
                 if self._outstanding[(dst, p.target)] < self.max_queue:
                     self._dispatch(es, p)
                 else:
@@ -476,24 +457,21 @@ class DistRuntime:
         self._maybe_close(es)
 
     def _maybe_close(self, es: _EdgeState) -> None:
-        """Send end-of-stream once the edge is fully drained.
+        """Send end-of-stream to every live copy once the edge drained.
 
         Drained means every producer copy is done *and* nothing is
         pending or unacknowledged anywhere on the edge — so after the
         close no reroute can ever target this edge again, which is the
-        distributed form of the local router's sibling condition.
+        distributed form of the local router's sibling condition.  The
+        close departs each copy, so it is sent once.
         """
-        if es.closed:
-            return
-        if es.producers_done < es.n_producers or es.pending or es.inflight:
-            return
-        es.closed = True
         dst = es.edge.dst
-        for i in range(self.graph.copies(dst)):
-            if self._status[(dst, i)] == "running":
-                conn = self._conn_of(dst, i)
-                if not conn.dead:
-                    conn.out_q.put((("close", dst, i, es.edge.stream), None))
+        for i in es.router.live():
+            if not es.router.try_close(i):
+                return
+            conn = self._conn_of(dst, i)
+            if not conn.dead:
+                conn.out_q.put((("close", dst, i, es.edge.stream), None))
 
     # ------------------------------------------------------------------
     # Agent message handling
@@ -504,12 +482,22 @@ class DistRuntime:
         Frames from a connection already declared dead are dropped
         entirely — in particular a late heartbeat must not refresh
         ``last_seen`` and resurrect an agent whose copies were already
-        failed over.
+        failed over.  A frame that fails to apply fails the run.
         """
         if conn.dead:
             return
         conn.last_seen = time.monotonic()
-        self._handle(conn, msg)
+        try:
+            self._handle(conn, msg)
+        except Exception as exc:
+            # A frame the head cannot apply is a protocol fault, not an
+            # agent death: fail the run now rather than at the
+            # heartbeat timeout the silently ended reader would cause.
+            kind = msg[0] if isinstance(msg, tuple) and msg else type(msg).__name__
+            with self._lock:
+                self._trigger_fatal(
+                    f"bad {kind!r} frame from agent {conn.name}: {exc!r}"
+                )
 
     def _handle(self, conn: _AgentConn, msg: Tuple) -> None:
         kind = msg[0]
@@ -542,14 +530,12 @@ class DistRuntime:
                 self._trigger_fatal(f"unknown agent message {kind!r}")
 
     def _on_ack(self, seq: int) -> None:
-        entry = self._inflight.pop(seq, None)
+        entry = self._retire(seq)
         if entry is None:
             return  # late ack for a delivery already rerouted elsewhere
         es, p = entry
         dst = es.edge.dst
-        es.inflight -= 1
-        self._outstanding[(dst, p.target)] -= 1
-        es.states[p.target].on_consume()
+        es.router.consume(p.target)
         # The freed credit may unblock this edge and any sibling edge
         # into the same consumer filter.
         for other in self._edges_into[dst]:
@@ -557,12 +543,10 @@ class DistRuntime:
 
     def _on_nack(self, seq: int) -> None:
         """An injected connection drop: re-deliver to the same copy."""
-        entry = self._inflight.pop(seq, None)
+        entry = self._retire(seq)
         if entry is None:
             return
         es, p = entry
-        es.inflight -= 1
-        self._outstanding[(es.edge.dst, p.target)] -= 1
         self._retries += 1
         es.pending.appendleft(p)
         self._pump_edge(es)
@@ -575,7 +559,7 @@ class DistRuntime:
         self._retries += retries
         for e in self.graph.out_edges(f):
             es = self._edges[(f, e.stream)]
-            es.producers_done += 1
+            es.router.producer_done()
             self._maybe_close(es)
         self._check_complete()
 
@@ -587,26 +571,31 @@ class DistRuntime:
             return
         self._busy[key] = busy
         self._retries += retries
-        self._status[key] = "failed"
+        self._mark_failed(key)
         self._handle_failed(failure)
         self._check_complete()
 
+    def _mark_failed(self, key: Tuple[str, int]) -> None:
+        f, c = key
+        self._status[key] = "failed"
+        for es in self._edges_into[f]:
+            es.router.mark_dead(c)
+
     def _handle_failed(self, failure: CopyFailure) -> None:
-        """Recover from one failed copy (status already set to failed)."""
+        """Recover from one failed copy (already marked failed)."""
         f, c = failure.filter_name, failure.copy_index
         g = self.graph
-        in_edges = g.in_edges(f)
         edges_in = self._edges_into[f]
         recoverable = (
-            bool(in_edges)  # a dead source's remaining output is unknowable
+            bool(edges_in)  # a dead source's remaining output is unknowable
             and self.retry.reroute
-            and all(not es.policy.requires_explicit_dest() for es in edges_in)
-            # All inputs closed means the copy was finalizing; whatever
-            # its finalize would have deposited cannot be rerouted.
-            and any(not es.closed for es in edges_in)
+            and all(es.router.rule is not None for es in edges_in)
+            # All inputs drained means the copy was finalizing; whatever
+            # its finalize would have deposited cannot be rerouted.  An
+            # undrained edge has departed no copy, so its live set is
+            # the filter's surviving copies.
             and any(
-                self._status[(f, i)] == "running"
-                for i in range(g.copies(f))
+                es.router.live() and not es.router.drained() for es in edges_in
             )
         )
         failure.recovered = recoverable
@@ -622,16 +611,10 @@ class DistRuntime:
             for s, (es, p) in self._inflight.items()
             if es.edge.dst == f and p.target == c
         ]:
-            es, p = self._inflight.pop(seq)
-            es.inflight -= 1
-            self._outstanding[(f, c)] -= 1
-            es.states[c].on_unassign(p.buffer)
-            es.sent -= 1
-            target = self._choose(es, p.buffer)
+            es, p = self._retire(seq)
+            es.router.unclaim(c)
+            target = self._claim(es, None)
             if target is None:
-                self._trigger_fatal(
-                    f"stream {es.key}: no surviving consumer copies"
-                )
                 return
             self._reroutes += 1
             if self._tracer is not None:
@@ -642,11 +625,10 @@ class DistRuntime:
                     dest=target,
                 )
             p.target = target
-            es.sent += 1
             es.pending.appendleft(p)
         # The dead copy will send no more buffers: tick its out-edges.
         for e in g.out_edges(f):
-            self._edges[(f, e.stream)].producers_done += 1
+            self._edges[(f, e.stream)].router.producer_done()
         for es in edges_in:
             self._pump_edge(es)
         for e in g.out_edges(f):
@@ -685,7 +667,7 @@ class DistRuntime:
             # ever chosen as a reroute target for a sibling copy hosted
             # on the same dead agent.
             for key in victims:
-                self._status[key] = "failed"
+                self._mark_failed(key)
             for f, c in victims:
                 self._handle_failed(
                     CopyFailure(
@@ -881,7 +863,7 @@ class DistRuntime:
             conn.writer = threading.Thread(
                 target=self._writer,
                 args=(conn,),
-                name=f"head-writer-{conn.index}",
+                name=f"repro-head-writer-{conn.index}",
                 daemon=True,
             )
             conn.writer.start()
@@ -889,7 +871,7 @@ class DistRuntime:
             conn.reader = threading.Thread(
                 target=self._reader,
                 args=(conn,),
-                name=f"head-reader-{conn.index}",
+                name=f"repro-head-reader-{conn.index}",
                 daemon=True,
             )
             conn.reader.start()
@@ -929,7 +911,7 @@ class DistRuntime:
             )
         if self._fatal:
             raise PipelineError(self._failures)
-        buffers_sent = {es.key: es.sent for es in self._edges.values()}
+        buffers_sent = {es.key: es.router.sent() for es in self._edges.values()}
         events = self._tracer.drain() if self._tracer is not None else None
         return RunResult(
             results=self._results,

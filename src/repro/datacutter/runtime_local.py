@@ -3,8 +3,9 @@
 A *peer* runtime runs every filter copy of a
 :class:`~repro.datacutter.graph.FilterGraph` on this machine and lets
 the copies route to each other directly: each stream edge is one
-:class:`_SharedEdge` — per-consumer bounded queues plus shared depth,
-dead/departed and ``producers_done`` counters under one lock — and a
+:class:`_SharedEdge` — per-consumer bounded queues plus the routing
+core (:mod:`repro.datacutter.routing`: depth, dead/departed and
+``producers_done`` counters in shared storage) under one lock — and a
 parent that only collects deposits and terminal reports.  In DataCutter
 (paper Sections 4.1, 5.2) placing two copies in one address space or on
 two nodes changes how a buffer travels, never the stream protocol; here
@@ -73,7 +74,7 @@ from .copyloop import CopyContext, CopyPort, run_copy
 from .faults import CopyFailure, FaultPlan, PipelineError, RetryPolicy, _Aborted
 from .graph import FilterGraph, StreamEdge
 from .obs import Trace, Tracer, snapshot_run
-from .scheduling import make_policy
+from .routing import EdgeRouter, RoutingError, _Cell, _zeros
 
 __all__ = ["LocalRuntime", "RunResult"]
 
@@ -176,12 +177,16 @@ class _SharedAbort:
 
 
 class _SharedEdge:
-    """Routing state of one stream edge, shared by all its copies.
+    """One stream edge of the peer runtimes, shared by all its copies.
 
-    ``wake`` holds one event per consumer copy of the destination
-    filter — shared by every edge into that filter — set on each
-    transition a blocked consumer could be waiting on.  The queue bound
-    is per (edge, consumer copy).
+    The routing state is the core :class:`~repro.datacutter.routing.EdgeRouter`
+    with its counters in the backend's storage, always used under
+    ``lock``; this class adds the per-consumer bounded queues, the
+    wakeups, the blocking put and the traffic counters.  ``wake`` holds
+    one event per consumer copy of the destination filter — shared by
+    every edge into that filter — set on each transition a blocked
+    consumer could be waiting on.  The queue bound is per (edge,
+    consumer copy).
     """
 
     def __init__(
@@ -195,26 +200,15 @@ class _SharedEdge:
         poll: float = _POLL,
     ):
         self.edge = edge
-        self.num_consumers = num_consumers
-        self.n_producers = n_producers
         self.backend = backend
         self.poll = poll
         self.wake = wake
-        #: The transparent policy's pure rule (``None``: explicit).
-        self.rule = make_policy(edge.policy).rule
+        self.router = EdgeRouter(
+            edge.policy, num_consumers, n_producers,
+            f"{edge.src}:{edge.stream}", edge.dst, backend.array, backend.cell,
+        )
         self.queues = [backend.Queue(max_queue) for _ in range(num_consumers)]
         self.lock = backend.Lock()
-        # Per-consumer depth and assignment counters.
-        self.queued = backend.array(num_consumers)
-        self.assigned = backend.array(num_consumers)
-        # 1 where the consumer copy has been declared dead.
-        self.dead = backend.array(num_consumers)
-        # 1 where the consumer copy closed the stream cleanly.
-        self.departed = backend.array(num_consumers)
-        # Producer copies that finished sending (edge-level EOS).
-        self.producers_done = backend.cell()
-        self.picks = backend.cell()
-        self.sent = backend.cell()
         self.rerouted = backend.cell()
         self.wire = backend.cell()
         # Payload bytes handed over via pool slabs instead of the pipe.
@@ -222,7 +216,7 @@ class _SharedEdge:
 
     def mark_dead(self, idx: int) -> None:
         with self.lock:
-            self.dead[idx] = 1
+            self.router.mark_dead(idx)
         # Siblings may be able to close now that this copy no longer
         # counts as a live reroute target; have them re-check.
         self._wake_all()
@@ -234,80 +228,35 @@ class _SharedEdge:
     def producer_done(self) -> None:
         """One producer copy finished (its share of the stream is sent)."""
         with self.lock:
-            self.producers_done.value += 1
+            self.router.producer_done()
         # Wake every consumer so it re-checks closure immediately instead
         # of discovering the EOS at its next watchdog tick.
         self._wake_all()
 
     def try_close(self, idx: int) -> bool:
-        """Atomically close consumer copy ``idx``'s view of the stream.
-
-        True once every producer copy is done and every copy's delivery
-        accounting drained to zero.  The sibling condition is deliberate:
-        while *any* sibling (alive or dead) still holds buffers, that
-        sibling could yet fail and need this copy as a reroute target.
-        The close marks the copy departed under the routing lock, so it
-        can never race a concurrent re-delivery.
-        """
+        """Atomically close consumer copy ``idx``'s view of the stream:
+        under the routing lock, so it can never race a re-delivery."""
         with self.lock:
-            if self.departed[idx]:
-                return True
-            if self.producers_done.value < self.n_producers:
-                return False
-            for j in range(self.num_consumers):
-                if self.queued[j]:
-                    return False
-            self.departed[idx] = 1
-            return True
+            return self.router.try_close(idx)
 
     def has_survivors(self) -> bool:
         with self.lock:
-            return any(
-                self.dead[i] == 0 and self.departed[i] == 0
-                for i in range(self.num_consumers)
-            )
+            return bool(self.router.live())
 
-    def choose(self, abort) -> int:
-        """Claim the transparent policy's pick among the live copies."""
+    def claim(self, dest_copy: Optional[int], abort) -> int:
+        """Claim the core's pick; a fatal verdict raises the abort."""
         with self.lock:
-            alive = [
-                i
-                for i in range(self.num_consumers)
-                if self.dead[i] == 0 and self.departed[i] == 0
-            ]
-            if not alive:
-                abort.value = 1
-                raise _Aborted()
-            idx = self.rule(alive, self.queued, self.assigned, self.picks.value)
-            self.picks.value += 1
-            self.queued[idx] += 1
-            self.assigned[idx] += 1
-            self.sent.value += 1
-        return idx
-
-    def assign_explicit(self, idx: int, abort) -> None:
-        with self.lock:
-            if self.dead[idx] or self.departed[idx]:
-                # Explicit placement is semantic (all pieces of one chunk
-                # meet at one copy); a dead destination is unrecoverable.
-                abort.value = 1
-                raise _Aborted()
-            self.queued[idx] += 1
-            self.assigned[idx] += 1
-            self.sent.value += 1
-
-    def unassign(self, idx: int) -> None:
-        with self.lock:
-            self.queued[idx] -= 1
-            self.assigned[idx] -= 1
-            self.sent.value -= 1
+            try:
+                return self.router.route(dest_copy)
+            except RoutingError:
+                pass
+        abort.value = 1
+        raise _Aborted()
 
     def on_consume(self, idx: int) -> None:
         with self.lock:
-            self.queued[idx] -= 1
-            drained = self.producers_done.value >= self.n_producers and not any(
-                self.queued[j] for j in range(self.num_consumers)
-            )
+            self.router.consume(idx)
+            drained = self.router.drained()
         if drained:
             # The last in-flight buffer on this edge just completed:
             # every copy can now close, so don't make them wait out a
@@ -326,11 +275,7 @@ class _SharedEdge:
         # wins the re-pick.
         frame, wire_n, shm_n = self.backend.pack((self.edge.stream, buffer))
         while True:
-            if dest_copy is not None:
-                idx = dest_copy
-                self.assign_explicit(idx, abort)
-            else:
-                idx = self.choose(abort)
+            idx = self.claim(dest_copy, abort)
             if tracer is not None:
                 tracer.emit(
                     "sched.pick",
@@ -341,15 +286,16 @@ class _SharedEdge:
                 )
             while True:
                 if abort.value:
-                    # Undo the claim from choose()/assign_explicit():
-                    # a leaked positive depth counter would make an
-                    # idle consumer block on a frame that never lands.
-                    self.unassign(idx)
-                    raise _Aborted()
-                if dest_copy is None and self.dead[idx]:
-                    # Died while we were blocked: undo and re-pick.
-                    self.unassign(idx)
+                    # Undo the claim: a leaked positive depth counter
+                    # would make an idle consumer block on a frame that
+                    # never lands.
                     with self.lock:
+                        self.router.unclaim(idx)
+                    raise _Aborted()
+                if dest_copy is None and self.router.dead[idx]:
+                    # Died while we were blocked: undo and re-pick.
+                    with self.lock:
+                        self.router.unclaim(idx)
                         self.rerouted.value += 1
                     break
                 try:
@@ -454,7 +400,9 @@ class _PeerPort(CopyPort):
                 # frame for this copy is still in flight into that queue
                 # (the counter is bumped before the put) — block on the
                 # queue, which wakes the instant the frame lands.
-                pending = [s for s in self.open if self.in_edges[s].queued[i] > 0]
+                pending = [
+                    s for s in self.open if self.in_edges[s].router.queued[i] > 0
+                ]
                 if pending:
                     # Bounded, not `poll`: the frame normally lands
                     # within microseconds, and if the counter lies
@@ -477,7 +425,7 @@ class _PeerPort(CopyPort):
                     # event and the wait returns immediately.  The
                     # watchdog timeout only bounds the impossible case.
                     self.wake.clear()
-                    ready = any(self.in_edges[s].queued[i] for s in self.open)
+                    ready = any(self.in_edges[s].router.queued[i] for s in self.open)
                     if not self._close_drained() and not ready:
                         if self.abort.value:
                             raise _Aborted()
@@ -488,7 +436,7 @@ class _PeerPort(CopyPort):
         return None
 
     def depth(self, stream):
-        return int(self.in_edges[stream].queued[self.index])
+        return int(self.in_edges[stream].router.queued[self.index])
 
     def ack(self, stream, token):
         self.in_edges[stream].on_consume(self.index)
@@ -542,15 +490,6 @@ def _copy_main(graph, name, index, in_edges, out_edges, results_q, abort,
             e.producer_done()
 
 
-class _Cell:
-    """Integer cell with the ``.value`` of ``multiprocessing.Value``."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-
 class _CopyThread(threading.Thread):
     """A filter copy as a thread, with the handle ``spawn`` must return."""
 
@@ -576,10 +515,7 @@ class _ThreadBackend:
     Event = staticmethod(threading.Event)
     Queue = staticmethod(queue.Queue)
     cell = staticmethod(_Cell)
-
-    @staticmethod
-    def array(n: int) -> List[int]:
-        return [0] * n
+    array = staticmethod(_zeros)
 
     @staticmethod
     def spawn(target, args, name: str) -> _CopyThread:
@@ -880,7 +816,7 @@ class _PeerRuntime:
             raise PipelineError(failures)
 
         by_label = {f"{src}:{stream}": e for (src, stream), e in edges.items()}
-        buffers_sent = {label: e.sent.value for label, e in by_label.items()}
+        buffers_sent = {label: e.router.sent() for label, e in by_label.items()}
         wire_bytes, shm_bytes = backend.traffic(by_label)
         reroutes = sum(e.rerouted.value for e in edges.values())
         events = all_events if self.trace else None

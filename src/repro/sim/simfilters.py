@@ -4,9 +4,13 @@ Each filter copy is a DES generator process following the same loop as
 the real runtime — receive, compute (holding the node's CPU), send
 (holding network resources) — with service times from the
 :class:`~repro.sim.costmodel.CostModel` instead of real kernels.  The
-buffer scheduling policies are the *same objects* the threaded runtime
-uses (:mod:`repro.datacutter.scheduling`), so round-robin and
-demand-driven behave identically in both worlds.
+router's per-copy counters, live set, round-robin pick and fatal
+verdicts are the routing core the real runtimes use
+(:class:`~repro.datacutter.routing.EdgeRouter`).  Its flow control is
+its own, in simulated time: demand-driven is a consumer-pull credit
+FIFO (a copy re-requests after each buffer it consumes), not the real
+runtimes' fewest-unconsumed rule, and ``prefer_local`` and the sender
+window have no real counterpart.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
-from ..datacutter.scheduling import CopyState, make_policy
+from ..datacutter.routing import EdgeRouter
 from .costmodel import CostModel
 from .events import Environment, Store
 from .network import NetworkModel
@@ -33,11 +37,6 @@ class SimBuffer:
     kind: str
     nbytes: int = 0
     meta: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def size_bytes(self) -> int:
-        """Alias so scheduling policies see the DataBuffer interface."""
-        return self.nbytes
 
 
 @dataclass
@@ -81,14 +80,15 @@ class SimRouter:
         self.network = network
         self.stream = stream
         self.policy_name = policy_name
-        self.policy = make_policy(policy_name)
         self.consumers = consumers
-        self.states = [CopyState(i) for i in range(len(consumers))]
+        self.router = EdgeRouter(
+            policy_name, len(consumers), num_producer_copies, stream,
+            consumers[0].filter_name,
+        )
         self.num_producer_copies = num_producer_copies
         self.queue_cap = queue_cap
         self.sender_window = sender_window
         self.prefer_local = prefer_local
-        self.buffers_sent = 0
         self.bytes_sent = 0
         self.rerouted = 0  # buffers re-delivered after a node failure
         self._inflight: Dict[str, int] = {}
@@ -100,6 +100,10 @@ class SimRouter:
         self._demand_fifo: List[int] = [
             i for _ in range(queue_cap) for i in range(len(consumers))
         ]
+
+    @property
+    def buffers_sent(self) -> int:
+        return self.router.sent()
 
     def _wait_for_demand(self) -> Generator:
         event = self.env.event()
@@ -135,44 +139,26 @@ class SimRouter:
         Delivery itself is asynchronous: the filter keeps computing while
         transfers contend on network resources in FIFO order.
         """
-        if self.policy.requires_explicit_dest():
+        if self.router.rule is None:
             if dest_copy is None:
                 raise RuntimeError(f"stream {self.stream!r} requires dest_copy")
-            idx = dest_copy
-            if self.consumers[idx].node.failed:
-                # Explicit placement is semantic (all pieces of one chunk
-                # meet at one copy): a failed destination is unrecoverable.
-                raise RuntimeError(
-                    f"stream {self.stream!r}: explicit destination copy "
-                    f"{idx} is on failed node "
-                    f"{self.consumers[idx].node.name!r}"
-                )
+            # A failed destination is fatal (the core's verdict).
+            idx = self.router.pick(dest_copy)
         elif dest_copy is not None:
             raise RuntimeError(f"stream {self.stream!r} is not explicit")
         else:
             idx = self._local_consumer(src) if self.prefer_local else None
-            if idx is not None and self.policy_name == "demand_driven":
-                while idx not in self._demand_fifo:
-                    yield from self._wait_for_demand()
-                self._demand_fifo.remove(idx)
-            elif idx is not None:
-                while self.states[idx].queued >= self.queue_cap:
-                    yield from self._wait_for_demand()
-            elif self.policy_name == "demand_driven":
-                idx = yield from self._pop_demand()
+            if self.policy_name == "demand_driven":
+                if idx is None:
+                    idx = yield from self._pop_demand()
+                else:
+                    while idx not in self._demand_fifo:
+                        yield from self._wait_for_demand()
+                    self._demand_fifo.remove(idx)
             else:
-                alive = [
-                    s
-                    for s in self.states
-                    if not self.consumers[s.copy_index].node.failed
-                ]
-                if not alive:
-                    raise RuntimeError(
-                        f"stream {self.stream!r}: every consumer copy is "
-                        "on a failed node"
-                    )
-                idx = self.policy.choose(alive, buffer)  # type: ignore[arg-type]
-                while self.states[idx].queued >= self.queue_cap:
+                if idx is None:
+                    idx = self.router.pick()
+                while self.router.queued[idx] >= self.queue_cap:
                     yield from self._wait_for_demand()
         consumer = self.consumers[idx]
         # Sender window: wait until this node's in-flight bytes drop.
@@ -180,8 +166,7 @@ class SimRouter:
             while self._inflight.get(src.name, 0) >= self.sender_window:
                 yield from self._wait_for_demand()
             self._inflight[src.name] = self._inflight.get(src.name, 0) + buffer.nbytes
-        self.states[idx].on_assign(buffer)  # type: ignore[arg-type]
-        self.buffers_sent += 1
+        self.router.claim(idx)
         self.bytes_sent += buffer.nbytes
         self.env.process(self._deliver(src, consumer, buffer))
 
@@ -189,20 +174,16 @@ class SimRouter:
         """Next demand credit from a surviving copy (failed credits die)."""
         while True:
             while not self._demand_fifo:
-                if all(c.node.failed for c in self.consumers):
-                    raise RuntimeError(
-                        f"stream {self.stream!r}: every consumer copy is "
-                        "on a failed node"
-                    )
+                self.router.survivors()  # none left is fatal
                 yield from self._wait_for_demand()
             idx = self._demand_fifo.pop(0)
-            if not self.consumers[idx].node.failed:
+            if not self.router.dead[idx]:
                 return idx
 
     def _local_consumer(self, src: SimNode) -> Optional[int]:
         """Index of a consumer copy co-located with the producer, if any."""
         for i, c in enumerate(self.consumers):
-            if c.node.name == src.name and not c.node.failed:
+            if c.node.name == src.name and not self.router.dead[i]:
                 return i
         return None
 
@@ -213,7 +194,7 @@ class SimRouter:
         if buffer.kind != _EOS and consumer.node.name != src.name:
             self._inflight[src.name] -= buffer.nbytes
             self._notify_demand()
-        if buffer.kind != _EOS and consumer.node.failed:
+        if buffer.kind != _EOS and self.router.dead[consumer.copy_index]:
             # Arrived after the node failed: re-deliver to a survivor.
             # (EOS markers still land so the EOS protocol is untouched.)
             self._unsend(consumer.copy_index, buffer)
@@ -224,8 +205,7 @@ class SimRouter:
 
     def _unsend(self, idx: int, buffer: SimBuffer) -> None:
         """Undo the send-side accounting of an undelivered buffer."""
-        self.states[idx].on_unassign(buffer)  # type: ignore[arg-type]
-        self.buffers_sent -= 1
+        self.router.unclaim(idx)
         self.bytes_sent -= buffer.nbytes
 
     def on_node_failed(self, node: SimNode) -> None:
@@ -241,6 +221,7 @@ class SimRouter:
         for copy in self.consumers:
             if copy.node.name != node.name:
                 continue
+            self.router.mark_dead(copy.copy_index)
             stranded = [b for b in copy.store.items if b.kind != _EOS]
             if not stranded:
                 continue
@@ -254,7 +235,7 @@ class SimRouter:
         """Generator: pop the next buffer for a consumer copy."""
         buffer = yield copy.store.get()
         if buffer.kind != _EOS:
-            self.states[copy.copy_index].on_consume()
+            self.router.consume(copy.copy_index)
             if self.policy_name == "demand_driven":
                 self._demand_fifo.append(copy.copy_index)
             self._notify_demand()

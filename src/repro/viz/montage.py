@@ -66,8 +66,10 @@ def montage(
     """Lay a 4D (x, y, z, t) volume out as a normalized 2D grid.
 
     Rows are z slices, columns are time steps; all tiles share one
-    ``[vmin, vmax]`` window (defaults to the volume's range).  Returns a
-    float image in ``[0, 1]`` with ``border``-pixel separators at 0.5.
+    ``[vmin, vmax]`` window (defaults to the volume's range), normalized
+    by :func:`normalize_volume`, so an inverted window raises
+    ``ValueError``.  Returns a float image in ``[0, 1]`` with
+    ``border``-pixel separators at 0.5.
     """
     volume = np.asarray(volume, dtype=np.float64)
     if volume.ndim != 4:
@@ -75,12 +77,11 @@ def montage(
     if border < 0:
         raise ValueError("border must be >= 0")
     nx, ny, nz, nt = volume.shape
-    lo = float(volume.min()) if vmin is None else float(vmin)
-    hi = float(volume.max()) if vmax is None else float(vmax)
-    if hi <= lo:
-        norm = np.zeros_like(volume)
-    else:
-        norm = np.clip((volume - lo) / (hi - lo), 0.0, 1.0)
+    norm = normalize_volume(
+        volume,
+        float(volume.min()) if vmin is None else float(vmin),
+        float(volume.max()) if vmax is None else float(vmax),
+    )
     h = nz * nx + (nz - 1) * border
     w = nt * ny + (nt - 1) * border
     canvas = np.full((h, w), 0.5)

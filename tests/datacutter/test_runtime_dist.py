@@ -9,10 +9,14 @@ machine without sockets, to pin down races that are hard to provoke
 through real ones.
 """
 
+import socket
 import sys
+import threading
+import time
 
 import pytest
 
+from repro.datacutter.buffers import DataBuffer
 from repro.datacutter.faults import FaultPlan, PipelineError
 from repro.datacutter.filter import Filter
 from repro.datacutter.graph import FilterGraph
@@ -264,3 +268,41 @@ class TestHeadStateMachine:
         before = dict(rt._results)
         rt._on_frame(conn, ("deposit", "collected", [1, 2, 3]))
         assert rt._results == before
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            # An explicit send to a copy the edge does not have.
+            ("send", "S", 0, "s", 99, DataBuffer(payload=1, size_bytes=8)),
+            ("send", "S"),  # too short to unpack
+        ],
+        ids=["dest-out-of-range", "truncated"],
+    )
+    def test_bad_frame_fails_the_run_at_once(self, frame):
+        g = FilterGraph()
+        g.add_filter("S", Producer)
+        g.add_filter("D", Collector, copies=2)
+        g.connect("S", "s", "D", policy="explicit")
+        rt = DistRuntime(g, hosts=["127.0.0.1"] * 2)
+        rt._reset()
+        conn = rt._conns[0]
+        conn.sock, agent_end = socket.socketpair()
+        reader = threading.Thread(target=rt._reader, args=(conn,))
+        reader.start()
+        try:
+            start = time.monotonic()
+            codec.send_message(agent_end, frame)
+            # Fatal on the frame itself, not at the heartbeat timeout a
+            # silently ended reader would leave the run to.
+            assert rt._done_event.wait(timeout=rt.heartbeat_timeout / 5)
+            assert time.monotonic() - start < rt.heartbeat_timeout / 5
+        finally:
+            rt._stopping = True
+            agent_end.close()
+            reader.join(timeout=5)
+            conn.sock.close()
+        assert not reader.is_alive()
+        assert rt._fatal
+        (failure,) = rt._failures
+        assert failure.filter_name == "<runtime>"
+        assert "'send' frame" in failure.error

@@ -1,54 +1,46 @@
-"""Unit tests for buffer scheduling policies."""
+"""Unit tests for the scheduling rules, applied through the routing core."""
 
 import pytest
 
-from repro.datacutter.buffers import DataBuffer
-from repro.datacutter.scheduling import (
-    CopyState,
-    DemandDrivenPolicy,
-    ExplicitPolicy,
-    RoundRobinPolicy,
-    make_policy,
-)
+from repro.datacutter.graph import StreamEdge
+from repro.datacutter.routing import EdgeRouter, RoutingError
+from repro.datacutter.scheduling import RULES, demand_driven, rule_for
 
 
-def states(n):
-    return [CopyState(i) for i in range(n)]
-
-
-def buf(size=100):
-    return DataBuffer(payload=None, size_bytes=size)
+def router(policy, n):
+    return EdgeRouter(policy, n, 1, "P:s", "C")
 
 
 class TestRoundRobin:
     def test_cycles(self):
-        policy = RoundRobinPolicy()
-        cs = states(3)
-        picks = [policy.choose(cs, buf()) for _ in range(7)]
+        r = router("round_robin", 3)
+        picks = [r.pick() for _ in range(7)]
         assert picks == [0, 1, 2, 0, 1, 2, 0]
 
     def test_equal_assignment(self):
         """Paper 4.1: each copy receives roughly the same amount of data."""
-        policy = RoundRobinPolicy()
-        cs = states(4)
+        r = router("round_robin", 4)
         for _ in range(100):
-            idx = policy.choose(cs, buf())
-            cs[idx].on_assign(buf())
-        assert all(c.assigned == 25 for c in cs)
+            r.route()
+        assert list(r.assigned) == [25] * 4
+        assert r.sent() == 100
 
     def test_empty_copies(self):
-        with pytest.raises(ValueError):
-            RoundRobinPolicy().choose([], buf())
+        r = router("round_robin", 2)
+        r.mark_dead(0)
+        r.mark_dead(1)
+        with pytest.raises(RoutingError, match="no surviving consumer copies"):
+            r.pick()
 
 
 class TestDemandDriven:
     def test_prefers_short_queue(self):
-        policy = DemandDrivenPolicy()
-        cs = states(3)
-        cs[0].queued = 5
-        cs[1].queued = 1
-        cs[2].queued = 3
-        assert policy.choose(cs, buf()) == 1
+        assert demand_driven([0, 1, 2], [5, 1, 3], [0, 0, 0], 0) == 1
+        r = router("demand_driven", 3)
+        for idx, depth in enumerate([5, 1, 3]):
+            for _ in range(depth):
+                r.claim(idx)
+        assert r.pick() == 1
 
     def test_fast_consumer_attracts_more(self):
         """A much faster copy attracts most buffers once the slow one backs up.
@@ -57,59 +49,64 @@ class TestDemandDriven:
         1 every 4 steps, so copy 1's queue stays non-empty and the
         demand-driven scheduler steers ~3/4 of traffic to copy 0.
         """
-        policy = DemandDrivenPolicy()
-        cs = states(2)
+        r = router("demand_driven", 2)
         for step in range(400):
-            idx = policy.choose(cs, buf())
-            cs[idx].on_assign(buf())
+            r.route()
             for _ in range(2):
-                if cs[0].queued:
-                    cs[0].on_consume()
-            if step % 4 == 0 and cs[1].queued:
-                cs[1].on_consume()
-        assert cs[0].assigned > 2 * cs[1].assigned
+                if r.queued[0]:
+                    r.consume(0)
+            if step % 4 == 0 and r.queued[1]:
+                r.consume(1)
+        assert r.assigned[0] > 2 * r.assigned[1]
 
     def test_deterministic_tie_break(self):
-        policy = DemandDrivenPolicy()
-        cs = states(3)
-        assert policy.choose(cs, buf()) == 0
-        cs[0].on_assign(buf())
-        assert policy.choose(cs, buf()) == 1  # fewest assigned among ties
+        r = router("demand_driven", 3)
+        assert r.route() == 0
+        r.consume(0)
+        assert r.pick() == 1  # fewest assigned among ties
 
 
 class TestExplicit:
     def test_requires_dest(self):
-        policy = ExplicitPolicy()
-        assert policy.requires_explicit_dest()
-        with pytest.raises(RuntimeError):
-            policy.choose(states(2), buf())
+        r = router("explicit", 2)
+        assert r.rule is None
+        assert r.route(1) == 1 and list(r.queued) == [0, 1]
+        r.mark_dead(0)
+        with pytest.raises(RoutingError, match=r"targets dead copy C\[0\]"):
+            r.pick(0)
 
 
-class TestCopyState:
+class TestEdgeRouter:
     def test_consume_accounting(self):
-        c = CopyState(0)
-        c.on_assign(buf(10))
-        c.on_assign(buf(20))
-        assert c.queued == 2 and c.assigned == 2 and c.assigned_bytes == 30
-        c.on_consume()
-        assert c.queued == 1
-        c.on_consume()
+        r = router("round_robin", 1)
+        r.route()
+        r.route()
+        assert r.queued[0] == 2 and r.assigned[0] == 2
+        r.consume(0)
+        assert r.queued[0] == 1
+        r.consume(0)
         with pytest.raises(RuntimeError):
-            c.on_consume()
+            r.consume(0)
+        with pytest.raises(RuntimeError):
+            r.unclaim(0)
+        assert r.sent() == 2
 
 
 class TestMakePolicy:
     @pytest.mark.parametrize("name", ["round_robin", "demand_driven", "explicit"])
     def test_known(self, name):
-        assert make_policy(name).name == name
+        assert router(name, 2).rule is RULES[name] is rule_for(name)
 
     def test_unknown(self):
         with pytest.raises(ValueError):
-            make_policy("random")
+            rule_for("random")
+        with pytest.raises(ValueError):
+            router("random", 2)
+        with pytest.raises(ValueError):
+            StreamEdge("s", "P", "C", "random")
 
     def test_fresh_state(self):
-        a = make_policy("round_robin")
-        b = make_policy("round_robin")
-        cs = states(2)
-        a.choose(cs, buf())
-        assert b.choose(cs, buf()) == 0  # b has independent cycle state
+        a = router("round_robin", 2)
+        b = router("round_robin", 2)
+        a.pick()
+        assert b.pick() == 0  # b has independent cycle state

@@ -75,6 +75,8 @@ class TestMontage:
             montage(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             montage(volume, border=-1)
+        with pytest.raises(ValueError):
+            montage(volume, vmin=5, vmax=1)  # inverted window
 
 
 class TestColormap:

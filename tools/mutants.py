@@ -88,6 +88,11 @@ MODULES: Dict[str, List[str]] = {
         "tests/core/test_backends.py",
         "tests/properties/test_kernel_backends.py",
     ],
+    "src/repro/datacutter/routing.py": [
+        "tests/properties/test_edge_protocol.py",
+        "tests/properties/test_head_protocol.py",
+        "tests/datacutter/test_scheduling.py",
+    ],
 }
 
 _FLIP = {
