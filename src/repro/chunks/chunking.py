@@ -12,17 +12,21 @@ is responsible for; ownership tiles the output exactly once.
 
 Two chunk types exist (Section 4.4):
 
-* **RFR-to-IIC** chunks partition the in-plane (x, y) extent of slice
-  files for retrieval from disk (default: one whole slice, avoiding
-  intra-slice seeks — Section 5.1);
+* **RFR-to-IIC** chunks are whole slices: RFR reads each slice file in
+  one piece, avoiding intra-slice seeks (Section 5.1);
 * **IIC-to-TEXTURE** chunks partition the full 4D domain for distribution
   to the texture-analysis filters (default 50 x 50 x 32 x 32).
+
+A chunk's raster-scan grid (``shape - roi + 1``) is exactly the box of
+ROI origins it owns (``lo == own_lo``): the stitch filters place scan
+output by position without cropping.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from ..core.roi import ROISpec
 
@@ -31,8 +35,6 @@ __all__ = [
     "ChunkSpec",
     "partition",
     "partition_grid_shape",
-    "owned_flat_mask",
-    "flat_to_global",
 ]
 
 
@@ -61,7 +63,9 @@ class ChunkSpec:
     own_lo, own_hi:
         The ROI-origin (output) positions this chunk owns:
         ``[own_lo_d, own_hi_d)`` in global output coordinates.  Ownership
-        regions of all chunks tile the output exactly.
+        regions of all chunks tile the output exactly.  For chunks made
+        by :func:`partition`, ``own_lo == lo`` and ``own_shape`` is the
+        chunk's whole raster-scan grid ``shape - roi + 1``.
     """
 
     index: Tuple[int, ...]
@@ -101,19 +105,6 @@ class ChunkSpec:
     def own_slices(self) -> Tuple[slice, ...]:
         """Slicing tuple selecting the owned region of the global output."""
         return tuple(slice(l, h) for l, h in zip(self.own_lo, self.own_hi))
-
-    def local_own_slices(self, roi: ROISpec) -> Tuple[slice, ...]:
-        """Owned region within this chunk's *local* raster-scan output.
-
-        Scanning the chunk's input region with the ROI yields a local
-        output of shape ``chunk_shape - roi + 1`` whose position ``q``
-        corresponds to global ROI origin ``lo + q``; the owned positions
-        are a prefix starting at ``own_lo - lo``.
-        """
-        return tuple(
-            slice(ol - l, oh - l)
-            for l, ol, oh in zip(self.lo, self.own_lo, self.own_hi)
-        )
 
 
 def partition_grid_shape(
@@ -155,59 +146,21 @@ def partition(
     chunks are clipped to the dataset extent, so their input regions may
     be smaller than ``chunk_shape``.
     """
-    _validate(dataset_shape, roi, chunk_shape)
     grid = partition_grid_shape(dataset_shape, roi, chunk_shape)
     strides = tuple(c - r + 1 for c, r in zip(chunk_shape, roi.shape))
     out_extent = tuple(s - r + 1 for s, r in zip(dataset_shape, roi.shape))
 
     chunks: List[ChunkSpec] = []
-    import itertools
-
     for index in itertools.product(*(range(g) for g in grid)):
         lo = tuple(i * st for i, st in zip(index, strides))
         own_lo = lo
         own_hi = tuple(
             min(l + st, oe) for l, st, oe in zip(lo, strides, out_extent)
         )
-        # Input region: enough to scan the owned ROIs, clipped to dataset.
-        hi = tuple(
-            min(oh - 1 + r, s)
-            for oh, r, s in zip(own_hi, roi.shape, dataset_shape)
-        )
+        # Input region: exactly enough to scan the owned ROIs; it never
+        # passes the dataset, since own_hi <= dataset - roi + 1.
+        hi = tuple(oh - 1 + r for oh, r in zip(own_hi, roi.shape))
         chunks.append(
             ChunkSpec(index=index, lo=lo, hi=hi, own_lo=own_lo, own_hi=own_hi)
         )
     return chunks
-
-
-def owned_flat_mask(chunk: ChunkSpec, roi: ROISpec):
-    """Boolean mask over the chunk's flattened local scan output.
-
-    ``True`` marks positions the chunk owns; ``False`` marks overlap
-    positions owned by a neighbouring chunk (which would otherwise be
-    written twice by the output filters).
-    """
-    import numpy as np
-
-    local_grid = tuple(s - r + 1 for s, r in zip(chunk.shape, roi.shape))
-    mask = np.zeros(local_grid, dtype=bool)
-    sel = tuple(
-        slice(ol - l, oh - l) for l, ol, oh in zip(chunk.lo, chunk.own_lo, chunk.own_hi)
-    )
-    mask[sel] = True
-    return mask.reshape(-1)
-
-
-def flat_to_global(chunk: ChunkSpec, roi: ROISpec, flat_indices):
-    """Map flat local-scan indices to global ROI-origin coordinates.
-
-    Returns an ``(n, ndim)`` integer array; row ``k`` is the global output
-    coordinate of local flat position ``flat_indices[k]``.
-    """
-    import numpy as np
-
-    local_grid = tuple(s - r + 1 for s, r in zip(chunk.shape, roi.shape))
-    coords = np.unravel_index(np.asarray(flat_indices, dtype=np.int64), local_grid)
-    return np.stack(
-        [c + l for c, l in zip(coords, chunk.lo)], axis=-1
-    )

@@ -8,13 +8,15 @@ Two stitch points exist in the pipeline (paper Section 4.3):
   before texture filters can raster-scan it
   (:class:`ChunkAssembler`).
 * **Output stitch (HIC)** — Haralick parameter values arrive as per-chunk
-  portions with positional information and are placed into the full 4D
-  output volume of each parameter (:class:`OutputStitcher`).
+  portions with positional information and are written straight into the
+  full 4D output volume of each parameter (:class:`OutputStitcher`): a
+  chunk's scan grid is the box of ROI origins it owns, so a portion's
+  flat positions land in that box without a staging buffer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -51,12 +53,16 @@ class ChunkAssembler:
     def missing(self) -> Set[Tuple[int, int]]:
         return self._needed - self._have
 
+    def has(self, t: int, z: int) -> bool:
+        """Whether plane ``(t, z)`` has been added already."""
+        return (t, z) in self._have
+
     def add_plane(self, t: int, z: int, plane: np.ndarray) -> None:
         """Merge one complete ``(t, z)`` plane of the chunk's (x, y) extent.
 
-        The IIC filter crops each arriving :class:`SlicePortion` to the
-        chunk's in-plane region before calling this.  The assembled chunk
-        takes the planes' dtype.
+        The IIC filter crops each arriving whole-slice
+        :class:`SlicePortion` to the chunk's in-plane region before
+        calling this.  The assembled chunk takes the planes' dtype.
         """
         if (t, z) not in self._needed:
             raise ValueError(f"plane (t={t}, z={z}) not part of chunk {self.chunk.index}")
@@ -81,10 +87,12 @@ class ChunkAssembler:
 
 
 class OutputStitcher:
-    """Places per-chunk feature portions into full output volumes.
+    """Writes per-chunk feature values into full output volumes.
 
     One output volume per Haralick parameter, each of shape
-    ``dataset_shape - roi + 1`` (the HIC filter of Section 4.3.3).
+    ``dataset_shape - roi + 1`` (the HIC filter of Section 4.3.3).  The
+    bitmap of placed positions is the only bookkeeping: it rejects
+    overlapping writes, skips re-delivered ones and tells completeness.
     """
 
     def __init__(
@@ -111,31 +119,53 @@ class OutputStitcher:
     def coverage(self) -> float:
         return float(self._placed.mean())
 
-    def place(self, chunk: ChunkSpec, values: Dict[str, np.ndarray]) -> int:
-        """Place the owned portion of one chunk's local scan output.
+    def place(
+        self, chunk: ChunkSpec, values: Mapping[str, np.ndarray], start: int = 0
+    ) -> int:
+        """Write scan positions ``[start, start + count)`` of one chunk.
 
-        ``values[name]`` must be the full local raster-scan output of the
-        chunk (shape ``chunk.shape - roi + 1``); only the owned region is
-        copied into the global volume.  Returns the number of values
-        written: owned positions times features.
+        The chunk's raster-scan grid is the box it owns, so flat scan
+        position ``q`` is flat position ``q`` of ``chunk.own_slices()``.
+        ``values[name]`` is either a flat run of ``count`` values (one
+        feature portion) or the whole scan grid, shape
+        ``chunk.own_shape``.  A run whose positions are all placed already
+        is a re-delivery and writes nothing; one that is partly placed
+        raises ValueError.  Everything is checked before anything is
+        written.  Returns the number of values written: positions times
+        features.
         """
         if set(values) != set(self.features):
             raise ValueError(f"features {sorted(values)} != expected {sorted(self.features)}")
-        local_shape = tuple(s - r + 1 for s, r in zip(chunk.shape, self.roi.shape))
-        sel_local = chunk.local_own_slices(self.roi)
-        sel_global = chunk.own_slices()
-        owned = self._placed[sel_global]
-        if owned.any():
-            raise ValueError(f"chunk {chunk.index} region already placed")
+        grid = chunk.own_shape
+        if tuple(s - r + 1 for s, r in zip(chunk.shape, self.roi.shape)) != grid:
+            raise ValueError(f"chunk {chunk.index}: scan grid is not the box it owns")
+        flat = {}
         for name in self.features:
             arr = np.asarray(values[name])
-            if arr.shape != local_shape:
+            if arr.ndim != 1 and arr.shape != grid:
                 raise ValueError(
-                    f"{name}: local output shape {arr.shape} != expected {local_shape}"
+                    f"{name}: local output shape {arr.shape} != expected {grid}"
                 )
-            self.volumes[name][sel_global] = arr[sel_local]
-        self._placed[sel_global] = True
-        return owned.size * len(self.features)
+            flat[name] = arr.ravel()
+        stops = {start + len(arr) for arr in flat.values()}
+        if start < 0 or len(stops) != 1 or max(stops) > chunk.num_rois:
+            raise ValueError(
+                f"chunk {chunk.index}: positions from {start} do not fit its "
+                f"{chunk.num_rois}, or their count differs between features"
+            )
+        stop = stops.pop()
+        box = chunk.own_slices()
+        placed = self._placed[box].flat[start:stop]
+        if placed.all():
+            return 0  # re-delivered (at-least-once): already written
+        if placed.any():
+            raise ValueError(
+                f"chunk {chunk.index}: positions [{start}, {stop}) partly placed already"
+            )
+        for name in self.features:
+            self.volumes[name][box].flat[start:stop] = flat[name]
+        self._placed[box].flat[start:stop] = True
+        return (stop - start) * len(self.features)
 
     def result(self) -> Dict[str, np.ndarray]:
         if not self.is_complete:
@@ -143,4 +173,3 @@ class OutputStitcher:
                 f"output incomplete: {self.coverage:.1%} of positions placed"
             )
         return self.volumes
-

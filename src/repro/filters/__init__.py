@@ -24,7 +24,7 @@ from .messages import (
     TextureParams,
     iic_copy_for_chunk,
 )
-from .rfr import RawFileReader, inplane_blocks
+from .rfr import RawFileReader
 
 __all__ = [
     "RawFileReader",
@@ -39,5 +39,4 @@ __all__ = [
     "MatrixPacket",
     "FeaturePortion",
     "iic_copy_for_chunk",
-    "inplane_blocks",
 ]

@@ -108,7 +108,11 @@ class TextureParams:
 
 @dataclass
 class SlicePortion:
-    """A 2D sub-rectangle of one slice file (RFR -> IIC traffic)."""
+    """One slice file's pixels (RFR -> IIC traffic).
+
+    RFR reads every slice whole; ``x0..y1`` say which rectangle ``data``
+    holds, and IIC crops each chunk's in-plane extent out of it.
+    """
 
     t: int
     z: int

@@ -58,10 +58,7 @@ def build_graph(dataset: DiskDataset4D, config: AnalysisConfig) -> FilterGraph:
     graph.add_filter(
         "RFR",
         lambda: RawFileReader(
-            dataset_root=root,
-            chunks=chunks,
-            num_iic_copies=n_iic,
-            inplane_block=config.rfr_inplane_block,
+            dataset_root=root, chunks=chunks, num_iic_copies=n_iic
         ),
         copies=dataset.num_nodes,
     )

@@ -2,13 +2,14 @@
 
 Defaults reproduce the paper's experimental setup (Section 5.1):
 5x5x5x3 ROI, 32 grey levels, the four expensive parameters,
-50x50x32x32 IIC-to-TEXTURE chunks, whole-slice RFR-to-IIC chunks,
-demand-driven buffer scheduling.
+50x50x32x32 IIC-to-TEXTURE chunks, demand-driven buffer scheduling.
+RFR-to-IIC chunks are always whole slices (Section 5.1), so they take no
+setting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..datacutter.faults import RetryPolicy
@@ -64,7 +65,6 @@ class AnalysisConfig:
     texture: TextureParams = field(default_factory=TextureParams)
     variant: str = "hmp"
     texture_chunk_shape: Tuple[int, ...] = (50, 50, 32, 32)
-    rfr_inplane_block: Optional[Tuple[int, int]] = None
     num_texture_copies: int = 1
     num_hcc_copies: int = 1
     num_hpc_copies: int = 1
@@ -87,17 +87,3 @@ class AnalysisConfig:
                 raise ValueError("all copy counts must be >= 1")
         if len(self.texture_chunk_shape) != len(self.texture.roi_shape):
             raise ValueError("chunk shape dimensionality != ROI dimensionality")
-
-    def with_copies(self, **kwargs) -> "AnalysisConfig":
-        """Convenience: derive a config with different copy counts."""
-        return replace(self, **kwargs)
-
-    def paper_hcc_hpc_split(self, total_nodes: int) -> Tuple[int, int]:
-        """The paper's 4:1 HCC:HPC node split (Section 5.2).
-
-        E.g. 16 nodes -> 13 HCC + 3 HPC.
-        """
-        if total_nodes < 2:
-            return 1, 1
-        hpc = max(1, round(total_nodes / 5))
-        return total_nodes - hpc, hpc

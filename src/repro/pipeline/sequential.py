@@ -53,10 +53,10 @@ def iter_chunk_features(
 ) -> Iterator[Tuple[ChunkSpec, Dict[str, np.ndarray]]]:
     """Yield ``(chunk, local feature volumes)`` one chunk at a time.
 
-    The local volumes cover the chunk's full scan grid (including
-    overlap positions); use :meth:`ChunkSpec.local_own_slices` to select
-    the owned region.  Memory high-water mark is one chunk's input plus
-    its outputs.
+    The local volumes cover the chunk's scan grid, which is exactly the
+    box of ROI origins it owns: they belong at ``chunk.own_slices()`` of
+    the output.  Memory high-water mark is one chunk's input plus its
+    outputs.
     """
     params = config.texture
 

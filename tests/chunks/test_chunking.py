@@ -71,18 +71,6 @@ class TestPartition4D:
         total = sum(c.num_rois for c in chunks)
         assert total == int(np.prod(valid_positions_shape(shape, roi)))
 
-    def test_local_own_slices_consistency(self):
-        shape, roi = (30, 30, 8, 5), ROISpec((3, 3, 3, 2))
-        data = np.random.default_rng(0).integers(0, 100, size=shape)
-        for c in partition(shape, roi, (12, 12, 8, 5)):
-            local = data[c.slices()]
-            assert local.shape == c.shape
-            # Local scan output indexing must line up with global origins.
-            sel = c.local_own_slices(roi)
-            for d in range(4):
-                assert sel[d].start == c.own_lo[d] - c.lo[d]
-                assert sel[d].stop == c.own_hi[d] - c.lo[d]
-
 
 class TestValidation:
     def test_chunk_smaller_than_roi_rejected(self):

@@ -136,13 +136,72 @@ class TestOutputStitcher:
             stitcher.result()
 
     def test_double_place_rejected(self):
+        """A run overlapping placed positions in part is rejected whole."""
         shape, roi = (10, 10), ROISpec((3, 3))
         chunk = partition(shape, roi, (10, 10))[0]
         stitcher = OutputStitcher(shape, roi, ["asm"])
-        vals = {"asm": np.zeros((8, 8))}
-        stitcher.place(chunk, vals)
-        with pytest.raises(ValueError):
-            stitcher.place(chunk, vals)
+        stitcher.place(chunk, {"asm": np.ones(40)})
+        with pytest.raises(ValueError, match="partly placed"):
+            stitcher.place(chunk, {"asm": np.full(40, 2.0)}, start=20)
+        assert stitcher.coverage == 40 / 64
+        assert stitcher.volumes["asm"].sum() == 40.0
+
+    def test_redelivered_run_writes_nothing(self):
+        shape, roi = (10, 10), ROISpec((3, 3))
+        chunk = partition(shape, roi, (10, 10))[0]
+        stitcher = OutputStitcher(shape, roi, ["asm"])
+        assert stitcher.place(chunk, {"asm": np.ones(16)}, start=8) == 16
+        assert stitcher.place(chunk, {"asm": np.zeros(16)}, start=8) == 0
+        assert stitcher.place(chunk, {"asm": np.zeros(0)}, start=3) == 0
+        assert stitcher.volumes["asm"].sum() == 16.0
+        assert stitcher.coverage == 16 / 64
+
+    def test_runs_land_in_the_owned_box(self):
+        """Flat runs of several chunks, out of order, equal the whole
+        grids placed at once."""
+        rng = np.random.default_rng(4)
+        shape, roi = (11, 9, 6), ROISpec((3, 2, 2))
+        chunks = partition(shape, roi, (5, 6, 4))
+        grids = {c.index: rng.random(c.own_shape) for c in chunks}
+        whole = OutputStitcher(shape, roi, ["asm"])
+        runs = OutputStitcher(shape, roi, ["asm"])
+        pieces = []
+        for c in chunks:
+            whole.place(c, {"asm": grids[c.index]})
+            flat = grids[c.index].reshape(-1)
+            cuts = [0, *sorted(rng.choice(np.arange(1, c.num_rois), 2, replace=False)), c.num_rois]
+            pieces += [(c, a, flat[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        for i in rng.permutation(len(pieces)):
+            c, start, vals = pieces[i]
+            assert runs.place(c, {"asm": vals}, start=start) == len(vals)
+        np.testing.assert_array_equal(runs.result()["asm"], whole.result()["asm"])
+
+    @pytest.mark.parametrize(
+        "start, asm, idm",
+        [(-1, 4, 4), (62, 4, 4), (0, 65, 65), (0, 4, 3)],
+        ids=["negative", "past-end", "too-long", "uneven"],
+    )
+    def test_run_outside_the_chunk_rejected(self, start, asm, idm):
+        shape, roi = (10, 10), ROISpec((3, 3))
+        chunk = partition(shape, roi, (10, 10))[0]
+        stitcher = OutputStitcher(shape, roi, ["asm", "idm"])
+        with pytest.raises(ValueError, match="do not fit"):
+            stitcher.place(
+                chunk, {"asm": np.ones(asm), "idm": np.ones(idm)}, start=start
+            )
+        assert stitcher.coverage == 0.0
+        assert not stitcher.volumes["asm"].any()
+
+    def test_chunk_not_owning_its_scan_grid_rejected(self):
+        """A hand-made chunk whose scan grid is not its owned box."""
+        from repro.chunks.chunking import ChunkSpec
+
+        shape, roi = (10, 10), ROISpec((3, 3))
+        chunk = ChunkSpec(index=(0, 0), lo=(0, 0), hi=(10, 10),
+                          own_lo=(1, 0), own_hi=(8, 8))
+        stitcher = OutputStitcher(shape, roi, ["asm"])
+        with pytest.raises(ValueError, match="scan grid"):
+            stitcher.place(chunk, {"asm": np.ones((7, 8))})
 
     def test_wrong_features_rejected(self):
         shape, roi = (10, 10), ROISpec((3, 3))

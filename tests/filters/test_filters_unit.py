@@ -1,6 +1,7 @@
 """Unit tests for individual application filters (outside any runtime)."""
 
 import os
+import tracemalloc
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.filters.messages import (
     TextureChunk,
     TextureParams,
 )
-from repro.filters.rfr import RawFileReader, inplane_blocks
+from repro.filters.rfr import RawFileReader
 from repro.storage.dataset import write_dataset
 from repro.viz import normalize_volume, write_feature_images
 
@@ -52,6 +53,19 @@ class FakeContext(FilterContext):
         self.deposited.append((key, value))
 
 
+class TracingContext(FakeContext):
+    """A FakeContext that also records trace events."""
+
+    tracing = True
+
+    def __init__(self):
+        super().__init__()
+        self.events: List = []
+
+    def event(self, kind, *, dur=0.0, chunk=None, **attrs):
+        self.events.append(dict(kind=kind, dur=dur, chunk=chunk, **attrs))
+
+
 PARAMS = TextureParams(
     roi_shape=(3, 3, 3, 2),
     levels=8,
@@ -75,24 +89,6 @@ def dataset_root(tmp_path_factory, volume):
 
 def the_chunk():
     return partition(SHAPE, PARAMS.roi, SHAPE)[0]
-
-
-class TestInplaneBlocks:
-    def test_whole_slice_default(self):
-        assert inplane_blocks((10, 8), None) == [(0, 10, 0, 8)]
-
-    def test_tiling(self):
-        blocks = inplane_blocks((10, 8), (6, 5))
-        assert (0, 6, 0, 5) in blocks
-        assert (6, 10, 5, 8) in blocks
-        covered = np.zeros((10, 8), dtype=int)
-        for x0, x1, y0, y1 in blocks:
-            covered[x0:x1, y0:y1] += 1
-        assert np.all(covered == 1)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            inplane_blocks((10, 8), (0, 4))
 
 
 class TestRFR:
@@ -153,21 +149,79 @@ class TestIIC:
         iic.finalize(ctx)  # complete -> no error
 
     def test_partial_inplane_portions(self, volume):
+        """RFR sends whole slices; a portion short of the chunk's
+        in-plane extent, on either side, is rejected before anything
+        reaches the assembler."""
         chunk = the_chunk()
-        iic = InputImageConstructor([chunk])
+        img = volume.get_slice(0, 0)
+        for (x0, x1), match in (((0, 7), "in-plane"), ((7, 12), "does not cover")):
+            iic = InputImageConstructor([chunk])
+            ctx = FakeContext()
+            iic.initialize(ctx)
+            portion = SlicePortion(
+                t=0, z=0, x0=x0, x1=x1, y0=0, y1=10, data=img[x0:x1]
+            )
+            with pytest.raises(ValueError, match=match):
+                iic.process("rfr2iic", DataBuffer(portion), ctx)
+            assert not iic._assemblers[0].has(0, 0)
+
+    def test_chunks_split_in_z_and_t(self, volume):
+        """Each whole slice feeds exactly the chunks whose z and t range
+        holds it; every chunk is emitted once, as the dataset's box."""
+        chunks = partition(SHAPE, PARAMS.roi, (12, 10, 4, 3))
+        assert len({(c.lo[2], c.lo[3]) for c in chunks}) == 4
+        iic = InputImageConstructor(chunks)
         ctx = FakeContext()
+        iic.initialize(ctx)
+        keys = [(t, z) for t in range(4) for z in range(6)]
+        for i in np.random.default_rng(1).permutation(len(keys)):
+            t, z = keys[i]
+            portion = SlicePortion(
+                t=t, z=z, x0=0, x1=12, y0=0, y1=10, data=volume.get_slice(t, z)
+            )
+            iic.process("rfr2iic", DataBuffer(portion), ctx)
+        iic.finalize(ctx)
+        got = {s["payload"].chunk.index: s["payload"].data for s in ctx.sent}
+        assert len(ctx.sent) == len(got) == 4
+        for c in chunks:
+            np.testing.assert_array_equal(got[c.index], volume.data[c.slices()])
+
+    def test_portions_cropped_at_their_offset(self, volume):
+        """Portions that start at the chunk's low in-plane corner (not at
+        the slice origin) are cropped at the right offset."""
+        chunks = partition(SHAPE, PARAMS.roi, (7, 6, 6, 4))
+        assert {c.lo[:2] for c in chunks} == {(0, 0), (5, 0), (0, 4), (5, 4)}
+        for chunk in chunks:
+            x0, y0 = chunk.lo[:2]
+            iic = InputImageConstructor([chunk])
+            ctx = FakeContext()
+            iic.initialize(ctx)
+            for t in range(4):
+                for z in range(6):
+                    img = volume.get_slice(t, z)
+                    portion = SlicePortion(
+                        t=t, z=z, x0=x0, x1=12, y0=y0, y1=10, data=img[x0:, y0:]
+                    )
+                    iic.process("rfr2iic", DataBuffer(portion), ctx)
+            (sent,) = ctx.sent
+            np.testing.assert_array_equal(
+                sent["payload"].data, volume.data[chunk.slices()]
+            )
+
+    def test_traced_stitch_event(self, volume):
+        iic = InputImageConstructor([the_chunk()])
+        ctx = TracingContext()
         iic.initialize(ctx)
         for t in range(4):
             for z in range(6):
-                img = volume.get_slice(t, z)
-                # Deliver each plane as two half-slices.
-                for (x0, x1) in ((0, 7), (7, 12)):
-                    portion = SlicePortion(
-                        t=t, z=z, x0=x0, x1=x1, y0=0, y1=10, data=img[x0:x1]
-                    )
-                    iic.process("rfr2iic", DataBuffer(portion), ctx)
-        assert len(ctx.sent) == 1
-        assert np.array_equal(ctx.sent[0]["payload"].data, volume.data)
+                portion = SlicePortion(
+                    t=t, z=z, x0=0, x1=12, y0=0, y1=10, data=volume.get_slice(t, z)
+                )
+                iic.process("rfr2iic", DataBuffer(portion), ctx)
+        (ev,) = ctx.events
+        assert ev["kind"] == "chunk.stitch" and ev["chunk"] == the_chunk().index
+        assert ev["bytes"] == ctx.sent[0]["payload"].nbytes
+        assert ev["dur"] > 0.0
 
     def test_incomplete_finalize_raises(self, volume):
         iic = InputImageConstructor([the_chunk()])
@@ -263,6 +317,9 @@ class TestTextureFilters:
             HaralickCoMatrixCalculator(PARAMS).process("s", DataBuffer(1), FakeContext())
         with pytest.raises(TypeError):
             HaralickParameterCalculator(PARAMS).process("s", DataBuffer(1), FakeContext())
+        hic = HaralickImageConstructor(SHAPE, PARAMS.roi_shape, PARAMS.features)
+        with pytest.raises(TypeError):
+            hic.process("s", DataBuffer(1), FakeContext())
 
 
 class TestOutputFilters:
@@ -290,6 +347,83 @@ class TestOutputFilters:
         hic.process("tex2out", DataBuffer(self.portions(volume)[0]), ctx)
         with pytest.raises(RuntimeError):
             hic.finalize(ctx)
+
+    def test_hic_partly_placed_portion_raises(self, volume):
+        portions = self.portions(volume)
+        hic = HaralickImageConstructor(SHAPE, PARAMS.roi_shape, PARAMS.features)
+        ctx = FakeContext()
+        first = portions[0]
+        hic.process("tex2out", DataBuffer(first), ctx)
+        half = first.count // 2
+        straddling = FeaturePortion(
+            chunk=first.chunk,
+            start=first.start + half,
+            values={n: np.ones(first.count) for n in PARAMS.features},
+        )
+        with pytest.raises(ValueError, match="partly placed"):
+            hic.process("tex2out", DataBuffer(straddling), ctx)
+        # Nothing of the rejected portion was written.
+        idm = hic.stitcher.volumes["idm"].reshape(-1)
+        np.testing.assert_array_equal(idm[: first.count], first.values["idm"])
+        assert not idm[first.count :].any()
+
+    def test_hic_portion_missing_feature_leaves_volumes_untouched(self, volume):
+        hic = HaralickImageConstructor(SHAPE, PARAMS.roi_shape, PARAMS.features)
+        fp = self.portions(volume)[0]
+        short = FeaturePortion(
+            chunk=fp.chunk, start=fp.start, values={"asm": fp.values["asm"]}
+        )
+        with pytest.raises(ValueError, match="feature"):
+            hic.process("tex2out", DataBuffer(short), FakeContext())
+        assert hic.stitcher.coverage == 0.0
+        for vol in hic.stitcher.volumes.values():
+            assert not vol.any()
+
+    def test_hic_one_write_event_per_chunk(self, volume):
+        """Re-delivered portions neither write nor count twice."""
+        portions = self.portions(volume)
+        hic = HaralickImageConstructor(SHAPE, PARAMS.roi_shape, PARAMS.features)
+        ctx = TracingContext()
+        for fp in [portions[0]] + portions + [portions[-1]]:
+            hic.process("tex2out", DataBuffer(fp), ctx)
+        hic.finalize(ctx)
+        chunk = the_chunk()
+        (ev,) = ctx.events
+        assert ev["kind"] == "chunk.write" and ev["chunk"] == chunk.index
+        assert ev["records"] == chunk.num_rois * len(PARAMS.features)
+        assert ev["dur"] > 0.0
+        assert hic._open == {}  # a late re-delivery reopens no chunk
+
+    def test_hic_memory_stays_below_one_chunk_buffer(self):
+        """Portions are written in place: HIC's peak allocation while
+        stitching one large chunk stays below one feature's worth of the
+        chunk's positions in float64."""
+        shape, roi = (40, 40, 12, 12), (3, 3, 3, 2)
+        (chunk,) = partition(shape, ROISpec(roi), shape)
+        features = ("asm", "idm")
+        hic = HaralickImageConstructor(shape, roi, features)
+        rng = np.random.default_rng(5)
+        want = {n: rng.random(chunk.num_rois) for n in features}
+        bounds = np.linspace(0, chunk.num_rois, 9).astype(int)
+        portions = [
+            FeaturePortion(
+                chunk=chunk, start=int(a), values={n: want[n][a:b] for n in features}
+            )
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+        ctx = FakeContext()
+        tracemalloc.start()
+        try:
+            for fp in portions:
+                hic.process("tex2out", DataBuffer(fp), ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < chunk.num_rois * 8, peak
+        hic.finalize(ctx)
+        (_, volumes), = ctx.deposited
+        for n in features:
+            np.testing.assert_array_equal(volumes[n].reshape(-1), want[n])
 
     def test_hic_sends_nothing(self, volume):
         """HIC is the sink: the volumes are deposited, never sent on."""

@@ -1,5 +1,7 @@
 """Unit tests for pipeline configuration and graph building."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.data.synthetic import PhantomConfig, generate_phantom
@@ -55,14 +57,13 @@ class TestAnalysisConfig:
         with pytest.raises(ValueError):
             AnalysisConfig(texture=params(), **kwargs)
 
-    def test_with_copies(self):
-        cfg = AnalysisConfig(texture=params()).with_copies(num_texture_copies=8)
+    def test_replace_copy_counts(self):
+        """A config with other copy counts is ``dataclasses.replace``,
+        which validates the new counts."""
+        cfg = replace(AnalysisConfig(texture=params()), num_texture_copies=8)
         assert cfg.num_texture_copies == 8
-
-    def test_paper_split(self):
-        cfg = AnalysisConfig(texture=params())
-        assert cfg.paper_hcc_hpc_split(16) == (13, 3)
-        assert cfg.paper_hcc_hpc_split(1) == (1, 1)
+        with pytest.raises(ValueError):
+            replace(cfg, num_texture_copies=0)
 
 
 class TestPlanChunks:

@@ -1,5 +1,7 @@
 """Tests for the sequential out-of-core driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,7 @@ class TestTransformDiskDataset:
 
         vol, root, cfg = setup
         seq = transform_disk_dataset(root, cfg)
-        par = run_pipeline(root, cfg.with_copies(num_texture_copies=2))
+        par = run_pipeline(root, replace(cfg, num_texture_copies=2))
         for name in cfg.texture.features:
             np.testing.assert_allclose(seq[name], par.volumes[name], atol=1e-12)
 

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chunks.chunking import (
-    flat_to_global,
-    overlap,
-    owned_flat_mask,
-    partition,
-    partition_grid_shape,
-)
+from repro.chunks.chunking import overlap, partition, partition_grid_shape
 from repro.core.roi import ROISpec, valid_positions_shape
 
 
@@ -80,32 +74,15 @@ class TestPartitionProperties:
                     assert got == overlap(roi.shape[d])
 
 
-class TestFlatHelpers:
-    @given(partition_cases())
-    @settings(max_examples=60, deadline=None)
-    def test_owned_mask_counts(self, case):
-        shape, roi, chunk_shape = case
-        for c in partition(shape, roi, chunk_shape):
-            mask = owned_flat_mask(c, roi)
-            local = 1
-            for s, r in zip(c.shape, roi.shape):
-                local *= s - r + 1
-            assert mask.shape == (local,)
-            assert mask.sum() == c.num_rois
+class TestScanGridIsOwnedBox:
+    """The stitch filters write scan output by position with no cropping:
+    every chunk's raster-scan grid is exactly the box it owns."""
 
-    @given(partition_cases())
-    @settings(max_examples=60, deadline=None)
-    def test_flat_to_global_round_trip(self, case):
+    @given(st.integers(1, 4).flatmap(lambda n: partition_cases(ndim=n)))
+    @settings(max_examples=200, deadline=None)
+    def test_scan_grid_equals_owned_box(self, case):
         shape, roi, chunk_shape = case
-        grid = valid_positions_shape(shape, roi)
-        seen = set()
         for c in partition(shape, roi, chunk_shape):
-            mask = owned_flat_mask(c, roi)
-            flat = np.flatnonzero(mask)
-            coords = flat_to_global(c, roi, flat)
-            for row in coords:
-                key = tuple(int(v) for v in row)
-                assert all(0 <= k < g for k, g in zip(key, grid))
-                assert key not in seen
-                seen.add(key)
-        assert len(seen) == int(np.prod(grid))
+            assert c.lo == c.own_lo
+            grid = tuple(s - r + 1 for s, r in zip(c.shape, roi.shape))
+            assert grid == c.own_shape

@@ -71,6 +71,14 @@ MODULES: Dict[str, List[str]] = {
         "tests/properties/test_chunking_properties.py",
         "tests/pipeline/test_sequential.py",
     ],
+    "src/repro/filters/hic.py": [
+        "tests/filters/test_filters_unit.py",
+        "tests/filters/test_dedup_property.py",
+    ],
+    "src/repro/filters/iic.py": [
+        "tests/filters/test_filters_unit.py",
+        "tests/filters/test_dedup_property.py",
+    ],
     "src/repro/service/cache.py": [
         "tests/service/test_cache.py",
     ],
