@@ -4,12 +4,13 @@ Not a paper figure — these measure the building blocks (co-occurrence
 scan, feature kernels, quantization) on this machine, and feed the
 ``measure_costs`` calibration path of the simulator.
 
-``test_kernel_backend_comparison``, ``test_feature_kernel_rows`` and the
-peak-memory tests need only numpy and stdlib, so they double as the CI
-kernel-benchmark smoke (a step of the `bench-gate` job)::
+``test_kernel_backend_comparison``, ``test_feature_kernel_rows``,
+``test_moment_pass_rows`` and the peak-memory tests need only numpy and
+stdlib, so they double as the CI kernel-benchmark smoke (a step of the
+`bench-gate` job)::
 
     pytest benchmarks/bench_kernels.py \
-        -k "backend_comparison or feature_kernel or peak_memory"
+        -k "backend_comparison or feature_kernel or peak_memory or moment_pass"
 
 The comparison writes ``BENCH_kernels.json`` at the repo root with
 rois/sec per scan backend and per rolling-axis chunk shape; the feature
@@ -39,6 +40,7 @@ from repro.core.backends import (
 )
 from repro.core.cooccurrence import cooccurrence_matrix, resolve_directions
 from repro.core.features import HARALICK_FEATURES, PAPER_FEATURES, haralick_features
+from repro.core.raster import raster_scan_batches
 from repro.core.quantization import quantize_linear
 from repro.core.roi import ROISpec, valid_positions_shape
 from repro.core.workspace import WORKSPACE_BYTES
@@ -337,10 +339,9 @@ def test_feature_kernel_rows():
     cells non-zero, what an MRI study looks like) and on uniform noise
     (every cell non-zero, the worst case for the zero-skip entropies),
     each as this machine resolves the compiled pass and again on the
-    numpy path (``... (numpy passes)``), as the scan rows do.  The
-    paper's four never reach the compiled pass, so their two rows time
-    the same code.  Merged into ``BENCH_kernels.json`` under
-    ``"features"``.
+    numpy path (``... (numpy passes)``), as the scan rows do.  Of the
+    paper's four only ``idm``'s difference histograms reach the library.
+    Merged into ``BENCH_kernels.json`` under ``"features"``.
     """
     rows = {}
     for kind in ("phantom_like", "uniform_noise"):
@@ -358,6 +359,91 @@ def test_feature_kernel_rows():
         rows[kind] = row
         print(f"\n  {kind}: {row}")
     _merge_bench_json({"features": rows})
+
+
+#: Interleaved rounds of the moment-pass rows.
+MOMENT_PASS_REPEATS = 9
+
+
+def _us_per_roi(fn, rois):
+    t0 = time.perf_counter()
+    fn()
+    return 1e6 * (time.perf_counter() - t0) / rois
+
+
+def _spread(samples):
+    q1, med, q3 = np.percentile(samples, [25, 50, 75])
+    return {
+        "repeats": len(samples),
+        "best": round(min(samples), 3),
+        "q1": round(float(q1), 3),
+        "median": round(float(med), 3),
+        "q3": round(float(q3), 3),
+        "max": round(max(samples), 3),
+    }
+
+
+@pytest.mark.skipif(
+    native.load() is None,
+    reason=f"compiled pass unavailable: {native.status().reason}",
+)
+def test_moment_pass_rows():
+    """The moment pass against scan-then-features, in us/ROI.
+
+    One ledger chunk (13x13x8x6 phantom, ROI 5x5x5x3, the paper's four
+    features, packets of 162 = 1/8 chunk) at G in {16, 32, 64}:
+    ``raster_scan_batches``, which takes the moment pass for these
+    features, against ``incremental_scan`` with ``haralick_features``
+    per packet, the pass's twin.  The two alternate within each of
+    ``MOMENT_PASS_REPEATS`` rounds; rows keep best, quartiles and max,
+    and the per-round ratio pass / twin.  The outputs are checked
+    byte-equal first.  Gate: at G = 32 the pass is faster in the median
+    round.  Merged into ``BENCH_kernels.json`` under ``"moment_pass"``.
+    """
+    raw = generate_phantom(PhantomConfig(shape=ROLLING_CHUNKS[0], seed=3)).data
+    rows = {}
+    for levels in (16, 32, 64):
+        vol = quantize_linear(raw, levels, lo=0, hi=4095)
+        rois = int(np.prod(valid_positions_shape(vol.shape, ROI)))
+
+        def moment_pass():
+            return list(raster_scan_batches(
+                vol, ROI, levels, PAPER_FEATURES, batch=162, validate=False,
+            ))
+
+        def twin():
+            return [
+                (start, haralick_features(mats, PAPER_FEATURES))
+                for start, mats in incremental_scan(
+                    vol, ROI, levels, batch=162, validate=False,
+                )
+            ]
+
+        for (s0, a), (s1, b) in zip(moment_pass(), twin()):
+            assert s0 == s1
+            assert all(a[n].tobytes() == b[n].tobytes() for n in a)
+        times = {"moment_pass": [], "scan_then_features": []}
+        for _ in range(MOMENT_PASS_REPEATS):
+            times["moment_pass"].append(_us_per_roi(moment_pass, rois))
+            times["scan_then_features"].append(_us_per_roi(twin, rois))
+        ratios = [
+            a / b for a, b in zip(times["moment_pass"], times["scan_then_features"])
+        ]
+        rows[str(levels)] = {
+            "rois": rois,
+            **{k: _spread(v) for k, v in times.items()},
+            "ratio_median": round(statistics.median(ratios), 3),
+            "pass_faster_rounds": sum(r < 1 for r in ratios),
+        }
+        print(f"\n  G={levels}: {rows[str(levels)]}")
+    _merge_bench_json({"moment_pass": {
+        "unit": "us/ROI",
+        "chunk": list(ROLLING_CHUNKS[0]),
+        "features": list(PAPER_FEATURES),
+        "packet": 162,
+        "levels": rows,
+    }})
+    assert rows["32"]["ratio_median"] < 1.0, rows["32"]
 
 
 def _scan_peak_bytes(scan, volume, batch):

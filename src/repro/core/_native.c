@@ -1,6 +1,7 @@
-/* The compiled passes: the plane histograms of the rolling GLCM kernel
- * (repro.core.backends) and the information features of the Haralick
- * stage (repro.core.features).
+/* The compiled passes: the plane histograms and the per-window moment
+ * sums of the rolling GLCM kernel (repro.core.backends), and the
+ * difference histograms and information features of the Haralick stage
+ * (repro.core.features).
  *
  * Built on first use and loaded through ctypes by repro.core.native;
  * plain C99, no Python.h, so it runs with the interpreter lock released.
@@ -47,6 +48,136 @@ int plane_histograms(const int64_t *codes, int64_t n_codes,
                     return 2;
                 row[p * gg + c[p]] += 1;
             }
+        }
+    }
+    return 0;
+}
+
+/* Add (sign 1) or drop (sign -1) one compacted plane, n entries
+ * count << 32 | i << 16 | j, to the window A, keeping the sums of its
+ * symmetric c = A + A^T current: o is {N, sum c^2, D[0:g], Hs[0:2g-1]}.
+ * Off the diagonal c[i][j] = c[j][i] moves by delta, on it by 2 delta. */
+static void add_plane(const int64_t *list, int64_t n, int64_t sign,
+                      int64_t *window, int64_t g, int64_t *o)
+{
+    int64_t total = 0, squares = 0, *d = o + 2, *hs = d + g;
+    for (int64_t e = 0; e < n; e++) {
+        int64_t i = (list[e] >> 16) & 0xffff, j = list[e] & 0xffff;
+        int64_t delta = sign * (list[e] >> 32);
+        int64_t c = window[i * g + j] + window[j * g + i];
+        window[i * g + j] += delta;
+        squares += 2 * delta * (2 * c + (i == j ? 2 : 1) * delta);
+        total += 2 * delta;
+        d[i > j ? i - j : j - i] += 2 * delta;
+        hs[i + j] += 2 * delta;
+    }
+    o[0] += total;
+    o[1] += squares;
+}
+
+/* Overwrite the dense plane histogram pl[0:g*g] with its non-zero cells
+ * as count << 32 | i << 16 | j, in place, and return how many there
+ * are; -1 when a count does not fit 31 bits.  Four cells are tested at
+ * a time: a plane holds a few dozen counts among G^2 cells. */
+static int64_t compact_plane(int64_t *pl, int64_t g)
+{
+    int64_t n = 0;
+    for (int64_t i = 0; i < g; i++) {
+        const int64_t *row = pl + i * g;
+        for (int64_t j = 0; j < g; j++) {
+            if (j + 4 <= g && !(row[j] | row[j + 1] | row[j + 2] | row[j + 3])) {
+                j += 3;
+                continue;
+            }
+            int64_t c = row[j];
+            if (c) {
+                if (c < 0 || c >= (int64_t)1 << 31)
+                    return -1;
+                pl[n++] = c << 32 | i << 16 | j;
+            }
+        }
+    }
+    return n;
+}
+
+/* The integer sums of every window of a block of scan rows, straight
+ * from its plane histograms; no window matrix leaves this function.
+ *
+ * Group q's plane histograms sit at planes + offset[q], shaped
+ * (rows, span - 1 + width[q], g * g), and the window at position t of
+ * row r counts A = sum over q of its planes [t, t + width[q]).  Its
+ * GLCM is the symmetric c = A + A^T, and out[r][t] (3g + 1 int64) is
+ *
+ *     {N, sum c^2, D[0:g], Hs[0:2g-1]}
+ *
+ * with N = sum c, D[k] the sum of c over |i - j| = k and Hs[s] over
+ * i + j = s.  A slides along the row: each plane is compacted to its
+ * non-zero cells once, when it enters (the planes are overwritten),
+ * and every cell that enters or leaves updates the sums in O(1), so a
+ * step costs the planes' non-zero cells, not G^2.  scratch holds
+ * g * g + sum over q of (span - 1 + width[q]) int64 (the window and the
+ * planes' lengths).  Integer arithmetic only, so the sums are exact and
+ * compiler flags cannot change them.  Returns 0, or 1 when a plane
+ * count is negative or does not fit 31 bits.
+ */
+int window_sums(int64_t *planes, const int64_t *offset,
+                const int64_t *width, int64_t groups, int64_t rows,
+                int64_t span, int64_t g, int64_t *scratch, int64_t *out)
+{
+    int64_t gg = g * g, stride = 3 * g + 1;
+    int64_t *window = scratch, *len = scratch + gg;
+    for (int64_t r = 0; r < rows; r++) {
+        int64_t *o = out + r * span * stride;
+        memset(window, 0, (size_t)gg * sizeof *window);
+        memset(o, 0, (size_t)stride * sizeof *o);
+        int64_t *n = len;
+        for (int64_t q = 0; q < groups; q++) {
+            int64_t n_planes = span - 1 + width[q];
+            int64_t *pl = planes + offset[q] + r * n_planes * gg;
+            for (int64_t p = 0; p < width[q]; p++) {
+                n[p] = compact_plane(pl + p * gg, g);
+                if (n[p] < 0)
+                    return 1;
+                add_plane(pl + p * gg, n[p], 1, window, g, o);
+            }
+            n += n_planes;
+        }
+        for (int64_t t = 1; t < span; t++) {
+            memcpy(o + stride, o, (size_t)stride * sizeof *o);
+            o += stride;
+            n = len;
+            for (int64_t q = 0; q < groups; q++) {
+                int64_t n_planes = span - 1 + width[q];
+                int64_t *pl = planes + offset[q] + r * n_planes * gg;
+                int64_t in = t - 1 + width[q];
+                n[in] = compact_plane(pl + in * gg, g);
+                if (n[in] < 0)
+                    return 1;
+                add_plane(pl + in * gg, n[in], 1, window, g, o);
+                add_plane(pl + (t - 1) * gg, n[t - 1], -1, window, g, o);
+                n += n_planes;
+            }
+        }
+    }
+    return 0;
+}
+
+/* D[b][k] = sum of p[b][i][j] over |i - j| = k for n G x G float64
+ * matrices: the difference histogram of a stored matrix, summed in a
+ * fixed order, so exact on counts.  Each row is split at its diagonal,
+ * so neither inner loop branches.  Returns 0. */
+int difference_histograms(const double *p, int64_t n, int64_t g, double *d)
+{
+    for (int64_t b = 0; b < n; b++) {
+        const double *pb = p + b * g * g;
+        double *db = d + b * g;
+        memset(db, 0, (size_t)g * sizeof *db);
+        for (int64_t i = 0; i < g; i++) {
+            const double *row = pb + i * g;
+            for (int64_t j = 0; j < i; j++)
+                db[i - j] += row[j];
+            for (int64_t j = i; j < g; j++)
+                db[j - i] += row[j];
         }
     }
     return 0;

@@ -39,6 +39,14 @@ multiprocess, distributed).  A yielded batch stays valid after the
 generator advances (consumers hand it downstream by reference).  Select
 a backend via ``HaralickConfig.kernel`` / ``TextureParams.kernel``, or
 grab the callable directly with :func:`get_kernel`.
+
+:func:`moment_scan` is ``incremental`` without the matrices: the same
+plan, pair codes, plane histograms, blocks and raster reorder
+(:func:`_rolling_scan`, written once), but a compiled pass slides each
+window's histogram along its row and yields only the window's integer
+sums (``3G + 1`` per window), which is all the eight moment features
+read.  It exists only with the compiled pass; without it,
+:func:`repro.core.raster.raster_scan_batches` scans matrices.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ __all__ = [
     "get_kernel",
     "resolve_scan_kernel",
     "incremental_scan",
+    "moment_scan",
     "reference_scan",
 ]
 
@@ -309,24 +318,58 @@ def _rolling_block(
         mats[...] = 0  # no direction fits the window
 
 
-def incremental_scan(
+def _window_sums(
+    lib,
+    codes: np.ndarray,
+    faces: Dict[int, np.ndarray],
+    planes: np.ndarray,
+    offsets: np.ndarray,
+    sums: np.ndarray,
+    origins: np.ndarray,
+    levels: int,
+) -> None:
+    """Fill ``sums`` with the per-window sums of one block of row spans.
+
+    ``sums`` is ``(rows, span, 3G + 1)``: per group, the compiled pass
+    histograms the code hyperplanes the spans need into ``planes`` from
+    ``offsets[group]`` on, and :func:`repro.core.native.window_sums`
+    slides each window's G x G histogram over them; no window matrix
+    exists outside it.
+    """
+    rb, span, _ = sums.shape
+    gg = levels * levels
+    for (wt, face), off in zip(faces.items(), offsets):
+        n_planes = span - 1 + wt
+        native.plane_histograms(
+            lib, codes, origins, n_planes, face, gg,
+            out=planes[off : off + rb * n_planes * gg].reshape(rb, n_planes, gg),
+        )
+    native.window_sums(
+        lib, planes, offsets, np.fromiter(faces, np.int64, len(faces)),
+        span, levels, sums,
+    )
+
+
+def _rolling_scan(
     data: np.ndarray,
     roi: ROISpec,
     levels: int,
-    directions: Optional[Sequence[Direction]] = None,
-    distance: int = 1,
-    batch: int = 2048,
-    symmetric: bool = True,
-    validate: bool = True,
+    directions: Optional[Sequence[Direction]],
+    distance: int,
+    batch: int,
+    validate: bool,
+    symmetric: bool,
+    sums: bool,
 ) -> Iterator[Tuple[int, np.ndarray]]:
-    """Incremental (rolling) raster scan along the best-overlap axis.
+    """The block loop of :func:`incremental_scan` and :func:`moment_scan`.
 
-    Same yield contract and bit-identical matrices as
-    :func:`reference_scan`; see the module
-    docstring for the algorithm and complexity.  The rolling axis is a
-    function of the shapes alone (:func:`_rolling_plan`).  Every yielded
-    batch is a fresh array that the scan never touches again; only the
-    numpy passes' gather-index tables outlive a block.
+    Plans the roll, builds the pair codes and walks the row spans in
+    cache-sized blocks; each block's windows are computed in the
+    transposed frame and reordered into raster batches of ``batch``.
+    Per window a block holds a count matrix (``sums`` false:
+    :func:`_rolling_block`, compiled or on the numpy passes) or the
+    ``3G + 1`` integer sums of the symmetric one (``sums`` true:
+    :func:`_window_sums`, which needs the compiled pass).
     """
     data = np.asarray(data)
     if validate:
@@ -365,7 +408,7 @@ def incremental_scan(
         origins = origins.reshape(-1)
 
     # A block covers whole leading-axis slabs (``n_tail`` scan rows
-    # each) so that its matrices are one contiguous raster range: as
+    # each) so that its windows are one contiguous raster range: as
     # many slabs as stay cache-sized, or one slab a span at a time.
     rows_per_block = n_tail
     if span == row_len:
@@ -376,16 +419,19 @@ def incremental_scan(
     # Per group a block needs its plane histograms (compiled pass) or
     # its gathered codes (numpy passes, whose index tables persist
     # across blocks: congruent blocks share them).  Those and the
-    # block's matrices are scratch: one allocation per block, released
+    # block's windows are scratch: one allocation per block, released
     # before the next.  In a scan -> pack -> free loop that measured
     # better than a long-lived workspace (the allocator kept trimming
     # the heap through a process's first chunk) and than one array per
     # piece (pages re-faulted every block).
     lib = native.load()
+    item = (3 * levels + 1,) if sums else (levels, levels)
+    width = math.prod(item)
     sizes = {
         wt: rows_per_block * (span - 1 + wt) * (face.size if lib is None else gg)
         for wt, face in faces.items()
     }
+    offsets = np.cumsum([0, *sizes.values()])[:-1].astype(np.int64)
     tables = {
         wt: np.empty(size, dtype=np.int64) if lib is None else None
         for wt, size in sizes.items()
@@ -399,17 +445,24 @@ def incremental_scan(
         rb = min(rows_per_block, n_rows - r0)
         for t0 in range(0, row_len, span):
             sp = min(span, row_len - t0)
-            mats, *blocks = np.split(
-                np.empty(rb * sp * gg + sum(sizes.values()), dtype=np.int64),
-                np.cumsum([rb * sp * gg, *sizes.values()])[:-1],
-            )
-            mats = mats.reshape(rb, sp, gg)
-            bufs = {wt: (tables[wt], b) for wt, b in zip(sizes, blocks)}
-            _rolling_block(
-                lib, codes, faces, bufs, built, mats,
-                origins[r0 : r0 + rb] + t0,
-            )
-            mats = mats.reshape(rb * sp, levels, levels)
+            scratch = np.empty(rb * sp * width + sum(sizes.values()), np.int64)
+            wins = scratch[: rb * sp * width].reshape(rb, sp, width)
+            planes = scratch[rb * sp * width :]
+            if sums:
+                _window_sums(
+                    lib, codes, faces, planes, offsets, wins,
+                    origins[r0 : r0 + rb] + t0, levels,
+                )
+            else:
+                bufs = {
+                    wt: (tables[wt], planes[off : off + sizes[wt]])
+                    for wt, off in zip(sizes, offsets)
+                }
+                _rolling_block(
+                    lib, codes, faces, bufs, built, wins,
+                    origins[r0 : r0 + rb] + t0,
+                )
+            wins = wins.reshape((rb * sp,) + item)
             # Rows are computed (slab, tail, t) but leave (slab, t, tail).
             order = (
                 np.arange(rb * sp)
@@ -421,17 +474,16 @@ def incremental_scan(
             while pos < order.size:
                 if out is None:
                     out = np.empty(
-                        (min(batch, npos - emit_start), levels, levels),
-                        dtype=np.int64,
+                        (min(batch, npos - emit_start),) + item, dtype=np.int64
                     )
                     fill = 0
                 take = min(out.shape[0] - fill, order.size - pos)
                 dest = out[fill : fill + take]
                 np.take(
-                    mats, order[pos : pos + take], axis=0, out=dest,
+                    wins, order[pos : pos + take], axis=0, out=dest,
                     mode="clip",
                 )
-                if symmetric:
+                if symmetric and not sums:
                     symmetrize_inplace(dest)
                 fill += take
                 pos += take
@@ -439,6 +491,65 @@ def incremental_scan(
                     yield emit_start, out
                     emit_start += fill
                     out = None
+
+
+def incremental_scan(
+    data: np.ndarray,
+    roi: ROISpec,
+    levels: int,
+    directions: Optional[Sequence[Direction]] = None,
+    distance: int = 1,
+    batch: int = 2048,
+    symmetric: bool = True,
+    validate: bool = True,
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Incremental (rolling) raster scan along the best-overlap axis.
+
+    Same yield contract and bit-identical matrices as
+    :func:`reference_scan`; see the module
+    docstring for the algorithm and complexity.  The rolling axis is a
+    function of the shapes alone (:func:`_rolling_plan`).  Every yielded
+    batch is a fresh array that the scan never touches again; only the
+    numpy passes' gather-index tables outlive a block.
+    """
+    return _rolling_scan(
+        data, roi, levels, directions, distance, batch, validate,
+        symmetric, sums=False,
+    )
+
+
+def moment_scan(
+    data: np.ndarray,
+    roi: ROISpec,
+    levels: int,
+    directions: Optional[Sequence[Direction]] = None,
+    distance: int = 1,
+    batch: int = 2048,
+    validate: bool = True,
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """:func:`incremental_scan`'s windows as integer sums, not matrices.
+
+    Yields ``(start, (B, 3G + 1) int64)`` in the same batches and raster
+    order; row ``k`` holds, for the symmetric count matrix ``c`` of
+    window ``start + k``::
+
+        [N, sum c^2, D[0], ..., D[G-1], Hs[0], ..., Hs[2G-2]]
+
+    with ``N = sum c``, ``D[k]`` the sum of ``c`` over ``|i - j| = k``
+    and ``Hs[s]`` over ``i + j = s`` — everything
+    :func:`repro.core.features.moment_features` reads, at ``8 (3G + 1)``
+    bytes per window where a matrix takes ``8 G^2``.  Needs the compiled
+    pass: raises ``RuntimeError`` when :func:`repro.core.native.load`
+    has no library.
+    """
+    if native.load() is None:
+        raise RuntimeError(
+            f"moment_scan needs the compiled pass: {native.status().reason}"
+        )
+    return _rolling_scan(
+        data, roi, levels, directions, distance, batch, validate,
+        True, sums=True,
+    )
 
 
 _REGISTRY: Dict[str, ScanKernel] = {

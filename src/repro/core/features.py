@@ -28,6 +28,14 @@ The paper's experiments compute the four most expensive of these: ASM,
 Correlation, Sum of Squares and Inverse Difference Moment (Section 5.1),
 exported as ``PAPER_FEATURES``.
 
+Eight features (``MOMENT_FEATURES``, the paper's four among them) are
+fixed formulas of a count matrix's exact integer sums: its total,
+``sum c^2``, the moment columns and the difference histogram ``D[k]``
+(``idm = sum_k D[k] / (1 + k^2)``, summed in increasing ``k``).  One
+float stage computes them, whether the sums come from a matrix
+(:func:`haralick_features`) or straight from the scan
+(:func:`moment_features`), so both give the same bytes.
+
 Conventions: entropies use the natural logarithm with ``0 log 0 = 0``;
 degenerate statistics (zero variance, empty matrix) yield 0.0.
 """
@@ -44,7 +52,9 @@ from . import native
 __all__ = [
     "HARALICK_FEATURES",
     "PAPER_FEATURES",
+    "MOMENT_FEATURES",
     "haralick_features",
+    "moment_features",
     "haralick_feature_vector",
     "feature_index",
 ]
@@ -75,6 +85,12 @@ INFORMATION_FEATURES = frozenset(
     {"entropy", "sum_entropy", "difference_entropy", "imc1", "imc2", "mcc"}
 )
 
+#: The other eight: fixed formulas of a matrix's exact integer sums (its
+#: total, ``sum c^2``, moment columns and difference histogram), so the
+#: scan can hand over those sums instead of the matrix
+#: (:func:`moment_features`).
+MOMENT_FEATURES = frozenset(HARALICK_FEATURES) - INFORMATION_FEATURES
+
 
 def feature_index(name: str) -> int:
     """Position of a feature name in ``HARALICK_FEATURES`` (f``i+1``)."""
@@ -104,6 +120,13 @@ _MOMENT_COLUMNS: Dict[str, Tuple[str, ...]] = {
 }
 
 
+def _columns(need: frozenset) -> Tuple[str, ...]:
+    """``"1"`` and the moment columns the features in ``need`` read."""
+    return ("1",) + tuple(
+        sorted({c for name in need for c in _MOMENT_COLUMNS.get(name, ())})
+    )
+
+
 @lru_cache(maxsize=64)
 def _moment_table(levels: int, columns: Tuple[str, ...]) -> np.ndarray:
     """Read-only ``(G*G, K)`` table: one column per requested moment.
@@ -128,11 +151,53 @@ def _moment_table(levels: int, columns: Tuple[str, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _idm_weights(levels: int) -> np.ndarray:
-    i, j = np.divmod(np.arange(levels * levels), levels)
-    w = 1.0 / (1.0 + (i - j) ** 2.0)
-    w.setflags(write=False)
-    return w
+def _sum_weights(levels: int) -> Tuple[np.ndarray, ...]:
+    """Read-only int64 ``(k, k^2, u, u^2)``: the difference ``k = |i - j|``
+    of each ``D`` bin and the centred sum ``u = i + j - (G - 1)`` of each
+    ``Hs`` bin."""
+    k = np.arange(levels, dtype=np.int64)
+    u = np.arange(2 * levels - 1, dtype=np.int64) - (levels - 1)
+    tables = (k, k * k, u, u * u)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _sum_moments(
+    sums: np.ndarray, columns: Tuple[str, ...]
+) -> Dict[str, np.ndarray]:
+    """The moment columns of symmetric count matrices from their sums.
+
+    ``sums`` rows are ``{N, sum c^2, D[0:G], Hs[0:2G-1]}``.  With
+    ``x + y = u`` and ``x - y = +-k`` on every cell, and ``c`` symmetric::
+
+        sum x = sum y = 1/2 sum Hs u
+        sum xx = sum yy = 1/4 (sum Hs u^2 + sum D k^2)
+        sum xy = 1/4 (sum Hs u^2 - sum D k^2)
+
+    Every dot product is an integer one, so each column equals the
+    exact value the moment-table GEMM takes from the matrix.
+    """
+    g = (sums.shape[1] - 1) // 3
+    d, hs = sums[:, 2 : 2 + g], sums[:, 2 + g :]
+    k, k2, u, u2 = _sum_weights(g)
+    cols = set(columns)
+    m = {"1": sums[:, 0].astype(np.float64)}
+    if cols & {"s", "x", "y"}:
+        m["s"] = (hs @ u).astype(np.float64)
+    if cols & {"ss", "xx", "yy", "xy"}:
+        m["ss"] = (hs @ u2).astype(np.float64)
+    if cols & {"dd", "xx", "yy", "xy"}:
+        m["dd"] = (d @ k2).astype(np.float64)
+    if "d" in cols:
+        m["d"] = (d @ k).astype(np.float64)
+    if cols & {"x", "y"}:
+        m["x"] = m["y"] = m["s"] / 2
+    if cols & {"xx", "yy"}:
+        m["xx"] = m["yy"] = (m["ss"] + m["dd"]) / 4
+    if "xy" in cols:
+        m["xy"] = (m["ss"] - m["dd"]) / 4
+    return m
 
 
 def _entropy(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -244,25 +309,30 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
-def _feature_block(
-    flat: np.ndarray, need: frozenset, levels: int, lib
-) -> Dict[str, np.ndarray]:
-    """The features in ``need`` for one ``(n, G, G)`` slab of matrices;
-    the information features in C when ``lib`` is the loaded library."""
-    n = flat.shape[0]
-    p = flat.reshape(n, levels * levels).astype(np.float64, copy=False)
-    columns = ("1",) + tuple(
-        sorted({c for name in need for c in _MOMENT_COLUMNS.get(name, ())})
-    )
-    moments = p @ _moment_table(levels, columns)
-    m = {c: moments[:, k] for k, c in enumerate(columns)}
+def _moment_stage(
+    need: frozenset,
+    levels: int,
+    m: Dict[str, np.ndarray],
+    sumsq: Optional[np.ndarray],
+    diff: Optional[np.ndarray],
+) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """The :data:`MOMENT_FEATURES` in ``need`` from a batch's exact sums.
+
+    ``m`` holds the float64 moment columns (``"1"``, the totals, and
+    those ``_MOMENT_COLUMNS`` names for ``need``), ``sumsq`` the
+    ``sum c^2`` per matrix when ``asm`` is needed and ``diff`` the
+    ``(n, G)`` difference histograms when ``idm`` is.  On count matrices
+    every input is an exact integer (or half or quarter of one), so the
+    values depend on the counts alone, not on where the sums came from.
+    Returns ``(features, empty, totals)``: the values of empty matrices
+    are not yet zeroed, and ``totals`` reads 1 where ``empty``.
+    """
     empty = m["1"] <= 0
     tot = np.where(empty, 1.0, m["1"])
     tot2 = tot * tot
-
     out: Dict[str, np.ndarray] = {}
     if "asm" in need:
-        out["asm"] = np.einsum("bk,bk->b", p, p) / tot2
+        out["asm"] = sumsq / tot2
     if "contrast" in need:
         out["contrast"] = m["dd"] / tot
     # Variances as (N * S2 - S1**2) / N**2: on count matrices both
@@ -279,15 +349,40 @@ def _feature_block(
         # Variance about the mean of the x-marginal (Haralick f4).
         out["sum_of_squares"] = var_x / tot2
     if "idm" in need:
-        # Not in the GEMM: its weights are not dyadic, and einsum sums
-        # each row the same way whatever the packet length.
-        out["idm"] = np.einsum("bk,k->b", p, _idm_weights(levels)) / tot
+        # sum_k D[k] / (1 + k^2) as a running sum in increasing k: the
+        # weights are not dyadic, so the order is fixed here, not left
+        # to a reduction whose order could follow the batch length.
+        terms = diff / (1.0 + np.arange(diff.shape[1]) ** 2.0)
+        out["idm"] = np.add.accumulate(terms, axis=1)[:, -1] / tot
     if "sum_average" in need:
         out["sum_average"] = m["s"] / tot + (levels - 1)
     if "sum_variance" in need:
         out["sum_variance"] = (tot * m["ss"] - m["s"] ** 2) / tot2
     if "difference_variance" in need:
         out["difference_variance"] = (tot * m["dd"] - m["d"] ** 2) / tot2
+    return out, empty, tot
+
+
+def _feature_block(
+    flat: np.ndarray, need: frozenset, levels: int, lib
+) -> Dict[str, np.ndarray]:
+    """The features in ``need`` for one ``(n, G, G)`` slab of matrices;
+    the difference histograms and information features in C when
+    ``lib`` is the loaded library."""
+    n = flat.shape[0]
+    p = flat.reshape(n, levels * levels).astype(np.float64, copy=False)
+    columns = _columns(need)
+    moments = p @ _moment_table(levels, columns)
+    m = {c: moments[:, k] for k, c in enumerate(columns)}
+    sumsq = np.einsum("bk,bk->b", p, p) if "asm" in need else None
+    diff = None
+    if "idm" in need:
+        p3 = p.reshape(n, levels, levels)
+        if lib is None:
+            diff = _sum_diff_histograms(p3)[1]
+        else:
+            diff = native.difference_histograms(lib, np.ascontiguousarray(p3))
+    out, empty, tot = _moment_stage(need, levels, m, sumsq, diff)
     if need & INFORMATION_FEATURES:
         if lib is None:
             h = _information_numpy(p, tot, need, levels)
@@ -334,8 +429,11 @@ def haralick_features(
     Each slab of at most ``FEATURE_BLOCK_BYTES`` is converted to float
     once.  The linear and quadratic statistics (f2-f4, f6, f7, f10) come
     from one ``(n, G*G) @ (G*G, K)`` product with a cached moment table
-    holding only the columns the requested features need; ``asm`` and
-    ``idm`` are one ``einsum`` each.  The information features
+    holding only the columns the requested features need, ``asm`` from
+    one ``einsum`` and ``idm`` from the difference histograms ``D[k]``
+    (one compiled pass per slab, numpy without the library), all turned
+    into features by the float stage :func:`moment_features` uses.
+    The information features
     (:data:`INFORMATION_FEATURES`) come from one compiled pass per slab
     when :func:`repro.core.native.load` has the library: per matrix it
     builds ``p_x``, ``p_y``, ``p_{x+y}`` and ``p_{|x-y|}``, takes the
@@ -361,7 +459,7 @@ def haralick_features(
     nmat = flat.shape[0]
 
     need = frozenset(wanted)
-    lib = native.load() if need & INFORMATION_FEATURES else None
+    lib = native.load() if need & (INFORMATION_FEATURES | {"idm"}) else None
     # The compiled pass holds only the float slab.  The numpy entropies
     # gather the non-zero cells beside it, and numpy mcc the kept
     # submatrices, their product and the eigvalsh workspace.
@@ -376,6 +474,36 @@ def haralick_features(
         for name in wanted:
             out[name][lo : lo + step] = vals[name]
     return {name: out[name].reshape(lead) for name in wanted}
+
+
+def moment_features(
+    sums: np.ndarray, features: Sequence[str]
+) -> Dict[str, np.ndarray]:
+    """:data:`MOMENT_FEATURES` of a batch from its per-window sums.
+
+    ``sums`` is ``(n, 3G + 1)`` integers, one row per symmetric count
+    matrix: ``{N, sum c^2, D[0:G], Hs[0:2G-1]}`` as
+    :func:`repro.core.backends.moment_scan` yields them.  The moments
+    are integer dot products with ``Hs`` and ``D``, and every feature
+    goes through the float stage :func:`haralick_features` uses, so the
+    values are byte-equal to ``haralick_features`` of the matrices.
+    """
+    wanted = tuple(features)
+    for name in wanted:
+        if name not in MOMENT_FEATURES:
+            feature_index(name)  # unknown names raise KeyError
+            raise ValueError(f"{name!r} needs the matrix, not its sums")
+    sums = np.asarray(sums)
+    if sums.ndim != 2 or sums.shape[1] % 3 != 1 or sums.shape[1] < 4:
+        raise ValueError(f"expected (n, 3G + 1) sums, got {sums.shape}")
+    need = frozenset(wanted)
+    g = (sums.shape[1] - 1) // 3
+    sumsq = sums[:, 1].astype(np.float64) if "asm" in need else None
+    diff = sums[:, 2 : 2 + g].astype(np.float64) if "idm" in need else None
+    out, empty, _tot = _moment_stage(
+        need, g, _sum_moments(sums, _columns(need)), sumsq, diff
+    )
+    return {name: np.where(empty, 0.0, out[name]) for name in wanted}
 
 
 def haralick_feature_vector(

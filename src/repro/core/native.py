@@ -5,9 +5,11 @@ first use with the system C compiler and loaded with :mod:`ctypes`, so
 the only requirement beyond the standard library is a ``cc`` at run time
 and, without one, nothing is lost but speed: :func:`load` returns
 ``None``, :func:`repro.core.backends.incremental_scan` runs its numpy
-passes instead and :func:`repro.core.features.haralick_features` its
-numpy entropies and ``eigvalsh``.  ``ctypes`` releases the interpreter
-lock for the whole foreign call.
+passes instead, :func:`repro.core.raster.raster_scan_batches` scans
+matrices where it would take the moment sums, and
+:func:`repro.core.features.haralick_features` takes its difference
+histograms, entropies and ``eigvalsh`` from numpy.  ``ctypes`` releases
+the interpreter lock for the whole foreign call.
 
 The shared object lives in a per-user cache,
 ``${XDG_CACHE_HOME:-~/.cache}/repro/<sha256>.so`` with the hash taken
@@ -43,7 +45,8 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "NativeStatus", "status", "load", "plane_histograms", "information_features",
+    "NativeStatus", "status", "load", "plane_histograms", "window_sums",
+    "difference_histograms", "information_features",
 ]
 
 #: Portable on purpose: the cache may sit on a home directory shared by
@@ -155,6 +158,8 @@ _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 _SIGNATURES = {
     "plane_histograms": [_PTR, _I64, _PTR, _I64, _I64, _PTR, _I64, _I64, _PTR],
     "information_features": [_PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64],
+    "window_sums": [_PTR, _PTR, _PTR, _I64, _I64, _I64, _I64, _PTR, _PTR],
+    "difference_histograms": [_PTR, _I64, _I64, _PTR],
 }
 
 
@@ -249,6 +254,78 @@ def plane_histograms(
         raise ValueError("window reads outside the pair-code array")
     if err:
         raise ValueError(f"pair code outside [0, {gg})")
+
+
+def window_sums(
+    lib: ctypes.CDLL,
+    planes: np.ndarray,
+    offsets: np.ndarray,
+    widths: np.ndarray,
+    span: int,
+    levels: int,
+    out: np.ndarray,
+) -> None:
+    """Per-window integer sums of a block of scan rows in one C pass.
+
+    ``planes`` holds, from element ``offsets[q]`` on, group ``q``'s
+    :func:`plane_histograms` of shape ``(rows, span - 1 + widths[q],
+    G*G)``; the window at position ``t`` of a row counts planes
+    ``[t, t + widths[q])`` of every group.  Overwrites the C-contiguous
+    ``(rows, span, 3G + 1)`` int64 array ``out`` with, per window, the
+    symmetric GLCM's ``N``, ``sum c^2``, difference histogram
+    ``D[0:G]`` and sum histogram ``Hs[0:2G-1]``.  The planes are
+    consumed: the pass compacts each one in place.  Raises
+    ``TypeError`` when a group's planes would lie outside ``planes`` and
+    ``ValueError`` when a plane count is negative or does not fit 31
+    bits.
+    """
+    _int64_vector(planes, "planes")
+    _int64_vector(offsets, "offsets")
+    _int64_vector(widths, "widths")
+    rows, gg = out.shape[0], levels * levels
+    if (
+        out.dtype != np.int64
+        or out.shape != (rows, span, 3 * levels + 1)
+        or not out.flags.c_contiguous
+        or not out.flags.writeable
+        or not planes.flags.writeable
+        or offsets.size != widths.size
+        or span < 1
+        or (widths < 1).any()
+        or (offsets < 0).any()
+        or (offsets + rows * (span - 1 + widths) * gg > planes.size).any()
+    ):
+        raise TypeError(
+            f"out must be a writable C-contiguous int64 array of shape "
+            f"(rows, {span}, {3 * levels + 1}) and every group's planes "
+            f"inside the writable planes"
+        )
+    scratch = np.empty(gg + int((span - 1 + widths).sum()), dtype=np.int64)
+    err = lib.window_sums(
+        planes.ctypes.data, offsets.ctypes.data, widths.ctypes.data,
+        widths.size, rows, span, levels, scratch.ctypes.data, out.ctypes.data,
+    )
+    if err:
+        raise ValueError("plane count negative or past 31 bits")
+
+
+def difference_histograms(lib: ctypes.CDLL, p: np.ndarray) -> np.ndarray:
+    """``D[b, k]``: the sum of ``p[b]`` over ``|i - j| = k``, in C.
+
+    ``p`` is a C-contiguous float64 ``(n, G, G)`` slab; returns the
+    ``(n, G)`` float64 difference histograms, each summed in one fixed
+    order (exact on counts).
+    """
+    if (
+        p.dtype != np.float64
+        or p.ndim != 3
+        or p.shape[1] != p.shape[2]
+        or not p.flags.c_contiguous
+    ):
+        raise TypeError("p must be a C-contiguous float64 (n, G, G) array")
+    d = np.empty(p.shape[:2])
+    lib.difference_histograms(p.ctypes.data, p.shape[0], p.shape[1], d.ctypes.data)
+    return d
 
 
 #: Columns of :func:`information_features`' entropy output, in order.

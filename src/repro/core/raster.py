@@ -17,7 +17,9 @@ Two implementations:
 
 :func:`raster_scan_batches` is the one scan-then-features body: the HMP
 filter, the sequential out-of-core driver and :func:`raster_scan` all
-run through it, and it alone times the two halves.
+run through it, and it alone times the two halves.  For the eight moment
+features its scan hands over per-window integer sums instead of
+matrices (the moment pass); the volumes are the same bytes.
 """
 
 from __future__ import annotations
@@ -27,10 +29,16 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .backends import DEFAULT_KERNEL, get_kernel
+from . import native
+from .backends import DEFAULT_KERNEL, get_kernel, incremental_scan, moment_scan
 from .cooccurrence import check_levels, cooccurrence_matrix
 from .directions import Direction
-from .features import PAPER_FEATURES, haralick_features
+from .features import (
+    MOMENT_FEATURES,
+    PAPER_FEATURES,
+    haralick_features,
+    moment_features,
+)
 from .roi import ROISpec, iter_roi_origins, valid_positions_shape
 
 __all__ = ["raster_scan", "raster_scan_reference", "raster_scan_batches"]
@@ -84,22 +92,39 @@ def raster_scan_batches(
     selects the scan backend (``repro.core.backends``); every backend
     yields bit-identical batches.
 
+    When the kernel is ``incremental``, the compiled pass is loaded and
+    every feature is one of :data:`~repro.core.features.MOMENT_FEATURES`,
+    the scan is :func:`~repro.core.backends.moment_scan` and the
+    features come from its per-window integer sums
+    (:func:`~repro.core.features.moment_features`); no matrix is
+    formed.  Otherwise the scan's matrices go through
+    :func:`~repro.core.features.haralick_features`.  Both paths give
+    the same bytes.
+
     ``times``, when given, is a two-slot accumulator: the scan's seconds
     are added to ``times[0]`` and the features' to ``times[1]``.  The
     clock stops while the caller holds a yielded batch, so whatever the
     consumer does with it (send, copy) is counted in neither.
     """
     wanted = tuple(features) if features is not None else PAPER_FEATURES
-    scan = get_kernel(kernel)
+    scan, stage = get_kernel(kernel), haralick_features
+    if (
+        scan is incremental_scan
+        and MOMENT_FEATURES.issuperset(wanted)
+        and native.load() is not None
+    ):
+        # The moment pass: per window only its integer sums leave the
+        # scan, and the features come from those.
+        scan, stage = moment_scan, moment_features
     if times is None:
         times = [0.0, 0.0]
     mark = time.perf_counter()
-    for start, mats in scan(
+    for start, part in scan(
         data, roi, levels, directions, distance, batch=batch, validate=validate
     ):
         now = time.perf_counter()
         times[0] += now - mark
-        vals = haralick_features(mats, wanted)
+        vals = stage(part, wanted)
         times[1] += time.perf_counter() - now
         yield start, vals
         mark = time.perf_counter()

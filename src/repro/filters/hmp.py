@@ -5,9 +5,14 @@ computes the co-occurrence matrix *and* the selected Haralick parameters
 in one place, with no inter-filter communication between the two
 operations.  Output is a stream of feature portions.
 
-The matrices stay in the dense ``(B, G, G)`` form the scan yields: with
-no communication between matrix and parameter computation, a sparse
-form could only add conversion work (the paper's Fig. 7(a)).
+With no communication between matrix and parameter computation, a
+window's matrix need not exist outside the scan: for the eight moment
+features (the paper's four among them) the compiled moment pass hands
+over only each window's integer sums, and no ``(B, G, G)`` stack is
+formed (:func:`repro.core.raster.raster_scan_batches`).  The other six
+features, or a box without a C compiler, get the dense matrices the
+scan yields; a sparse form could only add conversion work (the paper's
+Fig. 7(a)).
 """
 
 from __future__ import annotations

@@ -177,14 +177,25 @@ class TestCompiledAgainstNumpy:
         assert calls == [True, False]  # mcc only when asked for
 
     def test_paper_features_never_reach_the_seam(self, monkeypatch):
+        # The entropies and mcc never run for the paper's four; only
+        # idm's difference histograms come from the library, when it is
+        # loaded.
         def forbidden(*args):
             raise AssertionError("the paper's four entered the seam")
 
-        monkeypatch.setattr(native, "load", forbidden)
+        calls = []
+        real = native.difference_histograms
         monkeypatch.setattr(native, "information_features", forbidden)
+        monkeypatch.setattr(
+            native, "difference_histograms",
+            lambda *args: calls.append(args[1].shape) or real(*args),
+        )
         mats = np.random.default_rng(4).integers(0, 9, size=(20, 8, 8))
         out = haralick_features(mats, PAPER_FEATURES)
         assert tuple(out) == PAPER_FEATURES
+        assert calls == ([(20, 8, 8)] if native.load() is not None else [])
+        haralick_features(mats, ("asm", "correlation", "sum_of_squares"))
+        assert len(calls) <= 1  # no idm, no difference histograms
 
 
 class TestMccBatch:
@@ -218,7 +229,7 @@ def test_cached_tables_are_read_only():
     haralick_features(np.ones((2, 8, 8)))
     for table in (
         features_mod._moment_table(8, ("1", "x", "xx")),
-        features_mod._idm_weights(8),
+        *features_mod._sum_weights(8),
     ):
         assert not table.flags.writeable
         with pytest.raises(ValueError):

@@ -172,6 +172,64 @@ class TestPlaneHistograms:
         assert len(inside) >= 5, (len(inside), t1 - t0)
 
 
+@needs_native
+class TestWindowSums:
+    def _planes(self, rows=2, span=3, widths=(2, 1), g=4, seed=0):
+        rng = np.random.default_rng(seed)
+        sizes = [rows * (span - 1 + w) * g * g for w in widths]
+        planes = rng.integers(0, 3, size=sum(sizes)).astype(np.int64)
+        offsets = np.cumsum([0, *sizes])[:-1].astype(np.int64)
+        return planes, offsets, np.array(widths, dtype=np.int64)
+
+    def test_sums_of_the_sliding_window(self):
+        rows, span, g = 2, 3, 4
+        planes, offsets, widths = self._planes(rows, span, (2, 1), g)
+        want = []
+        for r in range(rows):
+            for t in range(span):
+                a = np.zeros((g, g), dtype=np.int64)
+                for off, w in zip(offsets, widths):
+                    n_planes = span - 1 + w
+                    group = planes[off : off + rows * n_planes * g * g]
+                    group = group.reshape(rows, n_planes, g, g)
+                    a += group[r, t : t + w].sum(axis=0)
+                c = a + a.T
+                i, j = np.indices((g, g))
+                want.append(
+                    [c.sum(), (c * c).sum()]
+                    + [c[np.abs(i - j) == k].sum() for k in range(g)]
+                    + [c[i + j == s].sum() for s in range(2 * g - 1)]
+                )
+        out = np.full((rows, span, 3 * g + 1), -1, dtype=np.int64)
+        native.window_sums(LIB, planes.copy(), offsets, widths, span, g, out)
+        assert np.array_equal(out.reshape(-1, 3 * g + 1), np.array(want))
+
+    def test_rejects_bad_layout_and_counts(self):
+        planes, offsets, widths = self._planes()
+        out = np.zeros((2, 3, 13), dtype=np.int64)
+        call = native.window_sums
+        with pytest.raises(TypeError):
+            call(LIB, planes, offsets, widths, 3, 4, out[:, :2])
+        with pytest.raises(TypeError):
+            call(LIB, planes[:-1], offsets, widths, 3, 4, out)
+        with pytest.raises(TypeError):
+            call(LIB, planes, offsets[:1], widths, 3, 4, out)
+        with pytest.raises(TypeError, match="planes"):
+            call(LIB, planes.astype(np.int32), offsets, widths, 3, 4, out)
+        planes[5] = -1
+        with pytest.raises(ValueError, match="plane count"):
+            call(LIB, planes, offsets, widths, 3, 4, out)
+
+    def test_difference_histograms_rejects_layout(self):
+        p = np.ones((3, 4, 4))
+        for bad in (p.astype(np.float32), p[:, :, :3], p.transpose(0, 2, 1)):
+            with pytest.raises(TypeError):
+                native.difference_histograms(LIB, bad)
+        assert np.array_equal(
+            native.difference_histograms(LIB, p), np.tile([4.0, 6, 4, 2], (3, 1))
+        )
+
+
 class TestInformationFeatures:
     @needs_native
     def test_rejects_wrong_dtype_layout_and_shape(self):

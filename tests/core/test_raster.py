@@ -138,18 +138,25 @@ class TestOneBody:
     def test_hmp_and_sequential_driver_go_through_it(self, monkeypatch, tmp_path):
         entered, rois = [], []
         real_get_kernel = raster.get_kernel
-        real_features = raster.haralick_features
 
         def get_kernel_spy(name):
             entered.append(name)
             return real_get_kernel(name)
 
-        def features_spy(mats, wanted):
-            rois.append(mats.shape[0])
-            return real_features(mats, wanted)
+        def stage_spy(real):
+            # Each batch goes through one feature stage: the matrices'
+            # or, on the moment pass, the sums'.
+            def spy(part, wanted):
+                rois.append(part.shape[0])
+                return real(part, wanted)
+
+            return spy
 
         monkeypatch.setattr(raster, "get_kernel", get_kernel_spy)
-        monkeypatch.setattr(raster, "haralick_features", features_spy)
+        for stage in ("haralick_features", "moment_features"):
+            monkeypatch.setattr(
+                raster, stage, stage_spy(getattr(raster, stage))
+            )
         params = TextureParams(
             roi_shape=(3, 3, 3, 2), levels=8, features=("asm", "idm"),
             intensity_range=(0.0, 4095.0),

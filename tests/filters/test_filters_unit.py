@@ -9,7 +9,7 @@ import pytest
 
 from repro.chunks.chunking import partition
 from repro.core.quantization import quantize_linear
-from repro.core.raster import raster_scan
+from repro.core.raster import raster_scan, raster_scan_reference
 from repro.core.roi import ROISpec
 from repro.data.synthetic import PhantomConfig, generate_phantom
 from repro.datacutter.buffers import DataBuffer
@@ -259,8 +259,9 @@ class TestIIC:
 
 class TestTextureFilters:
     def expected(self, volume):
+        # The one-window Fig. 2 path: a matrix per ROI, then its features.
         q = quantize_linear(volume.data, 8, lo=0.0, hi=4095.0)
-        return raster_scan(q, PARAMS.roi, 8, features=PARAMS.features)
+        return raster_scan_reference(q, PARAMS.roi, 8, features=PARAMS.features)
 
     def run_hmp(self, volume, params):
         hmp = HaralickMatrixProducer(params)
@@ -273,11 +274,12 @@ class TestTextureFilters:
     def test_hmp_produces_correct_features(self, volume):
         sent = self.run_hmp(volume, PARAMS)
         want = self.expected(volume)
-        got = np.zeros(want["asm"].size)
-        for s in sent:
-            fp = s["payload"]
-            got[fp.start : fp.start + fp.count] = fp.values["asm"]
-        np.testing.assert_allclose(got.reshape(want["asm"].shape), want["asm"])
+        for name in PARAMS.features:
+            got = np.full(want[name].size, np.nan)
+            for s in sent:
+                fp = s["payload"]
+                got[fp.start : fp.start + fp.count] = fp.values[name]
+            assert np.array_equal(got.reshape(want[name].shape), want[name]), name
 
     def test_hmp_packets_are_eighths(self, volume):
         sent = self.run_hmp(volume, PARAMS)
@@ -295,10 +297,13 @@ class TestTextureFilters:
         for s in ctx1.sent:
             hpc.process("hcc2hpc", DataBuffer(s["payload"]), ctx2)
         hmp_sent = self.run_hmp(volume, PARAMS)
+        assert len(ctx2.sent) == len(hmp_sent)
         for shpc, shmp in zip(ctx2.sent, hmp_sent):
-            np.testing.assert_allclose(
-                shpc["payload"].values["idm"], shmp["payload"].values["idm"]
-            )
+            assert shpc["payload"].start == shmp["payload"].start
+            for name in PARAMS.features:
+                assert np.array_equal(
+                    shpc["payload"].values[name], shmp["payload"].values[name]
+                ), name
 
     def test_hcc_size_bytes_is_packet_nbytes(self, volume):
         hcc = HaralickCoMatrixCalculator(PARAMS)

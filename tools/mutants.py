@@ -85,16 +85,19 @@ MODULES: Dict[str, List[str]] = {
     "src/repro/core/features.py": [
         "tests/core/test_features.py",
         "tests/core/test_feature_kernel.py",
+        "tests/properties/test_moment_pass.py",
     ],
     "src/repro/core/raster.py": [
         "tests/core/test_raster.py",
         "tests/core/test_backends.py",
         "tests/pipeline/test_sequential.py",
         "tests/filters/test_filters_unit.py",
+        "tests/properties/test_moment_pass.py",
     ],
     "src/repro/core/backends.py": [
         "tests/core/test_backends.py",
         "tests/properties/test_kernel_backends.py",
+        "tests/properties/test_moment_pass.py",
     ],
     "src/repro/datacutter/routing.py": [
         "tests/properties/test_edge_protocol.py",
